@@ -1,9 +1,11 @@
 """Disposition-effect analytics for intraday transaction logs.
 
-Pipeline: parse transaction logs (ingest), build market price series from
-the pooled trades (prices), reconstruct per-investor portfolios event by
-event (ledger), accrue realized/paper gains and losses under the Count,
-Total, and Value methods across narrow, wide, and integrated framing
+Pipeline: parse transaction logs (ingest), reconstruct per-investor
+portfolios event by event (ledger), accrue realized/paper gains and losses
+under the Count, Total, and Value methods into a dense tally array, valuing
+open positions at the last trade price of each asset pooled over all
+investors (metrics and its streaming kernel), aggregate that array into
+disposition-effect records across narrow, wide, and integrated framing
 (metrics), and compare groups with Mann-Whitney tests (stats).  A seeded
 synthetic-trader generator with a brute-force replay oracle (synth)
 provides ground truth for validation.
@@ -18,7 +20,7 @@ from .ingest import (
     parse_transactions,
     summarize,
 )
-from .ledger import Direction, PortfolioState, Position, RealizationLeg, unrealized_pnl
+from .ledger import Direction, PortfolioState, Position, RealizationLeg
 from .metrics import (
     Context,
     DeRecord,
@@ -35,7 +37,6 @@ from .metrics import (
     run_engine,
     signed_return,
 )
-from .prices import PriceSeries, SeriesCursor, build_series, price_at
 from .stats import TestResult, compare_groups, format_cell, mann_whitney
 from .synth import BehaviorProfile, generate_population, oracle_replay, random_stream
 
@@ -54,16 +55,13 @@ __all__ = [
     "Method",
     "PortfolioState",
     "Position",
-    "PriceSeries",
     "RealizationLeg",
-    "SeriesCursor",
     "Side",
     "Tally",
     "TallyStore",
     "TestResult",
     "Transaction",
     "aggregate",
-    "build_series",
     "classify_context",
     "compare_groups",
     "compute_de",
@@ -74,10 +72,8 @@ __all__ = [
     "oracle_replay",
     "parse_instruments",
     "parse_transactions",
-    "price_at",
     "random_stream",
     "run_engine",
     "signed_return",
     "summarize",
-    "unrealized_pnl",
 ]

@@ -35,12 +35,12 @@ def _diag(message: str) -> None:
 
 
 def _load_transactions(path: str, lenient: bool = False) -> tuple[list[Transaction], list[MalformedRow]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return ingest.parse_transactions_report(fh, lenient=lenient)
 
 
 def _load_registry(path: str) -> dict[str, Instrument]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return ingest.parse_instruments(fh)
 
 
@@ -110,19 +110,19 @@ def _compute_records(
     transactions: Sequence[Transaction], args: argparse.Namespace
 ) -> dict[Framing, list[DeRecord]]:
     store = metrics.run_engine(transactions, _engine_options(args), threads=args.threads)
-    tallies = store.to_dict()
     methods = [Method(m) for m in args.method.split(",")]
     out: dict[Framing, list[DeRecord]] = {}
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     for framing in framings:
         level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
         out[framing] = metrics.aggregate(
-            tallies, level, framing, methods=methods, zero_policy=args.zero_denominator
+            store, level, framing, methods=methods, zero_policy=args.zero_denominator
         )
     return out
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    metrics.histogram((), args.bins)  # rejects a bad width before any file is written
     try:
         transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     except SchemaError as err:
@@ -255,9 +255,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_MALFORMED
     framing, row_header = _COMPARE_SPECS[args.spec]
     store = metrics.run_engine(transactions, _engine_options(args), threads=args.threads)
-    records = metrics.aggregate(
-        store.to_dict(), Level.PER_ASSET, framing, zero_policy=args.zero_denominator
-    )
+    records = metrics.aggregate(store, Level.PER_ASSET, framing, zero_policy=args.zero_denominator)
     methods = [Method(m) for m in args.method.split(",")]
     leverages = sorted({inst.leverage for inst in registry.values()})
     try:
@@ -331,7 +329,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     print()
     store = metrics.run_engine(transactions, _engine_options(args), threads=args.threads)
     records = metrics.aggregate(
-        store.to_dict(),
+        store,
         Level.INVESTOR_POOLED,
         Framing.NARROW,
         methods=[Method.COUNT],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -139,6 +140,8 @@ def _parse_row(row: dict[str, str], line: int, seq: int) -> Transaction:
         raise MalformedRow(line, f"unparseable price {row['price']!r}") from None
     if not price > 0:
         raise MalformedRow(line, f"price must be positive, got {price}")
+    if not math.isfinite(price):
+        raise MalformedRow(line, f"price must be finite, got {price}")
     try:
         timestamp = datetime.fromisoformat(row["timestamp"].strip())
     except ValueError:
@@ -168,6 +171,8 @@ def parse_transactions_report(
 
     In strict mode the first reject raises; in lenient mode every reject is
     recorded (and logged) so accepted + rejected equals the input row count.
+    Timestamps must all be timezone-aware or all naive, as the first
+    accepted row sets; a row that differs is a reject.
     """
     reader = csv.DictReader(stream)
     _check_header(reader.fieldnames, TRANSACTION_COLUMNS)
@@ -179,7 +184,14 @@ def parse_transactions_report(
         try:
             if any(row.get(c) is None for c in TRANSACTION_COLUMNS):
                 raise MalformedRow(line, "wrong number of fields")
-            records.append(_parse_row(row, line, seq))
+            tx = _parse_row(row, line, seq)
+            aware = tx.timestamp.tzinfo is not None
+            if records and aware != (records[0].timestamp.tzinfo is not None):
+                kind = "timezone-aware" if aware else "naive"
+                raise MalformedRow(
+                    line, f"timestamp {row['timestamp']!r} is {kind}, unlike the first accepted row"
+                )
+            records.append(tx)
             seq += 1
         except MalformedRow as err:
             if not lenient:

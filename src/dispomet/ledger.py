@@ -97,14 +97,3 @@ class PortfolioState:
             return None
         return pos
 
-
-def apply_transaction(
-    state: PortfolioState, tx: Transaction
-) -> tuple[PortfolioState, RealizationLeg | None]:
-    """Advance the state by one transaction; returns (state, optional leg)."""
-    return state, state.apply(tx)
-
-
-def unrealized_pnl(position: Position, market_price: float) -> float:
-    """Monetary paper P&L; the sign of the quantity covers long and short."""
-    return (market_price - position.reference_price) * position.signed_quantity

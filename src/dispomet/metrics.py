@@ -21,9 +21,11 @@ per context; integrated framing keeps per-asset, per-context tallies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, MutableMapping, Sequence, Union
+from typing import Iterable, Mapping, MutableMapping, Sequence
+
+import numpy as np
 
 from . import _kernel
 from .ingest import Side, Transaction
@@ -81,15 +83,6 @@ class Tally:
     rl: float = 0.0
     pg: float = 0.0
     pl: float = 0.0
-
-    def merged(self, other: "Tally") -> "Tally":
-        return Tally(self.rg + other.rg, self.rl + other.rl, self.pg + other.pg, self.pl + other.pl)
-
-    def add_into(self, other: "Tally") -> None:
-        self.rg += other.rg
-        self.rl += other.rl
-        self.pg += other.pg
-        self.pl += other.pl
 
 
 TallyKey = tuple[str, str, Context, Method]
@@ -276,7 +269,7 @@ class TallyStore:
         return Tally(row[m], row[m + 1], row[m + 2], row[m + 3])
 
     def to_dict(self) -> dict[TallyKey, Tally]:
-        """Sparse view: only tallies with at least one nonzero component."""
+        """Sparse view in oracle_replay's layout: only tallies with a nonzero component."""
         out: dict[TallyKey, Tally] = {}
         for inv, asset, pid in self.pairs():
             for ctx, ci in _CTX_INDEX.items():
@@ -318,57 +311,30 @@ def run_engine(
 # Aggregation
 # ---------------------------------------------------------------------------
 
-TalliesLike = Union[TallyStore, Mapping[TallyKey, Tally]]
-
-
-def _as_dict(tallies: TalliesLike) -> Mapping[TallyKey, Tally]:
-    if isinstance(tallies, TallyStore):
-        return tallies.to_dict()
-    return tallies
-
-
-def _merge(
-    tallies: Mapping[TallyKey, Tally], framing: Framing
-) -> dict[tuple[str, str, Context | None], dict[Method, Tally]]:
-    """Group tallies per (investor, asset, context-or-merged)."""
-    out: dict[tuple[str, str, Context | None], dict[Method, Tally]] = {}
-    for (inv, asset, ctx, method), tally in tallies.items():
-        key_ctx: Context | None
-        if framing is Framing.NARROW:
-            key_ctx = None
-        else:
-            if ctx is Context.NEUTRAL:
-                continue  # neutral excluded from context-split framings
-            key_ctx = ctx
-        slot = out.setdefault((inv, asset, key_ctx), {})
-        if method in slot:
-            slot[method].add_into(tally)
-        else:
-            slot[method] = Tally(tally.rg, tally.rl, tally.pg, tally.pl)
-    return out
-
-
-def _method_tally(per_method: dict[Method, Tally], method: Method, value_mean: bool) -> Tally:
-    tally = per_method.get(method, Tally())
-    if value_mean and method is Method.VALUE:
-        counts = per_method.get(Method.COUNT, Tally())
-        return Tally(
-            tally.rg / counts.rg if counts.rg else 0.0,
-            tally.rl / counts.rl if counts.rl else 0.0,
-            tally.pg / counts.pg if counts.pg else 0.0,
-            tally.pl / counts.pl if counts.pl else 0.0,
-        )
-    return tally
+def _de_columns(tallies: np.ndarray, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """compute_de over the last axis of ``tallies`` (rg, rl, pg, pl)."""
+    rg, rl, pg, pl = np.moveaxis(tallies, -1, 0)
+    gd = rg + pg
+    ld = rl + pl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = rg / gd
+        l = rl / ld
+    if zero_policy == "exclude":
+        defined = (gd != 0.0) & (ld != 0.0)
+        return np.where(defined, g - l, np.nan), defined
+    if zero_policy == "zero":
+        de = np.where(gd > 0.0, g, 0.0) - np.where(ld > 0.0, l, 0.0)
+        return de, np.ones(de.shape, bool)
+    raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
 
 
 def aggregate(
-    tallies: TalliesLike,
+    store: TallyStore,
     level: Level,
     framing: Framing,
     *,
     methods: Sequence[Method] = tuple(Method),
     zero_policy: str = "exclude",
-    value_mean: bool = False,
 ) -> list[DeRecord]:
     """Compute DeRecords at the requested framing and aggregation level.
 
@@ -376,39 +342,54 @@ def aggregate(
     wide and integrated framing keep Positive/Negative contexts separate
     (Neutral is excluded).  INVESTOR_POOLED sums tallies across assets
     before the ratio; INVESTOR_MEAN_OF_ASSETS averages the defined
-    per-asset values.
+    per-asset values.  A record exists only for a (pair, context) group
+    with a nonzero tally, or an investor with at least one such group.
     """
-    grouped = _merge(_as_dict(tallies), framing)
-    records: list[DeRecord] = []
+    tal = store.array
+    if framing is Framing.NARROW:
+        contexts: tuple[Context | None, ...] = (None,)
+        groups = (tal[:, 0] + tal[:, 1] + tal[:, 2])[:, None]
+        present = (tal != 0.0).any(axis=(1, 2))[:, None]
+    else:
+        contexts = (Context.POSITIVE, Context.NEGATIVE)
+        groups = tal[:, :2]
+        present = (groups != 0.0).any(axis=2)
+    # (pair, context, method, component) for the requested methods.
+    groups = groups.reshape(*groups.shape[:2], 3, 4)[:, :, [_METHOD_INDEX[m] for m in methods]]
+    owner = store._enc.pair_investor
+    n_investors = len(store.investors)
+    # np.add.at adds pairs one after another in pair order, the summation
+    # order of the reference implementations.
     if level is Level.PER_ASSET:
-        for (inv, asset, ctx), per_method in grouped.items():
-            for method in methods:
-                de, defined = compute_de(_method_tally(per_method, method, value_mean), zero_policy)
-                records.append(DeRecord(inv, asset, ctx, method, de, defined))
+        keys = [(inv, asset) for inv, asset, _ in store.pairs()]
+        de, defined = _de_columns(groups, zero_policy)
+        emit = np.broadcast_to(present[:, :, None], de.shape)
     elif level is Level.INVESTOR_POOLED:
-        pooled: dict[tuple[str, Context | None], dict[Method, Tally]] = {}
-        for (inv, _asset, ctx), per_method in grouped.items():
-            slot = pooled.setdefault((inv, ctx), {})
-            for method, tally in per_method.items():
-                if method in slot:
-                    slot[method].add_into(tally)
-                else:
-                    slot[method] = Tally(tally.rg, tally.rl, tally.pg, tally.pl)
-        for (inv, ctx), per_method in pooled.items():
-            for method in methods:
-                de, defined = compute_de(_method_tally(per_method, method, value_mean), zero_policy)
-                records.append(DeRecord(inv, POOLED_ASSET, ctx, method, de, defined))
+        keys = [(inv, POOLED_ASSET) for inv in store.investors]
+        pooled = np.zeros((n_investors, *groups.shape[1:]))
+        np.add.at(pooled, owner, groups)
+        de, defined = _de_columns(pooled, zero_policy)
+        pooled_present = np.zeros((n_investors, len(contexts)), bool)
+        np.logical_or.at(pooled_present, owner, present)
+        emit = np.broadcast_to(pooled_present[:, :, None], de.shape)
     elif level is Level.INVESTOR_MEAN_OF_ASSETS:
-        values: dict[tuple[str, Context | None, Method], list[float]] = {}
-        for (inv, _asset, ctx), per_method in grouped.items():
-            for method in methods:
-                de, defined = compute_de(_method_tally(per_method, method, value_mean), zero_policy)
-                if defined:
-                    values.setdefault((inv, ctx, method), []).append(de)
-        for (inv, ctx, method), vals in values.items():
-            records.append(DeRecord(inv, POOLED_ASSET, ctx, method, sum(vals) / len(vals), True))
+        keys = [(inv, POOLED_ASSET) for inv in store.investors]
+        per_asset, per_asset_defined = _de_columns(groups, zero_policy)
+        per_asset_defined &= present[:, :, None]
+        sums = np.zeros((n_investors, *per_asset.shape[1:]))
+        np.add.at(sums, owner, np.where(per_asset_defined, per_asset, 0.0))
+        counts = np.zeros(sums.shape, np.int64)
+        np.add.at(counts, owner, per_asset_defined)
+        emit = defined = counts > 0
+        with np.errstate(invalid="ignore"):
+            de = sums / counts
     else:
         raise ValueError(f"unknown aggregation level {level!r}")
+    rows, ctxs, meths = (ix.tolist() for ix in np.nonzero(emit))
+    records = [
+        DeRecord(*keys[r], contexts[c], methods[m], value, ok)
+        for r, c, m, value, ok in zip(rows, ctxs, meths, de[emit], defined[emit].tolist())
+    ]
     records.sort(
         key=lambda r: (
             r.investor_id,

@@ -138,15 +138,17 @@ def test_criterion_3_antisymmetry_and_scale_invariance():
         if txs:
             streams.append(txs)
     for txs in streams:
-        base = run_engine(txs).to_dict()
-        swapped = run_engine(_swap_sides(txs)).to_dict()
+        base_store = run_engine(txs)
+        swapped_store = run_engine(_swap_sides(txs))
+        base = base_store.to_dict()
+        swapped = swapped_store.to_dict()
         assert base.keys() == swapped.keys()
         for key, t in base.items():
             s = swapped[key]
             assert (s.rg, s.rl, s.pg, s.pl) == (t.rl, t.rg, t.pl, t.pg), key
         for a, b in zip(
-            aggregate(base, Level.PER_ASSET, Framing.NARROW),
-            aggregate(swapped, Level.PER_ASSET, Framing.NARROW),
+            aggregate(base_store, Level.PER_ASSET, Framing.NARROW),
+            aggregate(swapped_store, Level.PER_ASSET, Framing.NARROW),
         ):
             assert a.defined == b.defined
             if a.defined:

@@ -1,9 +1,13 @@
 import csv
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
+    EXIT_ERROR,
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -128,3 +132,49 @@ def test_report_prints_summary_and_histogram(clean_file, capsys):
     out = capsys.readouterr().out
     assert "Descriptive Summary of Investors" in out
     assert "Histogram" in out
+
+
+def test_validate_accepts_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "transactions.csv"
+    path.write_text("\ufeff" + CLEAN, encoding="utf-8")
+    reg = tmp_path / "instruments.csv"
+    reg.write_text("\ufeff" + REGISTRY, encoding="utf-8")
+    assert main(["validate", "--transactions", str(path), "--registry", str(reg)]) == EXIT_OK
+    assert "3 rows accepted, 0 rejected" in capsys.readouterr().out
+
+
+def test_mixed_timezone_awareness_is_a_malformed_row(tmp_path, capsys):
+    path = tmp_path / "transactions.csv"
+    path.write_text(
+        HEADER
+        + "I1,A,B,1,10,2015-01-05 09:00:00+00:00\n"
+        + "I1,A,S,1,11,2015-01-05 09:01:00\n"
+        + "I1,A,B,1,12,2015-01-05 09:02:00+01:00\n"
+    )
+    assert main(["compute", "--transactions", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED
+    assert "line 3" in capsys.readouterr().err
+    assert main(["validate", "--transactions", str(path), "--lenient"]) == EXIT_OK
+    assert "2 rows accepted, 1 rejected" in capsys.readouterr().out
+
+
+def test_compute_bad_bin_width_writes_no_records(clean_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compute", "--transactions", clean_file, "--out", str(out), "--bins", "0"]) == EXIT_ERROR
+    assert "InvalidBinWidth" in capsys.readouterr().err
+    assert not list(out.glob("records_*.csv"))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    commands = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("dispomet ")
+    ]
+    assert {argv[0] for argv in commands} == {"synth", "validate", "compute", "compare", "report"}
+    monkeypatch.chdir(tmp_path)  # the README's relative paths land under tmp_path
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv

@@ -64,6 +64,7 @@ def test_out_of_order_input_is_sorted():
         "I1,A1,B,1.5,10,2015-01-05 09:00:00",  # fractional units rejected
         "I1,A1,B,1,0,2015-01-05 09:00:00",
         "I1,A1,B,1,-1,2015-01-05 09:00:00",
+        "I1,A1,B,1,inf,2015-01-05 09:00:00",
         "I1,A1,X,1,10,2015-01-05 09:00:00",
         "I1,A1,B,1,10,not-a-time",
         ",A1,B,1,10,2015-01-05 09:00:00",

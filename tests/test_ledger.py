@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispomet.ingest import Side, Transaction
-from dispomet.ledger import (
-    Direction,
-    PortfolioState,
-    Position,
-    apply_transaction,
-    unrealized_pnl,
-)
+from dispomet.ledger import Direction, PortfolioState
 
 
 def tx(side, qty, price, asset="A", minute=0):
@@ -19,7 +13,7 @@ def tx(side, qty, price, asset="A", minute=0):
 
 def test_opening_buy():
     state = PortfolioState()
-    _, leg = apply_transaction(state, tx(Side.BUY, 100, 10.0))
+    leg = state.apply(tx(Side.BUY, 100, 10.0))
     assert leg is None
     pos = state.position("A")
     assert pos.signed_quantity == 100
@@ -82,14 +76,6 @@ def test_open_positions_drop_flat_and_sort():
 
 def test_fresh_state_has_no_positions():
     assert PortfolioState().open_positions() == []
-
-
-@pytest.mark.parametrize(
-    "qty,ref,market,expected",
-    [(100, 10.0, 12.0, 200.0), (-50, 11.0, 9.0, 100.0), (30, 7.0, 7.0, 0.0)],
-)
-def test_unrealized_pnl(qty, ref, market, expected):
-    assert unrealized_pnl(Position("A", qty, ref), market) == expected
 
 
 sides = st.sampled_from(list(Side))

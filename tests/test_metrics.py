@@ -21,6 +21,7 @@ from dispomet.metrics import (
     run_engine,
     signed_return,
 )
+from dispomet.synth import BehaviorProfile, generate_population, random_stream
 
 
 def tx(investor, asset, side, qty, price, minute, seq):
@@ -59,6 +60,20 @@ def test_classify_context_exact_zero_is_neutral():
 def test_classify_context_include_traded_flag():
     positions = [Position("A", 10, 10.0)]
     assert classify_context(positions, "A", {"A": 12.0}, include_traded=True) is Context.POSITIVE
+
+
+@pytest.mark.parametrize(
+    "qty,ref,market,expected",
+    [(100, 10.0, 12.0, 200.0), (-50, 11.0, 9.0, 100.0), (30, 7.0, 7.0, 0.0)],
+)
+def test_classify_context_sums_monetary_pnl(qty, ref, market, expected):
+    # A position's share of the balance is (market - reference) * signed quantity:
+    # a short unit of B priced 1 + expected over a reference of 1 offsets it exactly.
+    held = Position("A", qty, ref)
+    prices = {"A": market, "B": 1.0 + expected}
+    alone = Context.POSITIVE if expected > 0 else Context.NEUTRAL
+    assert classify_context([held], "X", prices) is alone
+    assert classify_context([held, Position("B", -1, 1.0)], "X", prices) is Context.NEUTRAL
 
 
 def closed_long(asset, qty, ref, price):
@@ -147,6 +162,19 @@ def test_compute_de_zero_policy_maps_missing_side_to_zero():
     assert de == 0.5
 
 
+def _store(tallies):
+    """A TallyStore holding the given {(investor, asset, context, method): Tally} numbers."""
+    pairs = sorted({(inv, asset) for inv, asset, _, _ in tallies})
+    store = run_engine([tx(inv, asset, Side.BUY, 1, 10.0, 0, i) for i, (inv, asset) in enumerate(pairs)])
+    pid = {(inv, asset): p for inv, asset, p in store.pairs()}
+    store.array[:] = 0.0
+    for (inv, asset, ctx, method), t in tallies.items():
+        m = list(Method).index(method) * 4
+        store.array[pid[inv, asset], list(Context).index(ctx), m : m + 4] = (t.rg, t.rl, t.pg, t.pl)
+    assert store.to_dict() == tallies
+    return store
+
+
 # Aggregation fixtures: two assets with (rg, pg, rl, pl) tallies
 # (1, 1, 0, 1) and (1, 3, 2, 2).  Asset-level values are 0.5 and -0.25;
 # pooled components (2, 4, 2, 3) give 2/6 - 2/5.
@@ -155,7 +183,7 @@ def _two_asset_tallies():
     for asset, (rg, pg, rl, pl) in (("A", (1, 1, 0, 1)), ("B", (1, 3, 2, 2))):
         for method in Method:
             tallies[("I1", asset, Context.NEUTRAL, method)] = Tally(rg=rg, rl=rl, pg=pg, pl=pl)
-    return tallies
+    return _store(tallies)
 
 
 def test_aggregate_investor_pooled():
@@ -175,9 +203,9 @@ def test_aggregate_mean_of_assets():
 
 
 def test_single_asset_single_context_framings_coincide():
-    tallies = {
+    tallies = _store({
         ("I1", "A", Context.POSITIVE, Method.COUNT): Tally(rg=2, rl=1, pg=3, pl=4),
-    }
+    })
     values = set()
     for framing in Framing:
         for level in Level:
@@ -188,10 +216,10 @@ def test_single_asset_single_context_framings_coincide():
 
 
 def test_aggregate_neutral_excluded_from_context_framings():
-    tallies = {
+    tallies = _store({
         ("I1", "A", Context.NEUTRAL, Method.COUNT): Tally(rg=1, rl=1, pg=1, pl=1),
         ("I1", "A", Context.POSITIVE, Method.COUNT): Tally(rg=1, rl=1, pg=1, pl=1),
-    }
+    })
     integrated = aggregate(tallies, Level.PER_ASSET, Framing.INTEGRATED, methods=[Method.COUNT])
     assert [r.context for r in integrated] == [Context.POSITIVE]
     narrow = aggregate(tallies, Level.PER_ASSET, Framing.NARROW, methods=[Method.COUNT])
@@ -241,10 +269,9 @@ def test_engine_realized_gain_in_positive_context():
 def test_narrow_tallies_are_context_partition_sums():
     store = run_engine(_stream_gain_and_paper())
     for (inv, asset, _, method), _t in store.to_dict().items():
-        merged = Tally()
-        for ctx in Context:
-            merged.add_into(store.tally(inv, asset, ctx, method))
-        narrow = aggregate(store.to_dict(), Level.PER_ASSET, Framing.NARROW, methods=[method])
+        parts = [store.tally(inv, asset, ctx, method) for ctx in Context]
+        merged = Tally(*(sum(getattr(p, f) for p in parts) for f in ("rg", "rl", "pg", "pl")))
+        narrow = aggregate(store, Level.PER_ASSET, Framing.NARROW, methods=[method])
         for record in narrow:
             if record.investor_id == inv and record.asset_id == asset:
                 assert record.de == compute_de(merged)[0] or not record.defined
@@ -274,3 +301,71 @@ def test_investor_isolation():
 def test_engine_threads_flag_does_not_change_result():
     txs = _stream_gain_and_paper()
     assert run_engine(txs, threads=1).to_dict() == run_engine(txs, threads=8).to_dict()
+
+
+def _naive_aggregate(store, level, framing, methods, zero_policy):
+    """Reference records: regroup store.to_dict() and apply compute_de per tally."""
+    per_asset = {}  # (investor, asset, context-or-None) -> {method: [rg, rl, pg, pl]}
+    for (inv, asset, ctx, method), t in store.to_dict().items():
+        if framing is Framing.NARROW:
+            ctx = None
+        elif ctx is Context.NEUTRAL:
+            continue
+        sums = per_asset.setdefault((inv, asset, ctx), {}).setdefault(method, [0.0] * 4)
+        for i, v in enumerate((t.rg, t.rl, t.pg, t.pl)):
+            sums[i] += v
+
+    def de(per_method, method):
+        return compute_de(Tally(*per_method.get(method, [0.0] * 4)), zero_policy)
+
+    rows = []
+    if level is Level.PER_ASSET:
+        for (inv, asset, ctx), per_method in per_asset.items():
+            rows += [(inv, asset, ctx, m, *de(per_method, m)) for m in methods]
+    elif level is Level.INVESTOR_POOLED:
+        pooled = {}
+        for (inv, _asset, ctx), per_method in per_asset.items():
+            slot = pooled.setdefault((inv, ctx), {})
+            for method, sums in per_method.items():
+                acc = slot.setdefault(method, [0.0] * 4)
+                for i, v in enumerate(sums):
+                    acc[i] += v
+        for (inv, ctx), per_method in pooled.items():
+            rows += [(inv, "*", ctx, m, *de(per_method, m)) for m in methods]
+    else:
+        values = {}
+        for (inv, _asset, ctx), per_method in per_asset.items():
+            for m in methods:
+                value, defined = de(per_method, m)
+                if defined:
+                    values.setdefault((inv, ctx, m), []).append(value)
+        rows = [(inv, "*", ctx, m, sum(v) / len(v), True) for (inv, ctx, m), v in values.items()]
+    rows.sort(key=lambda r: (r[0], r[1], r[2].value if r[2] else "", r[3].value))
+    return rows
+
+
+def _assert_matches_naive(store):
+    for framing in Framing:
+        for level in Level:
+            for zero_policy in ("exclude", "zero"):
+                for methods in (list(Method), [Method.VALUE], [Method.TOTAL, Method.COUNT]):
+                    got = aggregate(store, level, framing, methods=methods, zero_policy=zero_policy)
+                    want = _naive_aggregate(store, level, framing, methods, zero_policy)
+                    where = (framing, level, zero_policy, methods)
+                    assert [(r.investor_id, r.asset_id, r.context, r.method, r.defined) for r in got] == [
+                        (inv, asset, ctx, m, defined) for inv, asset, ctx, m, _, defined in want
+                    ], where
+                    for r, w in zip(got, want):
+                        assert r.de == w[4] if r.defined else math.isnan(r.de), (where, r, w)
+
+
+def test_aggregate_matches_naive_reference_on_random_streams():
+    for seed in range(200):
+        _assert_matches_naive(
+            run_engine(random_stream(seed, max_investors=4, max_assets=5, max_events=80))
+        )
+
+
+def test_aggregate_matches_naive_reference_on_population():
+    txs, _ = generate_population(12, BehaviorProfile(0.6, 0.3, n_assets=6, horizon_events=30, seed=5))
+    _assert_matches_naive(run_engine(txs))
