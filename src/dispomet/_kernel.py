@@ -1,14 +1,29 @@
 """Integer-encoded streaming kernel behind metrics.run_engine.
 
-Transactions are encoded once into flat arrays; the accrual loop then runs
-over primitive types only so it can be JIT-compiled.  Iteration over an
-investor's positions always follows asset_id order (the per-investor pair
-lists are sorted at encode time), which keeps the floating-point summation
-order of the context balance identical to the reference implementations.
+Transactions are encoded once into flat columns of Python ints and floats;
+the accrual loop then runs over primitive types only, so the same function
+body is JIT-compiled by numba where it is installed and runs as plain Python
+otherwise.  ``stream`` allocates every container the loop indexes:
+
+* numba backend: numpy arrays, the event columns converted with ``np.array``;
+* Python backend: the encoded lists as they are, plain lists for the
+  per-pair state and an ``array('d')`` tally buffer that is returned without
+  a copy through ``np.frombuffer``.
+
+Assets are numbered in asset_id order.  Open-slot layout: each investor owns
+the slot range ``open_pairs[inv_pair_ptr[inv] : inv_pair_ptr[inv + 1]]`` (one
+slot per pair the investor ever trades), of which the first
+``open_count[inv]`` hold the investor's open positions in asset order.  A position that opens is
+inserted by shifting the later slots right; one that closes is removed by
+shifting them left.  An evaluation visits only the open slots, in asset_id
+order, which keeps the floating-point summation order of the context balance
+identical to the reference implementations.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -17,8 +32,10 @@ from .ingest import Side, Transaction
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional "jit" extra
     njit = None
+
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(slots=True)
@@ -26,69 +43,51 @@ class EncodedStream:
     investors: list[str]
     assets: list[str]
     pair_index: dict[tuple[str, str], int]
-    pair_investor: np.ndarray  # (n_pairs,) int64
-    pair_asset: np.ndarray  # (n_pairs,) int64
-    inv_pair_ptr: np.ndarray  # (n_investors + 1,) int64, CSR offsets
-    inv_pair_list: np.ndarray  # (n_pairs,) int64, asset_id-sorted per investor
-    ev_pair: np.ndarray  # (n,) int64
-    ev_side: np.ndarray  # (n,) int8, +1 buy / -1 sell
-    ev_qty: np.ndarray  # (n,) int64
-    ev_price: np.ndarray  # (n,) float64
+    pair_investor: list[int]  # (n_pairs,)
+    pair_asset: list[int]  # (n_pairs,)
+    inv_pair_ptr: list[int]  # (n_investors + 1,) CSR offsets of each investor's slots
+    ev_pair: list[int]  # (n,)
+    ev_side: list[int]  # (n,) +1 buy / -1 sell
+    ev_qty: list[int]  # (n,) at most INT64_MAX
+    ev_price: list[float]  # (n,)
 
 
 def encode(transactions: Sequence[Transaction]) -> EncodedStream:
+    """Intern ids into pair indices and split the events into columns.
+
+    Raises ValueError naming the first event whose quantity exceeds int64.
+    """
     inv_idx: dict[str, int] = {}
-    asset_idx: dict[str, int] = {}
-    pair_idx: dict[tuple[int, int], int] = {}
-    n = len(transactions)
-    ev_pair = np.empty(n, np.int64)
-    ev_side = np.empty(n, np.int8)
-    ev_qty = np.empty(n, np.int64)
-    ev_price = np.empty(n, np.float64)
-    ev_inv = np.empty(n, np.int64)
-    ev_asset = np.empty(n, np.int64)
-    for i, tx in enumerate(transactions):
-        ii = inv_idx.setdefault(tx.investor_id, len(inv_idx))
-        ai = asset_idx.setdefault(tx.asset_id, len(asset_idx))
-        pid = pair_idx.setdefault((ii, ai), len(pair_idx))
-        ev_inv[i] = ii
-        ev_asset[i] = ai
-        ev_pair[i] = pid
-        ev_side[i] = 1 if tx.side is Side.BUY else -1
-        ev_qty[i] = tx.quantity
-        ev_price[i] = tx.price
+    pair_index: dict[tuple[str, str], int] = {}
+    pair_investor: list[int] = []
+    ev_pair: list[int] = []
+    for tx in transactions:
+        key = (tx.investor_id, tx.asset_id)
+        pid = pair_index.get(key)
+        if pid is None:
+            pid = pair_index[key] = len(pair_index)
+            pair_investor.append(inv_idx.setdefault(key[0], len(inv_idx)))
+        ev_pair.append(pid)
+    ev_qty = [tx.quantity for tx in transactions]
+    if ev_qty and max(ev_qty) > INT64_MAX:
+        i = next(i for i, q in enumerate(ev_qty) if q > INT64_MAX)
+        raise ValueError(f"event {i}: quantity {ev_qty[i]} exceeds the int64 maximum {INT64_MAX}")
+    buy = Side.BUY
+    ev_side = [1 if tx.side is buy else -1 for tx in transactions]
+    ev_price = [float(tx.price) for tx in transactions]
     investors = list(inv_idx)
-    assets = list(asset_idx)
-    n_pairs = len(pair_idx)
-    pair_investor = np.empty(n_pairs, np.int64)
-    pair_asset = np.empty(n_pairs, np.int64)
-    per_inv: dict[int, list[int]] = {}
-    for (ii, ai), pid in pair_idx.items():
-        pair_investor[pid] = ii
-        pair_asset[pid] = ai
-        per_inv.setdefault(ii, []).append(pid)
-    inv_pair_ptr = np.zeros(len(investors) + 1, np.int64)
-    inv_pair_list = np.empty(n_pairs, np.int64)
-    offset = 0
-    for ii in range(len(investors)):
-        pids = per_inv.get(ii, [])
-        pids.sort(key=lambda pid: assets[pair_asset[pid]])
-        inv_pair_ptr[ii] = offset
-        for pid in pids:
-            inv_pair_list[offset] = pid
-            offset += 1
-    inv_pair_ptr[len(investors)] = offset
-    pair_index = {
-        (investors[ii], assets[ai]): pid for (ii, ai), pid in pair_idx.items()
-    }
+    assets = sorted({asset for _, asset in pair_index})
+    asset_idx = {asset: ai for ai, asset in enumerate(assets)}
+    slots = [0] * len(investors)
+    for ii in pair_investor:
+        slots[ii] += 1
     return EncodedStream(
         investors=investors,
         assets=assets,
         pair_index=pair_index,
         pair_investor=pair_investor,
-        pair_asset=pair_asset,
-        inv_pair_ptr=inv_pair_ptr,
-        inv_pair_list=inv_pair_list,
+        pair_asset=[asset_idx[asset] for _, asset in pair_index],
+        inv_pair_ptr=[0, *accumulate(slots)],
         ev_pair=ev_pair,
         ev_side=ev_side,
         ev_qty=ev_qty,
@@ -104,39 +103,49 @@ def _stream_loop(
     pair_investor,
     pair_asset,
     inv_pair_ptr,
-    inv_pair_list,
-    n_assets,
+    pair_qty,
+    pair_ref,
+    last_price,
+    open_pairs,
+    open_count,
+    tal,
     sells_only,
     include_traded,
 ):
-    # Tally layout: (pair, context, method*4 + component)
-    # contexts: 0 positive, 1 negative, 2 neutral
+    # Tally layout, flat: pair*36 + context*12 + method*4 + component
+    # contexts: 0 positive, 1 negative, 2 neutral (ctx_off is context*12)
     # components: 0 rg, 1 rl, 2 pg, 3 pl; methods: count, total, value
-    n = ev_pair.shape[0]
-    n_pairs = pair_investor.shape[0]
-    pair_qty = np.zeros(n_pairs, np.int64)
-    pair_ref = np.zeros(n_pairs, np.float64)
-    last_price = np.zeros(n_assets, np.float64)
-    tal = np.zeros((n_pairs, 3, 12), np.float64)
-    for i in range(n):
+    # Returns the index of the first event that meets an open position
+    # without a positive market price, or -1.
+    for i in range(len(ev_pair)):
         pid = ev_pair[i]
-        asset = pair_asset[pid]
         inv = pair_investor[pid]
+        asset = pair_asset[pid]
         qty = ev_qty[i]
         price = ev_price[i]
-        delta = qty if ev_side[i] > 0 else -qty
+        buy = ev_side[i] > 0
         last_price[asset] = price
+        lo = inv_pair_ptr[inv]
+        hi = lo + open_count[inv]
 
         # Ledger step: volume-weighted reference on increases, realization
-        # leg on reductions, close-and-reopen on flips.
+        # leg on reductions, close-and-reopen on flips.  Opening and closing
+        # a position inserts it into or removes it from the open slots.
         old = pair_qty[pid]
-        leg_closed = np.int64(0)
+        leg_closed = 0
         leg_ret = 0.0
         if old == 0:
-            pair_qty[pid] = delta
+            pair_qty[pid] = qty if buy else -qty
             pair_ref[pid] = price
-        elif (old > 0) == (delta > 0):
-            new = old + delta
+            k = hi
+            while k > lo and pair_asset[open_pairs[k - 1]] > asset:
+                open_pairs[k] = open_pairs[k - 1]
+                k -= 1
+            open_pairs[k] = pid
+            hi += 1
+            open_count[inv] = hi - lo
+        elif (old > 0) == buy:
+            new = old + qty if buy else old - qty
             pair_ref[pid] = (abs(old) * pair_ref[pid] + qty * price) / abs(new)
             pair_qty[pid] = new
         else:
@@ -146,84 +155,116 @@ def _stream_loop(
                 leg_ret = (price - ref) / ref
             else:
                 leg_ret = (ref - price) / ref
-            new = old + delta
+            new = old + qty if buy else old - qty
             pair_qty[pid] = new
-            if new != 0 and (new > 0) != (old > 0):
+            if new == 0:
+                k = lo
+                while open_pairs[k] != pid:
+                    k += 1
+                hi -= 1
+                while k < hi:
+                    open_pairs[k] = open_pairs[k + 1]
+                    k += 1
+                open_count[inv] = hi - lo
+            elif (new > 0) != (old > 0):
                 pair_ref[pid] = price
 
-        if sells_only and ev_side[i] > 0:
+        if sells_only and buy:
             continue
 
         # Post-trade portfolio context from the other open positions.
         balance = 0.0
         seen = False
-        lo = inv_pair_ptr[inv]
-        hi = inv_pair_ptr[inv + 1]
         for k in range(lo, hi):
-            pp = inv_pair_list[k]
-            qn = pair_qty[pp]
-            if qn == 0:
-                continue
-            if not include_traded and pair_asset[pp] == asset:
+            pp = open_pairs[k]
+            if pp == pid and not include_traded:
                 continue
             mp = last_price[pair_asset[pp]]
             if mp <= 0.0:
-                return tal, i
-            balance += (mp - pair_ref[pp]) * qn
+                return i
+            balance += (mp - pair_ref[pp]) * pair_qty[pp]
             seen = True
         if not seen or balance == 0.0:
-            ctx = 2
+            ctx_off = 24
         elif balance > 0.0:
-            ctx = 0
+            ctx_off = 0
         else:
-            ctx = 1
+            ctx_off = 12
 
         if leg_closed > 0 and leg_ret != 0.0:
-            comp = 0 if leg_ret > 0.0 else 1
-            tal[pid, ctx, comp] += 1.0
-            tal[pid, ctx, 4 + comp] += leg_closed
-            tal[pid, ctx, 8 + comp] += abs(leg_ret)
+            j = pid * 36 + ctx_off + (0 if leg_ret > 0.0 else 1)
+            tal[j] += 1.0
+            tal[j + 4] += leg_closed
+            tal[j + 8] += abs(leg_ret)
 
         for k in range(lo, hi):
-            pp = inv_pair_list[k]
-            qn = pair_qty[pp]
-            if qn == 0:
-                continue
+            pp = open_pairs[k]
             mp = last_price[pair_asset[pp]]
             if mp <= 0.0:
-                return tal, i
+                return i
             ref = pair_ref[pp]
+            qn = pair_qty[pp]
             if qn > 0:
                 ret = (mp - ref) / ref
             else:
                 ret = (ref - mp) / ref
             if ret == 0.0:
                 continue
-            comp = 2 if ret > 0.0 else 3
-            tal[pp, ctx, comp] += 1.0
-            tal[pp, ctx, 4 + comp] += abs(qn)
-            tal[pp, ctx, 8 + comp] += abs(ret)
-    return tal, -1
+            j = pp * 36 + ctx_off + (2 if ret > 0.0 else 3)
+            tal[j] += 1.0
+            tal[j + 4] += abs(qn)
+            tal[j + 8] += abs(ret)
+    return -1
 
 
 if njit is not None:
     _stream_jit = njit(cache=True)(_stream_loop)
-else:  # pragma: no cover
-    _stream_jit = _stream_loop
 
 
 def stream(enc: EncodedStream, sells_only: bool, include_traded: bool):
-    """Run the accrual loop; returns (tally array, index of bad event or -1)."""
-    return _stream_jit(
-        enc.ev_pair,
-        enc.ev_side,
-        enc.ev_qty,
-        enc.ev_price,
-        enc.pair_investor,
-        enc.pair_asset,
-        enc.inv_pair_ptr,
-        enc.inv_pair_list,
-        len(enc.assets),
+    """Run the accrual loop; returns (tally array, index of bad event or -1).
+
+    The tally array has shape (n_pairs, 3, 12).
+    """
+    n_pairs = len(enc.pair_investor)
+    n_investors = len(enc.investors)
+    n_assets = len(enc.assets)
+    if njit is None:
+        tal = array("d", [0.0]) * (n_pairs * 36)
+        bad = _stream_loop(
+            enc.ev_pair,
+            enc.ev_side,
+            enc.ev_qty,
+            enc.ev_price,
+            enc.pair_investor,
+            enc.pair_asset,
+            enc.inv_pair_ptr,
+            [0] * n_pairs,
+            [0.0] * n_pairs,
+            [0.0] * n_assets,
+            [0] * n_pairs,
+            [0] * n_investors,
+            tal,
+            sells_only,
+            include_traded,
+        )
+        return np.frombuffer(tal, np.float64).reshape(n_pairs, 3, 12), bad
+    tal = np.zeros(n_pairs * 36, np.float64)
+    bad = _stream_jit(
+        np.array(enc.ev_pair, np.int64),
+        np.array(enc.ev_side, np.int8),
+        np.array(enc.ev_qty, np.int64),
+        np.array(enc.ev_price, np.float64),
+        np.array(enc.pair_investor, np.int64),
+        np.array(enc.pair_asset, np.int64),
+        np.array(enc.inv_pair_ptr, np.int64),
+        np.zeros(n_pairs, np.int64),
+        np.zeros(n_pairs, np.float64),
+        np.zeros(n_assets, np.float64),
+        np.zeros(n_pairs, np.int64),
+        np.zeros(n_investors, np.int64),
+        tal,
         sells_only,
         include_traded,
     )
+    return tal.reshape(n_pairs, 3, 12), bad

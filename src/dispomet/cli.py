@@ -30,8 +30,24 @@ _FRAMING_LEVEL_DEFAULTS = {
 }
 
 
+class UsageError(Exception):
+    """A flag value the parser's own checks cannot reject."""
+
+
 def _diag(message: str) -> None:
     print(f"dispomet: error: {message}", file=sys.stderr)
+
+
+def _parse_methods(text: str) -> list[Method]:
+    """The --method list, each of count,total,value at most once."""
+    names = text.split(",")
+    known = [m.value for m in Method]
+    for name in names:
+        if name not in known:
+            raise UsageError(f"--method: unknown method {name!r}, choose from {','.join(known)}")
+        if names.count(name) > 1:
+            raise UsageError(f"--method: {name!r} is given more than once")
+    return [Method(name) for name in names]
 
 
 def _load_transactions(path: str, lenient: bool = False) -> tuple[list[Transaction], list[MalformedRow]]:
@@ -110,13 +126,12 @@ def _compute_records(
     transactions: Sequence[Transaction], args: argparse.Namespace
 ) -> dict[Framing, list[DeRecord]]:
     store = metrics.run_engine(transactions, _engine_options(args), threads=args.threads)
-    methods = [Method(m) for m in args.method.split(",")]
     out: dict[Framing, list[DeRecord]] = {}
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     for framing in framings:
         level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
         out[framing] = metrics.aggregate(
-            store, level, framing, methods=methods, zero_policy=args.zero_denominator
+            store, level, framing, methods=args.methods, zero_policy=args.zero_denominator
         )
     return out
 
@@ -135,8 +150,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     per_framing = _compute_records(transactions, args)
     for framing, records in per_framing.items():
-        for method_name in args.method.split(","):
-            method = Method(method_name)
+        for method in args.methods:
             selected = [r for r in records if r.method is method]
             with open(out_dir / f"records_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
                 _write_records(selected, fh)
@@ -256,7 +270,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     framing, row_header = _COMPARE_SPECS[args.spec]
     store = metrics.run_engine(transactions, _engine_options(args), threads=args.threads)
     records = metrics.aggregate(store, Level.PER_ASSET, framing, zero_policy=args.zero_denominator)
-    methods = [Method(m) for m in args.method.split(",")]
+    methods = args.methods
     leverages = sorted({inst.leverage for inst in registry.values()})
     try:
         if args.spec == "volatility-long":
@@ -408,12 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "method" in args:
+            args.methods = _parse_methods(args.method)
         return args.func(args)
     except OSError as err:
         _diag(f"IOError: {err}")
         return EXIT_IO
-    except metrics.InvalidBinWidth as err:
-        _diag(f"InvalidBinWidth: {err}")
+    except (metrics.InvalidBinWidth, UsageError) as err:
+        _diag(f"{type(err).__name__}: {err}")
         return EXIT_ERROR
     except IngestError as err:
         _diag(f"{type(err).__name__}: {err}")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from operator import attrgetter, itemgetter
 from statistics import median
 from typing import Iterable, TextIO
 
@@ -121,33 +122,39 @@ def _check_header(fieldnames: Iterable[str] | None, required: tuple[str, ...]) -
         raise SchemaError(f"missing column(s): {', '.join(missing)}")
 
 
-def _parse_row(row: dict[str, str], line: int, seq: int) -> Transaction:
-    side_txt = (row["side"] or "").strip()
-    try:
-        side = Side(side_txt)
-    except ValueError:
-        raise MalformedRow(line, f"side must be B or S, got {side_txt!r}") from None
-    qty_txt = (row["quantity"] or "").strip()
+_SIDES = {"B": Side.BUY, "S": Side.SELL}
+_QUANTITY_MAX = 2**63 - 1  # quantities are int64 in the streaming kernel
+
+
+def _parse_row(fields: tuple[str, ...], line: int, seq: int) -> Transaction:
+    investor_id, asset_id, side_txt, qty_txt, price_txt, ts_txt = fields
+    side_txt = side_txt.strip()
+    side = _SIDES.get(side_txt)
+    if side is None:
+        raise MalformedRow(line, f"side must be B or S, got {side_txt!r}")
+    qty_txt = qty_txt.strip()
     try:
         quantity = int(qty_txt)
     except ValueError:
         raise MalformedRow(line, f"quantity must be a whole number of units, got {qty_txt!r}") from None
     if quantity <= 0:
         raise MalformedRow(line, f"quantity must be positive, got {quantity}")
+    if quantity > _QUANTITY_MAX:
+        raise MalformedRow(line, f"quantity must be at most {_QUANTITY_MAX}, got {quantity}")
     try:
-        price = float(row["price"])
+        price = float(price_txt)
     except ValueError:
-        raise MalformedRow(line, f"unparseable price {row['price']!r}") from None
+        raise MalformedRow(line, f"unparseable price {price_txt!r}") from None
     if not price > 0:
         raise MalformedRow(line, f"price must be positive, got {price}")
     if not math.isfinite(price):
         raise MalformedRow(line, f"price must be finite, got {price}")
     try:
-        timestamp = datetime.fromisoformat(row["timestamp"].strip())
+        timestamp = datetime.fromisoformat(ts_txt.strip())
     except ValueError:
-        raise MalformedRow(line, f"unparseable timestamp {row['timestamp']!r}") from None
-    investor_id = (row["investor_id"] or "").strip()
-    asset_id = (row["asset_id"] or "").strip()
+        raise MalformedRow(line, f"unparseable timestamp {ts_txt!r}") from None
+    investor_id = investor_id.strip()
+    asset_id = asset_id.strip()
     if not investor_id or not asset_id:
         raise MalformedRow(line, "investor_id and asset_id must be non-empty")
     return Transaction(investor_id, asset_id, side, quantity, price, timestamp, seq)
@@ -157,8 +164,8 @@ def parse_transactions(stream: TextIO, lenient: bool = False) -> list[Transactio
     """Parse a transaction log into a chronologically ordered list.
 
     Raises MalformedRow on the first bad row unless ``lenient`` is set, in
-    which case bad rows are logged and skipped.  Raises SchemaError if a
-    required column is missing.
+    which case bad rows are skipped.  Raises SchemaError if a required
+    column is missing.
     """
     txs, _ = parse_transactions_report(stream, lenient=lenient)
     return txs
@@ -170,35 +177,48 @@ def parse_transactions_report(
     """Like parse_transactions, also returning the rejected-row errors.
 
     In strict mode the first reject raises; in lenient mode every reject is
-    recorded (and logged) so accepted + rejected equals the input row count.
-    Timestamps must all be timezone-aware or all naive, as the first
-    accepted row sets; a row that differs is a reject.
+    recorded so accepted + rejected equals the input row count, and one
+    warning gives the reject count and the first reject.  Timestamps must
+    all be timezone-aware or all naive, as the first accepted row sets; a
+    row that differs is a reject.
+
+    Columns are found by header name; a name given twice resolves to its
+    last column, blank lines are skipped, fields past the header are
+    ignored and a row too short to hold every required column is a reject.
     """
-    reader = csv.DictReader(stream)
-    _check_header(reader.fieldnames, TRANSACTION_COLUMNS)
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    _check_header(header, TRANSACTION_COLUMNS)
+    position = {name: i for i, name in enumerate(header)}
+    columns = [position[c] for c in TRANSACTION_COLUMNS]
+    fields = itemgetter(*columns)
+    min_len = max(columns) + 1
     records: list[Transaction] = []
     rejects: list[MalformedRow] = []
-    seq = 0
     for row in reader:
+        if not row:
+            continue
         line = reader.line_num
         try:
-            if any(row.get(c) is None for c in TRANSACTION_COLUMNS):
+            if len(row) < min_len:
                 raise MalformedRow(line, "wrong number of fields")
-            tx = _parse_row(row, line, seq)
+            tx = _parse_row(fields(row), line, len(records))
             aware = tx.timestamp.tzinfo is not None
             if records and aware != (records[0].timestamp.tzinfo is not None):
                 kind = "timezone-aware" if aware else "naive"
                 raise MalformedRow(
-                    line, f"timestamp {row['timestamp']!r} is {kind}, unlike the first accepted row"
+                    line,
+                    f"timestamp {row[position['timestamp']]!r} is {kind}, unlike the first accepted row",
                 )
-            records.append(tx)
-            seq += 1
         except MalformedRow as err:
             if not lenient:
                 raise
-            log.warning("skipping malformed row: %s", err)
             rejects.append(err)
-    records.sort(key=lambda t: t.timestamp)  # stable: seq breaks ties
+            continue
+        records.append(tx)
+    if rejects:
+        log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
+    records.sort(key=attrgetter("timestamp"))  # stable: seq breaks ties
     return records, rejects
 
 

@@ -356,7 +356,7 @@ def aggregate(
         present = (groups != 0.0).any(axis=2)
     # (pair, context, method, component) for the requested methods.
     groups = groups.reshape(*groups.shape[:2], 3, 4)[:, :, [_METHOD_INDEX[m] for m in methods]]
-    owner = store._enc.pair_investor
+    owner = np.asarray(store._enc.pair_investor, np.int64)
     n_investors = len(store.investors)
     # np.add.at adds pairs one after another in pair order, the summation
     # order of the reference implementations.

@@ -178,3 +178,36 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the README's relative paths land under tmp_path
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
+
+
+def test_quantity_beyond_int64_is_a_malformed_row(tmp_path, capsys):
+    path = tmp_path / "transactions.csv"
+    path.write_text(CLEAN + "I2,ETF1S,S,99999999999999999999,11.0,2015-01-05 09:03:00\n")
+    out = tmp_path / "out"
+    assert main(["compute", "--transactions", str(path), "--out", str(out)]) == EXIT_MALFORMED
+    assert "line 5" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["compute", "--transactions", str(path), "--out", str(out), "--lenient"]) == EXIT_OK
+    assert main(["validate", "--transactions", str(path), "--lenient"]) == EXIT_OK
+    assert "3 rows accepted, 1 rejected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("methods", ["foo", "count,count", "count,,total"])
+def test_bad_method_list_is_one_error_line(methods, clean_file, tmp_path, capsys):
+    reg = tmp_path / "instruments.csv"
+    reg.write_text(REGISTRY)
+    out = tmp_path / "out"
+    for argv in (
+        ["compute", "--transactions", clean_file, "--out", str(out)],
+        ["compute", "--transactions", clean_file, "--out", str(out),
+         "--level", "investor-mean-of-assets"],
+        ["compare", "--transactions", clean_file, "--registry", str(reg),
+         "--spec", "long-vs-inverse", "--out", str(out)],
+        ["report", "--transactions", clean_file],
+    ):
+        assert main(argv + ["--method", methods]) == EXIT_ERROR, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("dispomet: error: ") and "--method" in line
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import io
+import logging
 from datetime import datetime, timedelta
 
 import pytest
@@ -62,6 +63,7 @@ def test_out_of_order_input_is_sorted():
         "I1,A1,B,0,10,2015-01-05 09:00:00",  # zero quantity
         "I1,A1,B,-5,10,2015-01-05 09:00:00",
         "I1,A1,B,1.5,10,2015-01-05 09:00:00",  # fractional units rejected
+        "I1,A1,B,9223372036854775808,10,2015-01-05 09:00:00",  # beyond int64
         "I1,A1,B,1,0,2015-01-05 09:00:00",
         "I1,A1,B,1,-1,2015-01-05 09:00:00",
         "I1,A1,B,1,inf,2015-01-05 09:00:00",
@@ -93,6 +95,76 @@ def test_lenient_mode_counts_rejects():
     assert len(rejects) == 1
     assert txs[0].seq == 0 and txs[1].seq == 1  # accepted rows renumbered densely
     assert len(txs) + len(rejects) == 3
+
+
+def test_quantity_at_int64_maximum_is_accepted():
+    (tx,) = parse(HEADER + "I1,A1,B,9223372036854775807,10,2015-01-05 09:00:00\n")
+    assert tx.quantity == 2**63 - 1
+
+
+def test_quantity_beyond_int64_is_row_precise():
+    text = (
+        HEADER
+        + "I1,A1,B,1,10,2015-01-05 09:00:00\n"
+        + "I1,A1,B,99999999999999999999,10,2015-01-05 09:01:00\n"
+        + "I1,A1,S,1,11,2015-01-05 09:02:00\n"
+    )
+    with pytest.raises(MalformedRow) as excinfo:
+        parse(text)
+    assert excinfo.value.line == 3
+    assert "99999999999999999999" in excinfo.value.reason
+    txs, rejects = parse_transactions_report(io.StringIO(text), lenient=True)
+    assert [t.quantity for t in txs] == [1, 1]
+    assert [r.line for r in rejects] == [3]
+
+
+def test_lenient_mode_warns_once_per_parse(caplog):
+    text = (
+        HEADER
+        + "I1,A1,B,0,10,2015-01-05 09:00:00\n"
+        + "I1,A1,B,1,10,2015-01-05 09:01:00\n"
+        + "I1,A1,X,1,10,2015-01-05 09:02:00\n"
+        + "I1,A1,B,1,-1,2015-01-05 09:03:00\n"
+    )
+    with caplog.at_level(logging.WARNING, logger="dispomet.ingest"):
+        txs, rejects = parse_transactions_report(io.StringIO(text), lenient=True)
+    assert len(txs) == 1 and len(rejects) == 3
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "3" in record.getMessage() and "line 2:" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dispomet.ingest"):
+        parse_transactions_report(io.StringIO(HEADER + "I1,A1,B,1,10,2015-01-05 09:00:00\n"), lenient=True)
+    assert not caplog.records
+
+
+def test_columns_are_found_by_header_name():
+    # Reordered and extra header columns; the extra field of a row is ignored.
+    text = (
+        "note,timestamp,price,quantity,side,asset_id,investor_id\n"
+        + "x,2015-01-05 09:00:00,10,5,B,A1,I1,surplus\n"
+    )
+    (tx,) = parse(text)
+    assert (tx.investor_id, tx.asset_id, tx.side, tx.quantity, tx.price) == ("I1", "A1", Side.BUY, 5, 10.0)
+
+
+def test_repeated_header_name_resolves_to_its_last_column():
+    (tx,) = parse(
+        "investor_id,asset_id,side,quantity,price,timestamp,side\n"
+        + "I1,A1,X,5,10,2015-01-05 09:00:00,S\n"
+    )
+    assert tx.side is Side.SELL
+    # A row that stops before the repeated column lacks a required field.
+    with pytest.raises(MalformedRow, match="line 2: wrong number of fields"):
+        parse("investor_id,asset_id,side,quantity,price,timestamp,side\n" + "I1,A1,B,5,10,2015-01-05 09:00:00\n")
+
+
+def test_blank_lines_are_skipped_and_line_numbers_count_them():
+    text = HEADER + "\n" + "I1,A1,B,1,10,2015-01-05 09:00:00\n" + "\n\n" + "I1,A1,B,1,10\n"
+    with pytest.raises(MalformedRow, match="line 6: wrong number of fields"):
+        parse(text)
+    txs, rejects = parse_transactions_report(io.StringIO(text), lenient=True)
+    assert len(txs) == 1 and [r.line for r in rejects] == [6]
 
 
 times = st.integers(0, 10_000).map(lambda m: datetime(2015, 1, 5) + timedelta(minutes=m))

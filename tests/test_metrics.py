@@ -12,6 +12,7 @@ from dispomet.metrics import (
     InvalidBinWidth,
     Level,
     Method,
+    MissingPrice,
     Tally,
     accrue_event,
     aggregate,
@@ -21,7 +22,7 @@ from dispomet.metrics import (
     run_engine,
     signed_return,
 )
-from dispomet.synth import BehaviorProfile, generate_population, random_stream
+from dispomet.synth import BehaviorProfile, generate_population, oracle_replay, random_stream
 
 
 def tx(investor, asset, side, qty, price, minute, seq):
@@ -369,3 +370,75 @@ def test_aggregate_matches_naive_reference_on_random_streams():
 def test_aggregate_matches_naive_reference_on_population():
     txs, _ = generate_population(12, BehaviorProfile(0.6, 0.3, n_assets=6, horizon_events=30, seed=5))
     _assert_matches_naive(run_engine(txs))
+
+
+def test_encode_rejects_quantity_beyond_int64():
+    txs = [
+        tx("I1", "A", Side.BUY, 2**63 - 1, 10.0, 0, 0),
+        tx("I1", "A", Side.SELL, 2**63, 11.0, 1, 1),
+    ]
+    with pytest.raises(ValueError, match="event 1: quantity 9223372036854775808"):
+        run_engine(txs)
+
+
+def _open_slot_stream():
+    """I1 opens D, C, B, A (reverse asset_id order), closes and reopens the
+    middle position B and flips C from long to short through zero; I2 trades
+    the same assets in between and moves their market prices; I3's context
+    depends on the order in which its open positions are summed."""
+    events = [
+        ("I1", "D", Side.BUY, 3, 40.1),
+        ("I2", "B", Side.BUY, 2, 19.7),
+        ("I1", "C", Side.BUY, 5, 30.3),
+        ("I1", "B", Side.BUY, 4, 20.2),
+        ("I2", "A", Side.SELL, 1, 10.9),
+        ("I1", "A", Side.BUY, 7, 10.1),
+        ("I2", "D", Side.BUY, 1, 41.3),
+        ("I1", "B", Side.SELL, 4, 21.7),  # closes the middle position
+        ("I2", "C", Side.BUY, 3, 29.1),
+        ("I1", "D", Side.SELL, 1, 39.9),
+        ("I1", "B", Side.BUY, 2, 18.6),  # reopens it between A and C
+        ("I2", "B", Side.SELL, 2, 22.4),
+        ("I1", "C", Side.SELL, 8, 28.7),  # long 5 -> short 3
+        ("I2", "A", Side.BUY, 1, 11.3),
+        ("I1", "A", Side.SELL, 3, 11.6),
+        ("I1", "C", Side.BUY, 1, 31.9),
+        ("I2", "C", Side.SELL, 3, 30.6),
+        ("I1", "D", Side.SELL, 2, 42.2),  # closes the first slot
+        ("I1", "B", Side.SELL, 1, 17.4),
+        # I3's balance at its last event is 0.5 + 1e17 - 1e17: zero (neutral)
+        # when summed in asset_id order A, B, C, positive in opening order.
+        ("I3", "C", Side.BUY, 10**17, 30.0),
+        ("I3", "B", Side.BUY, 10**17, 20.0),
+        ("I3", "A", Side.BUY, 1, 10.0),
+        ("I2", "B", Side.BUY, 1, 21.0),
+        ("I2", "C", Side.BUY, 1, 29.0),
+        ("I2", "A", Side.BUY, 1, 10.5),
+        ("I3", "D", Side.SELL, 1, 40.0),
+    ]
+    return [tx(inv, asset, side, qty, price, minute, minute)
+            for minute, (inv, asset, side, qty, price) in enumerate(events)]
+
+
+@pytest.mark.parametrize("scope", ["every-event", "sells-only"])
+@pytest.mark.parametrize("rule", ["exclude-traded-asset", "include-traded-asset"])
+def test_open_slot_bookkeeping_matches_oracle(scope, rule):
+    txs = _open_slot_stream()
+    got = run_engine(txs, EngineOptions(eval_scope=scope, context_rule=rule)).to_dict()
+    assert got == oracle_replay(txs, eval_scope=scope, context_rule=rule)
+    assert {Context.POSITIVE, Context.NEGATIVE} <= {ctx for _, _, ctx, _ in got}
+
+
+def test_missing_price_names_the_event_that_meets_it():
+    # A zero price is no market observation: the first evaluation that sees
+    # the open position Z fails, and the error names that event's asset.
+    txs = _open_slot_stream()[:4] + [
+        tx("I1", "Z", Side.BUY, 1, 0.0, 30, 30),
+        tx("I1", "A", Side.SELL, 1, 10.0, 31, 31),
+    ]
+    with pytest.raises(MissingPrice) as every:
+        run_engine(txs)
+    assert every.value.asset_id == "Z"
+    with pytest.raises(MissingPrice) as sells:
+        run_engine(txs, EngineOptions(eval_scope="sells-only"))
+    assert sells.value.asset_id == "A"
