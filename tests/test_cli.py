@@ -8,6 +8,7 @@ import pytest
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
     EXIT_ERROR,
+    EXIT_IO,
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -211,3 +212,63 @@ def test_bad_method_list_is_one_error_line(methods, clean_file, tmp_path, capsys
         (line,) = captured.err.splitlines()
         assert line.startswith("dispomet: error: ") and "--method" in line
     assert not out.exists()
+
+
+MISSING_COLUMN = "investor_id,asset_id,side,quantity,price\nI1,A,B,1,10\n"
+ZERO_QUANTITY = HEADER + "I1,A,B,0,10,2015-01-05 09:00:00\n"
+REGISTRY_HEADER = "asset_id,underlying_id,leverage\n"
+
+
+def _compare(spec):
+    return ["compare", "--transactions", "{tx}", "--registry", "{reg}", "--spec", spec]
+
+
+_VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
+
+
+@pytest.mark.parametrize(
+    "argv, transactions, registry, code, first_line",
+    [
+        (_VALIDATE, MISSING_COLUMN, REGISTRY, EXIT_SCHEMA, "SchemaError: missing column(s): timestamp"),
+        (_compare("long-vs-inverse"), MISSING_COLUMN, REGISTRY, EXIT_SCHEMA,
+         "SchemaError: missing column(s): timestamp"),
+        (_VALIDATE, CLEAN, "asset_id,underlying_id\nETF1L,IDX\n", EXIT_SCHEMA,
+         "SchemaError: missing column(s): leverage"),
+        (_compare("long-vs-inverse"), CLEAN, "asset_id,underlying_id\nETF1L,IDX\n", EXIT_SCHEMA,
+         "SchemaError: missing column(s): leverage"),
+        (["compute", "--transactions", "{tx}", "--out", "{out}"], ZERO_QUANTITY, REGISTRY, EXIT_MALFORMED,
+         "MalformedRow: line 2: quantity must be positive, got 0"),
+        (_compare("long-vs-inverse"), ZERO_QUANTITY, REGISTRY, EXIT_MALFORMED,
+         "MalformedRow: line 2: quantity must be positive, got 0"),
+        (_VALIDATE, CLEAN, REGISTRY + "ETF1L,IDX,2\n", EXIT_MALFORMED,
+         "DuplicateAsset: duplicate asset_id 'ETF1L' in registry"),
+        (_compare("long-vs-inverse"), CLEAN, REGISTRY + "ETF1L,IDX,2\n", EXIT_MALFORMED,
+         "DuplicateAsset: duplicate asset_id 'ETF1L' in registry"),
+        (_VALIDATE, CLEAN, REGISTRY_HEADER + "ETF1L,IDX,0\n", EXIT_MALFORMED,
+         "ZeroLeverage: asset_id 'ETF1L' has leverage 0"),
+        (_compare("long-vs-inverse"), CLEAN, REGISTRY_HEADER + "ETF1L,IDX,0\n", EXIT_MALFORMED,
+         "ZeroLeverage: asset_id 'ETF1L' has leverage 0"),
+        (_VALIDATE, CLEAN, REGISTRY_HEADER + "ETF1L,IDX,x\n", EXIT_MALFORMED,
+         "MalformedRow: line 2: unparseable leverage 'x'"),
+        (_compare("long-vs-inverse"), CLEAN, REGISTRY_HEADER + "ETF1L,IDX,x\n", EXIT_MALFORMED,
+         "MalformedRow: line 2: unparseable leverage 'x'"),
+        (_compare("long-vs-inverse"), CLEAN, REGISTRY, EXIT_EMPTY_GROUP,
+         "EmptyGroup: group filter '-1x' selected no defined values"),
+        (_compare("context-split"), CLEAN, REGISTRY, EXIT_EMPTY_GROUP,
+         "EmptyGroup: group filter '-1x negative context' selected no defined values"),
+        (["validate", "--transactions", "{missing}"], CLEAN, REGISTRY, EXIT_IO,
+         "IOError: [Errno 2] No such file or directory: '{missing}'"),
+        (["report", "--transactions", "{tx}"], HEADER, REGISTRY, EXIT_ERROR, "EmptyDataset: no transactions"),
+        (["compute", "--transactions", "{tx}", "--out", "{out}", "--bins", "0"], CLEAN, REGISTRY, EXIT_ERROR,
+         "InvalidBinWidth: bin width must be in (0, 2], got 0.0"),
+    ],
+)
+def test_exit_code_and_first_error_line(argv, transactions, registry, code, first_line, tmp_path, capsys):
+    paths = {"tx": tmp_path / "transactions.csv", "reg": tmp_path / "instruments.csv",
+             "out": tmp_path / "out", "missing": tmp_path / "nope.csv"}
+    paths["tx"].write_text(transactions)
+    paths["reg"].write_text(registry)
+    assert main([arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == "dispomet: error: " + first_line.format(**paths)
