@@ -21,6 +21,7 @@ identical to the reference implementations.
 """
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
@@ -55,7 +56,8 @@ class EncodedStream:
 def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     """Intern ids into pair indices and split the events into columns.
 
-    Raises ValueError naming the first event whose quantity exceeds int64.
+    Raises ValueError naming the first event whose quantity exceeds int64 or
+    whose price is not a positive finite number.
     """
     inv_idx: dict[str, int] = {}
     pair_index: dict[tuple[str, str], int] = {}
@@ -75,6 +77,10 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     buy = Side.BUY
     ev_side = [1 if tx.side is buy else -1 for tx in transactions]
     ev_price = [float(tx.price) for tx in transactions]
+    # A comparison chain, because min and max are unreliable with NaN present.
+    if not all(0.0 < p < math.inf for p in ev_price):
+        i = next(i for i, p in enumerate(ev_price) if not 0.0 < p < math.inf)
+        raise ValueError(f"event {i}: price {ev_price[i]} is not a positive finite number")
     investors = list(inv_idx)
     assets = sorted({asset for _, asset in pair_index})
     asset_idx = {asset: ai for ai, asset in enumerate(assets)}
@@ -115,8 +121,8 @@ def _stream_loop(
     # Tally layout, flat: pair*36 + context*12 + method*4 + component
     # contexts: 0 positive, 1 negative, 2 neutral (ctx_off is context*12)
     # components: 0 rg, 1 rl, 2 pg, 3 pl; methods: count, total, value
-    # Returns the index of the first event that meets an open position
-    # without a positive market price, or -1.
+    # encode admits only positive finite prices, so every reference price
+    # and market price read below is positive.
     for i in range(len(ev_pair)):
         pid = ev_pair[i]
         inv = pair_investor[pid]
@@ -180,8 +186,6 @@ def _stream_loop(
             if pp == pid and not include_traded:
                 continue
             mp = last_price[pair_asset[pp]]
-            if mp <= 0.0:
-                return i
             balance += (mp - pair_ref[pp]) * pair_qty[pp]
             seen = True
         if not seen or balance == 0.0:
@@ -200,8 +204,6 @@ def _stream_loop(
         for k in range(lo, hi):
             pp = open_pairs[k]
             mp = last_price[pair_asset[pp]]
-            if mp <= 0.0:
-                return i
             ref = pair_ref[pp]
             qn = pair_qty[pp]
             if qn > 0:
@@ -214,7 +216,6 @@ def _stream_loop(
             tal[j] += 1.0
             tal[j + 4] += abs(qn)
             tal[j + 8] += abs(ret)
-    return -1
 
 
 if njit is not None:
@@ -222,16 +223,13 @@ if njit is not None:
 
 
 def stream(enc: EncodedStream, sells_only: bool, include_traded: bool):
-    """Run the accrual loop; returns (tally array, index of bad event or -1).
-
-    The tally array has shape (n_pairs, 3, 12).
-    """
+    """Run the accrual loop; returns the tally array, shape (n_pairs, 3, 12)."""
     n_pairs = len(enc.pair_investor)
     n_investors = len(enc.investors)
     n_assets = len(enc.assets)
     if njit is None:
         tal = array("d", [0.0]) * (n_pairs * 36)
-        bad = _stream_loop(
+        _stream_loop(
             enc.ev_pair,
             enc.ev_side,
             enc.ev_qty,
@@ -248,9 +246,9 @@ def stream(enc: EncodedStream, sells_only: bool, include_traded: bool):
             sells_only,
             include_traded,
         )
-        return np.frombuffer(tal, np.float64).reshape(n_pairs, 3, 12), bad
+        return np.frombuffer(tal, np.float64).reshape(n_pairs, 3, 12)
     tal = np.zeros(n_pairs * 36, np.float64)
-    bad = _stream_jit(
+    _stream_jit(
         np.array(enc.ev_pair, np.int64),
         np.array(enc.ev_side, np.int8),
         np.array(enc.ev_qty, np.int64),
@@ -267,4 +265,4 @@ def stream(enc: EncodedStream, sells_only: bool, include_traded: bool):
         sells_only,
         include_traded,
     )
-    return tal.reshape(n_pairs, 3, 12), bad
+    return tal.reshape(n_pairs, 3, 12)

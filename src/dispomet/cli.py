@@ -1,7 +1,7 @@
 """Command-line surface: validate | compute | compare | synth | report.
 
 Outputs are deterministic delimited text; identical inputs and flags give
-byte-identical files regardless of --threads.
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from . import ingest, metrics, stats, synth
-from .ingest import IngestError, Instrument, MalformedRow, SchemaError, Transaction
+from .ingest import DuplicateAsset, IngestError, Instrument, MalformedRow, SchemaError, Transaction, ZeroLeverage
 from .metrics import Context, DeRecord, Framing, Level, Method
 
 EXIT_OK = 0
@@ -32,6 +32,14 @@ _FRAMING_LEVEL_DEFAULTS = {
 
 class UsageError(Exception):
     """A flag value the parser's own checks cannot reject."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on a usage error; argparse's own 2 is EXIT_SCHEMA here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _diag(message: str) -> None:
@@ -92,23 +100,9 @@ def _engine_options(args: argparse.Namespace) -> metrics.EngineOptions:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        transactions, rejects = _load_transactions(args.transactions, lenient=args.lenient)
-    except SchemaError as err:
-        _diag(f"SchemaError: {err}")
-        return EXIT_SCHEMA
-    except MalformedRow as err:
-        _diag(f"MalformedRow: {err}")
-        return EXIT_MALFORMED
+    transactions, rejects = _load_transactions(args.transactions, lenient=args.lenient)
     if args.registry:
-        try:
-            _load_registry(args.registry)
-        except SchemaError as err:
-            _diag(f"SchemaError: {err}")
-            return EXIT_SCHEMA
-        except IngestError as err:
-            _diag(f"{type(err).__name__}: {err}")
-            return EXIT_MALFORMED
+        _load_registry(args.registry)
     print(f"{len(transactions)} rows accepted, {len(rejects)} rejected")
     if rejects:
         print(f"{len(rejects)} row{'s' if len(rejects) != 1 else ''} skipped")
@@ -125,7 +119,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _compute_records(
     transactions: Sequence[Transaction], args: argparse.Namespace
 ) -> dict[Framing, list[DeRecord]]:
-    store = metrics.run_engine(transactions, _engine_options(args), threads=args.threads)
+    store = metrics.run_engine(transactions, _engine_options(args))
     out: dict[Framing, list[DeRecord]] = {}
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     for framing in framings:
@@ -138,14 +132,7 @@ def _compute_records(
 
 def cmd_compute(args: argparse.Namespace) -> int:
     metrics.histogram((), args.bins)  # rejects a bad width before any file is written
-    try:
-        transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
-    except SchemaError as err:
-        _diag(f"SchemaError: {err}")
-        return EXIT_SCHEMA
-    except MalformedRow as err:
-        _diag(f"MalformedRow: {err}")
-        return EXIT_MALFORMED
+    transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_framing = _compute_records(transactions, args)
@@ -161,29 +148,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _comparison_samples(
-    records: Sequence[DeRecord],
-    registry: dict[str, Instrument],
-    method: Method,
-    leverage: float,
-    context: Context | None,
-) -> list[float]:
-    out = []
-    for r in records:
-        if not r.defined or r.method is not method or r.context is not context:
-            continue
-        inst = registry.get(r.asset_id)
-        if inst is None or inst.leverage != leverage:
-            continue
-        out.append(r.de)
-    return out
-
-
 def _lev_label(leverage: float) -> str:
     return f"{leverage:g}x"
 
 
-def _volatility_sections(records, registry, leverages, methods):
+# Comparison plans are lists of (section title, rows).  A row is a label and
+# the two samples it compares; a sample is (leverage, context, the group label
+# EmptyGroup names when the sample has no defined values).
+
+
+def _volatility_sections(leverages):
     pairs = [
         (leverages[i], leverages[j])
         for i in range(len(leverages))
@@ -193,38 +167,24 @@ def _volatility_sections(records, registry, leverages, methods):
     for title, context in (("Negative Portfolio", Context.NEGATIVE), ("Positive Portfolio", Context.POSITIVE)):
         rows = []
         for lev_a, lev_b in pairs:
-            results = []
-            for method in methods:
-                sample_a = _comparison_samples(records, registry, method, lev_a, context)
-                sample_b = _comparison_samples(records, registry, method, lev_b, context)
-                if not sample_a:
-                    raise stats.EmptyGroup(f"{_lev_label(lev_a)} in {title}")
-                if not sample_b:
-                    raise stats.EmptyGroup(f"{_lev_label(lev_b)} in {title}")
-                results.append(stats.mann_whitney(sample_a, sample_b))
-            rows.append((f"{_lev_label(lev_a)} = {_lev_label(lev_b)}", results))
+            sample_a = (lev_a, context, f"{_lev_label(lev_a)} in {title}")
+            sample_b = (lev_b, context, f"{_lev_label(lev_b)} in {title}")
+            rows.append((f"{_lev_label(lev_a)} = {_lev_label(lev_b)}", (sample_a, sample_b)))
         sections.append((title, rows))
     return sections
 
 
-def _long_vs_inverse_sections(records, registry, leverages, methods):
+def _long_vs_inverse_sections(leverages):
     magnitudes = sorted({abs(l) for l in leverages if -l in leverages})
     rows = []
     for mag in magnitudes:
-        results = []
-        for method in methods:
-            inverse = _comparison_samples(records, registry, method, -mag, None)
-            long_side = _comparison_samples(records, registry, method, mag, None)
-            if not inverse:
-                raise stats.EmptyGroup(_lev_label(-mag))
-            if not long_side:
-                raise stats.EmptyGroup(_lev_label(mag))
-            results.append(stats.mann_whitney(inverse, long_side))
-        rows.append((f"{_lev_label(-mag)} = {_lev_label(mag)}", results))
+        inverse = (-mag, None, _lev_label(-mag))
+        long_side = (mag, None, _lev_label(mag))
+        rows.append((f"{_lev_label(-mag)} = {_lev_label(mag)}", (inverse, long_side)))
     return [("", rows)]
 
 
-def _context_split_sections(records, registry, leverages, methods):
+def _context_split_sections(leverages):
     shorts = sorted([l for l in leverages if l < 0], key=abs)
     longs = sorted([l for l in leverages if l > 0])
     sections = []
@@ -234,16 +194,9 @@ def _context_split_sections(records, registry, leverages, methods):
     ):
         rows = []
         for lev in group:
-            results = []
-            for method in methods:
-                negative = _comparison_samples(records, registry, method, lev, Context.NEGATIVE)
-                positive = _comparison_samples(records, registry, method, lev, Context.POSITIVE)
-                if not negative:
-                    raise stats.EmptyGroup(f"{_lev_label(lev)} negative context")
-                if not positive:
-                    raise stats.EmptyGroup(f"{_lev_label(lev)} positive context")
-                results.append(stats.mann_whitney(negative, positive))
-            rows.append((f"{_lev_label(lev)} = {_lev_label(lev)}", results))
+            negative = (lev, Context.NEGATIVE, f"{_lev_label(lev)} negative context")
+            positive = (lev, Context.POSITIVE, f"{_lev_label(lev)} positive context")
+            rows.append((f"{_lev_label(lev)} = {_lev_label(lev)}", (negative, positive)))
         if rows:
             sections.append((title, rows))
     return sections
@@ -258,34 +211,42 @@ _COMPARE_SPECS = {
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
-        registry = _load_registry(args.registry)
-    except SchemaError as err:
-        _diag(f"SchemaError: {err}")
-        return EXIT_SCHEMA
-    except IngestError as err:
-        _diag(f"{type(err).__name__}: {err}")
-        return EXIT_MALFORMED
+    transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
+    registry = _load_registry(args.registry)
     framing, row_header = _COMPARE_SPECS[args.spec]
-    store = metrics.run_engine(transactions, _engine_options(args), threads=args.threads)
+    store = metrics.run_engine(transactions, _engine_options(args))
     records = metrics.aggregate(store, Level.PER_ASSET, framing, zero_policy=args.zero_denominator)
     methods = args.methods
+    # The defined values of each (method, leverage, context) group, in record order.
+    values: dict[tuple[Method, float, Context | None], list[float]] = {}
+    for r in records:
+        inst = registry.get(r.asset_id)
+        if r.defined and inst is not None:
+            values.setdefault((r.method, inst.leverage, r.context), []).append(r.de)
     leverages = sorted({inst.leverage for inst in registry.values()})
-    try:
-        if args.spec == "volatility-long":
-            sections = _volatility_sections(records, registry, [l for l in leverages if l > 0], methods)
-        elif args.spec == "volatility-short":
-            sections = _volatility_sections(
-                records, registry, sorted([l for l in leverages if l < 0], key=abs), methods
-            )
-        elif args.spec == "long-vs-inverse":
-            sections = _long_vs_inverse_sections(records, registry, leverages, methods)
-        else:
-            sections = _context_split_sections(records, registry, leverages, methods)
-    except stats.EmptyGroup as err:
-        _diag(f"EmptyGroup: {err}")
-        return EXIT_EMPTY_GROUP
+    if args.spec == "volatility-long":
+        plan = _volatility_sections([l for l in leverages if l > 0])
+    elif args.spec == "volatility-short":
+        plan = _volatility_sections(sorted([l for l in leverages if l < 0], key=abs))
+    elif args.spec == "long-vs-inverse":
+        plan = _long_vs_inverse_sections(leverages)
+    else:
+        plan = _context_split_sections(leverages)
+    sections = []
+    for title, rows in plan:
+        tested = []
+        for label, samples in rows:
+            results = []
+            for method in methods:
+                pair = []
+                for leverage, context, group in samples:
+                    sample = values.get((method, leverage, context))
+                    if not sample:
+                        raise stats.EmptyGroup(group)
+                    pair.append(sample)
+                results.append(stats.mann_whitney(*pair))
+            tested.append((label, results))
+        sections.append((title, tested))
     table = stats.render_table(
         sections, [m.value.capitalize() for m in methods], row_header=row_header, decimals=args.decimals
     )
@@ -308,11 +269,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         horizon_events=args.horizon,
         seed=args.seed,
     )
-    try:
-        transactions, registry = synth.generate_population(args.investors, profile)
-    except synth.InvalidProfile as err:
-        _diag(f"InvalidProfile: {err}")
-        return EXIT_ERROR
+    transactions, registry = synth.generate_population(args.investors, profile)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "transactions.csv", "w", encoding="utf-8") as fh:
@@ -324,24 +281,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
-    except SchemaError as err:
-        _diag(f"SchemaError: {err}")
-        return EXIT_SCHEMA
-    except MalformedRow as err:
-        _diag(f"MalformedRow: {err}")
-        return EXIT_MALFORMED
+    transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     if not transactions:
-        _diag("EmptyDataset: no transactions")
-        return EXIT_ERROR
+        raise ingest.EmptyDataset("no transactions")
     summary = ingest.summarize(transactions)
     width = max(len(label) for label, _ in summary.rows())
     print("Descriptive Summary of Investors")
     for label, value in summary.rows():
         print(f"{label.ljust(width)}  {value}")
     print()
-    store = metrics.run_engine(transactions, _engine_options(args), threads=args.threads)
+    store = metrics.run_engine(transactions, _engine_options(args))
     records = metrics.aggregate(
         store,
         Level.INVESTOR_POOLED,
@@ -366,13 +315,15 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default="exclude-traded-asset",
     )
     parser.add_argument("--zero-denominator", choices=("exclude", "zero"), default="exclude")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--lenient", action="store_true", help="skip malformed rows instead of aborting")
+
+
+def _add_method_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", default="count,total,value", help="comma-separated subset of count,total,value")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dispomet", description=__doc__)
+    parser = _ArgumentParser(prog="dispomet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse inputs and print a descriptive summary")
@@ -388,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=tuple(l.value for l in Level), default=None)
     p.add_argument("--bins", type=float, default=0.1, help="histogram bin width")
     _add_engine_flags(p)
+    _add_method_flag(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("compare", help="emit Mann-Whitney comparison tables")
@@ -397,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--decimals", type=int, default=3)
     _add_engine_flags(p)
+    _add_method_flag(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("synth", help="generate a synthetic transaction dataset")
@@ -419,21 +372,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code per error type; an error takes the code of the nearest class in its MRO.
+_EXIT_CODES: dict[type[Exception], int] = {
+    SchemaError: EXIT_SCHEMA,
+    MalformedRow: EXIT_MALFORMED,
+    DuplicateAsset: EXIT_MALFORMED,
+    ZeroLeverage: EXIT_MALFORMED,
+    stats.EmptyGroup: EXIT_EMPTY_GROUP,
+    OSError: EXIT_IO,
+    IngestError: EXIT_ERROR,
+    metrics.InvalidBinWidth: EXIT_ERROR,
+    synth.InvalidProfile: EXIT_ERROR,
+    UsageError: EXIT_ERROR,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "method" in args:
             args.methods = _parse_methods(args.method)
         return args.func(args)
-    except OSError as err:
-        _diag(f"IOError: {err}")
-        return EXIT_IO
-    except (metrics.InvalidBinWidth, UsageError) as err:
-        _diag(f"{type(err).__name__}: {err}")
-        return EXIT_ERROR
-    except IngestError as err:
-        _diag(f"{type(err).__name__}: {err}")
-        return EXIT_ERROR
+    except tuple(_EXIT_CODES) as err:
+        name = "IOError" if isinstance(err, OSError) else type(err).__name__
+        _diag(f"{name}: {err}")
+        return next(_EXIT_CODES[cls] for cls in type(err).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -249,6 +249,8 @@ def parse_instruments(stream: TextIO) -> dict[str, Instrument]:
             leverage = float(row["leverage"])
         except (TypeError, ValueError):
             raise MalformedRow(line, f"unparseable leverage {row['leverage']!r}") from None
+        if not math.isfinite(leverage):
+            raise MalformedRow(line, f"leverage must be finite, got {leverage}")
         if leverage == 0:
             raise ZeroLeverage(asset_id)
         registry[asset_id] = Instrument(asset_id, (row["underlying_id"] or "").strip(), leverage)

@@ -283,27 +283,18 @@ class TallyStore:
         return out
 
 
-def run_engine(
-    transactions: Sequence[Transaction],
-    options: EngineOptions | None = None,
-    threads: int = 1,
-) -> TallyStore:
+def run_engine(transactions: Sequence[Transaction], options: EngineOptions | None = None) -> TallyStore:
     """Single-pass accrual over a chronologically ordered transaction list.
 
-    The accrual kernel is sequential and deterministic; ``threads`` is
-    accepted for interface compatibility and does not change the result.
+    The accrual kernel is sequential and deterministic.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     opts = options or EngineOptions()
     enc = _kernel.encode(transactions)
-    tal, bad_event = _kernel.stream(
+    tal = _kernel.stream(
         enc,
         sells_only=opts.eval_scope == "sells-only",
         include_traded=opts.context_rule == "include-traded-asset",
     )
-    if bad_event >= 0:
-        raise MissingPrice(transactions[bad_event].asset_id)
     return TallyStore(enc, tal)
 
 

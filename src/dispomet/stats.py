@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from statistics import median
 from typing import Sequence
 
@@ -67,22 +66,24 @@ def _midranks(combined: Sequence[float]) -> list[float]:
     return ranks
 
 
-@lru_cache(maxsize=None)
-def _u_counts(n1: int, n2: int) -> tuple[int, ...]:
+def _u_counts(n1: int, n2: int) -> list[int]:
     """Null distribution of U as integer counts for u = 0 .. n1*n2.
 
-    Recurrence over whether the largest rank belongs to the first sample.
+    The counts are the coefficients of the Gaussian binomial coefficient
+    [n1 + n2 choose n] in q, n = min(n1, n2), built as the product over
+    i = 1..n of (1 - q^(m+i)) / (1 - q^i), m = max(n1, n2).  Each factor
+    changes coefficient u only from coefficients at or below u, so the
+    series can be cut at the final degree m*n throughout.
     """
-    if n1 == 0 or n2 == 0:
-        return (1,)
-    a = _u_counts(n1 - 1, n2)  # largest rank in first sample: adds n2 to U
-    b = _u_counts(n1, n2 - 1)  # largest rank in second sample
-    out = [0] * (n1 * n2 + 1)
-    for u, c in enumerate(a):
-        out[u + n2] += c
-    for u, c in enumerate(b):
-        out[u] += c
-    return tuple(out)
+    m, n = max(n1, n2), min(n1, n2)
+    top = m * n
+    counts = [1] + [0] * top
+    for i in range(1, n + 1):
+        for u in range(top, m + i - 1, -1):  # times (1 - q^(m+i)), high to low
+            counts[u] -= counts[u - m - i]
+        for u in range(i, top + 1):  # divided by (1 - q^i): running sum of stride i
+            counts[u] += counts[u - i]
+    return counts
 
 
 def exact_cdf(u: float, n1: int, n2: int) -> Fraction:

@@ -330,11 +330,11 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
          "--pg", "0.55", "--pl", "0.35", "--assets", "8", "--horizon", "60"]
     ) == 0
     outputs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"out{threads}"
+    for run in ("1", "2"):
+        out = tmp_path / f"out{run}"
         assert cli.main(
             ["compute", "--transactions", str(data / "transactions.csv"),
-             "--out", str(out), "--framing", "all", "--threads", threads]
+             "--out", str(out), "--framing", "all"]
         ) == 0
         outputs.append(sorted(out.iterdir()))
     names1 = [p.name for p in outputs[0]]

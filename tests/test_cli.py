@@ -204,7 +204,6 @@ def test_bad_method_list_is_one_error_line(methods, clean_file, tmp_path, capsys
          "--level", "investor-mean-of-assets"],
         ["compare", "--transactions", clean_file, "--registry", str(reg),
          "--spec", "long-vs-inverse", "--out", str(out)],
-        ["report", "--transactions", clean_file],
     ):
         assert main(argv + ["--method", methods]) == EXIT_ERROR, argv
         captured = capsys.readouterr()
@@ -252,6 +251,8 @@ _VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
          "MalformedRow: line 2: unparseable leverage 'x'"),
         (_compare("long-vs-inverse"), CLEAN, REGISTRY_HEADER + "ETF1L,IDX,x\n", EXIT_MALFORMED,
          "MalformedRow: line 2: unparseable leverage 'x'"),
+        (_compare("long-vs-inverse"), CLEAN, REGISTRY + "ETF2L,IDX,nan\n", EXIT_MALFORMED,
+         "MalformedRow: line 4: leverage must be finite, got nan"),
         (_compare("long-vs-inverse"), CLEAN, REGISTRY, EXIT_EMPTY_GROUP,
          "EmptyGroup: group filter '-1x' selected no defined values"),
         (_compare("context-split"), CLEAN, REGISTRY, EXIT_EMPTY_GROUP,
@@ -261,6 +262,14 @@ _VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
         (["report", "--transactions", "{tx}"], HEADER, REGISTRY, EXIT_ERROR, "EmptyDataset: no transactions"),
         (["compute", "--transactions", "{tx}", "--out", "{out}", "--bins", "0"], CLEAN, REGISTRY, EXIT_ERROR,
          "InvalidBinWidth: bin width must be in (0, 2], got 0.0"),
+    ],
+    ids=[
+        "validate-transactions-schema", "compare-transactions-schema", "validate-registry-schema",
+        "compare-registry-schema", "compute-malformed-row", "compare-malformed-row",
+        "validate-duplicate-asset", "compare-duplicate-asset", "validate-zero-leverage",
+        "compare-zero-leverage", "validate-bad-leverage", "compare-bad-leverage",
+        "compare-non-finite-leverage", "long-vs-inverse-empty-group", "context-split-empty-group",
+        "missing-file", "report-empty-log", "compute-bins-0",
     ],
 )
 def test_exit_code_and_first_error_line(argv, transactions, registry, code, first_line, tmp_path, capsys):
@@ -272,3 +281,19 @@ def test_exit_code_and_first_error_line(argv, transactions, registry, code, firs
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[0] == "dispomet: error: " + first_line.format(**paths)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute"],
+        ["compute", "--transactions", "t.csv", "--out", "out", "--bins", "abc"],
+        ["compute", "--transactions", "t.csv", "--out", "out", "--threads", "2"],
+        ["report", "--transactions", "t.csv", "--method", "count"],
+    ],
+)
+def test_usage_error_exits_with_code_1(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_ERROR
+    assert re.match(r"dispomet( \w+)?: error: ", capsys.readouterr().err.splitlines()[-1])

@@ -1,6 +1,6 @@
 import io
 import logging
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -214,6 +214,17 @@ def test_duplicate_asset_rejected():
 def test_zero_leverage_rejected():
     with pytest.raises(ZeroLeverage):
         parse_instruments(io.StringIO("asset_id,underlying_id,leverage\nA,X,0\n"))
+
+
+@pytest.mark.parametrize("leverage", ["nan", "inf", "-inf"])
+def test_non_finite_leverage_is_row_precise(leverage):
+    with pytest.raises(MalformedRow, match=f"line 3: leverage must be finite, got {leverage}"):
+        parse_instruments(io.StringIO(f"asset_id,underlying_id,leverage\nA,X,1\nB,X,{leverage}\n"))
+
+
+def test_utc_designator_timestamp_is_aware():
+    (tx,) = parse(HEADER + "I1,A1,B,1,10,2015-01-05T09:00:00Z\n")
+    assert tx.timestamp == datetime(2015, 1, 5, 9, 0, 0, tzinfo=timezone.utc)
 
 
 def test_summarize_hand_counted_fixture():

@@ -12,7 +12,6 @@ from dispomet.metrics import (
     InvalidBinWidth,
     Level,
     Method,
-    MissingPrice,
     Tally,
     accrue_event,
     aggregate,
@@ -299,11 +298,6 @@ def test_investor_isolation():
     assert d1 == d2
 
 
-def test_engine_threads_flag_does_not_change_result():
-    txs = _stream_gain_and_paper()
-    assert run_engine(txs, threads=1).to_dict() == run_engine(txs, threads=8).to_dict()
-
-
 def _naive_aggregate(store, level, framing, methods, zero_policy):
     """Reference records: regroup store.to_dict() and apply compute_de per tally."""
     per_asset = {}  # (investor, asset, context-or-None) -> {method: [rg, rl, pg, pl]}
@@ -429,16 +423,12 @@ def test_open_slot_bookkeeping_matches_oracle(scope, rule):
     assert {Context.POSITIVE, Context.NEGATIVE} <= {ctx for _, _, ctx, _ in got}
 
 
-def test_missing_price_names_the_event_that_meets_it():
-    # A zero price is no market observation: the first evaluation that sees
-    # the open position Z fails, and the error names that event's asset.
+@pytest.mark.parametrize("price", [0.0, math.nan, math.inf])
+def test_encode_rejects_price_that_is_not_positive_and_finite(price):
     txs = _open_slot_stream()[:4] + [
-        tx("I1", "Z", Side.BUY, 1, 0.0, 30, 30),
+        tx("I1", "Z", Side.BUY, 1, price, 30, 30),
         tx("I1", "A", Side.SELL, 1, 10.0, 31, 31),
     ]
-    with pytest.raises(MissingPrice) as every:
-        run_engine(txs)
-    assert every.value.asset_id == "Z"
-    with pytest.raises(MissingPrice) as sells:
-        run_engine(txs, EngineOptions(eval_scope="sells-only"))
-    assert sells.value.asset_id == "A"
+    for scope in ("every-event", "sells-only"):
+        with pytest.raises(ValueError, match=f"event 4: price {price} is not a positive finite number"):
+            run_engine(txs, EngineOptions(eval_scope=scope))

@@ -81,6 +81,12 @@ def test_exact_cdf_matches_full_enumeration(n1, n2):
         assert exact_cdf(u, n1, n2) == full_enumeration_cdf(u, n1, n2)
 
 
+def test_exact_cdf_one_against_many_is_uniform():
+    # A single value is equally likely to hold each of the 1101 ranks.
+    for u in (0, 5, 550, 1100):
+        assert exact_cdf(u, 1, 1100) == Fraction(u + 1, 1101)
+
+
 def test_exact_agrees_with_scipy():
     rng = np.random.default_rng(3)
     for _ in range(25):
