@@ -1,40 +1,30 @@
 """Integer-encoded streaming kernel behind metrics.run_engine.
 
-Transactions are encoded once into flat columns of Python ints and floats;
-the accrual loop then runs over primitive types only, so the same function
-body is JIT-compiled by numba where it is installed and runs as plain Python
-otherwise.  ``stream`` allocates every container the loop indexes:
+``encode`` interns the transactions once into flat columns of Python ints
+and floats, numbering assets in asset_id order.  ``stream`` then makes one
+sequential pass over those columns in plain Python, keeping per-pair
+positions in lists and the tallies in an ``array('d')`` buffer that is
+returned without a copy through ``np.frombuffer``.
 
-* numba backend: numpy arrays, the event columns converted with ``np.array``;
-* Python backend: the encoded lists as they are, plain lists for the
-  per-pair state and an ``array('d')`` tally buffer that is returned without
-  a copy through ``np.frombuffer``.
-
-Assets are numbered in asset_id order.  Open-slot layout: each investor owns
-the slot range ``open_pairs[inv_pair_ptr[inv] : inv_pair_ptr[inv + 1]]`` (one
-slot per pair the investor ever trades), of which the first
-``open_count[inv]`` hold the investor's open positions in asset order.  A position that opens is
-inserted by shifting the later slots right; one that closes is removed by
-shifting them left.  An evaluation visits only the open slots, in asset_id
-order, which keeps the floating-point summation order of the context balance
-identical to the reference implementations.
+Each investor's open positions are kept in one list of pair ids, ordered by
+asset: a position that opens is inserted with ``bisect.insort`` and one that
+closes is removed.  An evaluation visits only that list, so the
+floating-point summation order of the context balance is identical to the
+reference implementations.
 """
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import insort
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .ingest import Side, Transaction
 
-try:
-    from numba import njit
-except ImportError:  # numba is the optional "jit" extra
-    njit = None
+njit = None  # the benchmark's env line reads this to name the backend
 
 INT64_MAX = 2**63 - 1
 
@@ -46,7 +36,6 @@ class EncodedStream:
     pair_index: dict[tuple[str, str], int]
     pair_investor: list[int]  # (n_pairs,)
     pair_asset: list[int]  # (n_pairs,)
-    inv_pair_ptr: list[int]  # (n_investors + 1,) CSR offsets of each investor's slots
     ev_pair: list[int]  # (n,)
     ev_side: list[int]  # (n,) +1 buy / -1 sell
     ev_qty: list[int]  # (n,) at most INT64_MAX
@@ -84,16 +73,12 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     investors = list(inv_idx)
     assets = sorted({asset for _, asset in pair_index})
     asset_idx = {asset: ai for ai, asset in enumerate(assets)}
-    slots = [0] * len(investors)
-    for ii in pair_investor:
-        slots[ii] += 1
     return EncodedStream(
         investors=investors,
         assets=assets,
         pair_index=pair_index,
         pair_investor=pair_investor,
         pair_asset=[asset_idx[asset] for _, asset in pair_index],
-        inv_pair_ptr=[0, *accumulate(slots)],
         ev_pair=ev_pair,
         ev_side=ev_side,
         ev_qty=ev_qty,
@@ -101,55 +86,38 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     )
 
 
-def _stream_loop(
-    ev_pair,
-    ev_side,
-    ev_qty,
-    ev_price,
-    pair_investor,
-    pair_asset,
-    inv_pair_ptr,
-    pair_qty,
-    pair_ref,
-    last_price,
-    open_pairs,
-    open_count,
-    tal,
-    sells_only,
-    include_traded,
-):
+def stream(enc: EncodedStream, sells_only: bool, include_traded: bool):
+    """Run the accrual loop; returns the tally array, shape (n_pairs, 3, 12)."""
+    pair_asset = enc.pair_asset
+    n_pairs = len(pair_asset)
+    pair_qty = [0] * n_pairs
+    pair_ref = [0.0] * n_pairs
+    last_price = [0.0] * len(enc.assets)
+    # Each investor's open pair ids in asset order; pair_open[pid] is the
+    # list of the investor who holds pair pid.
+    open_lists = [[] for _ in enc.investors]
+    pair_open = [open_lists[inv] for inv in enc.pair_investor]
     # Tally layout, flat: pair*36 + context*12 + method*4 + component
     # contexts: 0 positive, 1 negative, 2 neutral (ctx_off is context*12)
     # components: 0 rg, 1 rl, 2 pg, 3 pl; methods: count, total, value
+    tal = array("d", [0.0]) * (n_pairs * 36)
     # encode admits only positive finite prices, so every reference price
     # and market price read below is positive.
-    for i in range(len(ev_pair)):
-        pid = ev_pair[i]
-        inv = pair_investor[pid]
-        asset = pair_asset[pid]
-        qty = ev_qty[i]
-        price = ev_price[i]
-        buy = ev_side[i] > 0
-        last_price[asset] = price
-        lo = inv_pair_ptr[inv]
-        hi = lo + open_count[inv]
+    for pid, side, qty, price in zip(enc.ev_pair, enc.ev_side, enc.ev_qty, enc.ev_price):
+        buy = side > 0
+        last_price[pair_asset[pid]] = price
+        opened = pair_open[pid]
 
         # Ledger step: volume-weighted reference on increases, realization
         # leg on reductions, close-and-reopen on flips.  Opening and closing
-        # a position inserts it into or removes it from the open slots.
+        # a position inserts it into or removes it from the open list.
         old = pair_qty[pid]
         leg_closed = 0
         leg_ret = 0.0
         if old == 0:
             pair_qty[pid] = qty if buy else -qty
             pair_ref[pid] = price
-            k = hi
-            while k > lo and pair_asset[open_pairs[k - 1]] > asset:
-                open_pairs[k] = open_pairs[k - 1]
-                k -= 1
-            open_pairs[k] = pid
-            hi += 1
-            open_count[inv] = hi - lo
+            insort(opened, pid, key=pair_asset.__getitem__)
         elif (old > 0) == buy:
             new = old + qty if buy else old - qty
             pair_ref[pid] = (abs(old) * pair_ref[pid] + qty * price) / abs(new)
@@ -164,29 +132,21 @@ def _stream_loop(
             new = old + qty if buy else old - qty
             pair_qty[pid] = new
             if new == 0:
-                k = lo
-                while open_pairs[k] != pid:
-                    k += 1
-                hi -= 1
-                while k < hi:
-                    open_pairs[k] = open_pairs[k + 1]
-                    k += 1
-                open_count[inv] = hi - lo
+                opened.remove(pid)
             elif (new > 0) != (old > 0):
                 pair_ref[pid] = price
 
         if sells_only and buy:
             continue
 
-        # Post-trade portfolio context from the other open positions.
+        # Post-trade portfolio context from the other open positions, summed
+        # in asset_id order like the reference implementations.
         balance = 0.0
         seen = False
-        for k in range(lo, hi):
-            pp = open_pairs[k]
+        for pp in opened:
             if pp == pid and not include_traded:
                 continue
-            mp = last_price[pair_asset[pp]]
-            balance += (mp - pair_ref[pp]) * pair_qty[pp]
+            balance += (last_price[pair_asset[pp]] - pair_ref[pp]) * pair_qty[pp]
             seen = True
         if not seen or balance == 0.0:
             ctx_off = 24
@@ -201,8 +161,7 @@ def _stream_loop(
             tal[j + 4] += leg_closed
             tal[j + 8] += abs(leg_ret)
 
-        for k in range(lo, hi):
-            pp = open_pairs[k]
+        for pp in opened:
             mp = last_price[pair_asset[pp]]
             ref = pair_ref[pp]
             qn = pair_qty[pp]
@@ -216,53 +175,4 @@ def _stream_loop(
             tal[j] += 1.0
             tal[j + 4] += abs(qn)
             tal[j + 8] += abs(ret)
-
-
-if njit is not None:
-    _stream_jit = njit(cache=True)(_stream_loop)
-
-
-def stream(enc: EncodedStream, sells_only: bool, include_traded: bool):
-    """Run the accrual loop; returns the tally array, shape (n_pairs, 3, 12)."""
-    n_pairs = len(enc.pair_investor)
-    n_investors = len(enc.investors)
-    n_assets = len(enc.assets)
-    if njit is None:
-        tal = array("d", [0.0]) * (n_pairs * 36)
-        _stream_loop(
-            enc.ev_pair,
-            enc.ev_side,
-            enc.ev_qty,
-            enc.ev_price,
-            enc.pair_investor,
-            enc.pair_asset,
-            enc.inv_pair_ptr,
-            [0] * n_pairs,
-            [0.0] * n_pairs,
-            [0.0] * n_assets,
-            [0] * n_pairs,
-            [0] * n_investors,
-            tal,
-            sells_only,
-            include_traded,
-        )
-        return np.frombuffer(tal, np.float64).reshape(n_pairs, 3, 12)
-    tal = np.zeros(n_pairs * 36, np.float64)
-    _stream_jit(
-        np.array(enc.ev_pair, np.int64),
-        np.array(enc.ev_side, np.int8),
-        np.array(enc.ev_qty, np.int64),
-        np.array(enc.ev_price, np.float64),
-        np.array(enc.pair_investor, np.int64),
-        np.array(enc.pair_asset, np.int64),
-        np.array(enc.inv_pair_ptr, np.int64),
-        np.zeros(n_pairs, np.int64),
-        np.zeros(n_pairs, np.float64),
-        np.zeros(n_assets, np.float64),
-        np.zeros(n_pairs, np.int64),
-        np.zeros(n_investors, np.int64),
-        tal,
-        sells_only,
-        include_traded,
-    )
-    return tal.reshape(n_pairs, 3, 12)
+    return np.frombuffer(tal, np.float64).reshape(n_pairs, 3, 12)

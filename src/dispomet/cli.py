@@ -261,11 +261,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    try:
+        leverages = tuple(float(l) for l in args.leverages.split(","))
+    except ValueError:
+        raise UsageError(f"--leverages: expected comma-separated numbers, got {args.leverages!r}") from None
     profile = synth.BehaviorProfile(
         p_realize_gain=args.pg,
         p_realize_loss=args.pl,
         n_assets=args.assets,
-        leverages=tuple(float(l) for l in args.leverages.split(",")),
+        leverages=leverages,
         horizon_events=args.horizon,
         seed=args.seed,
     )
@@ -392,6 +396,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if "method" in args:
             args.methods = _parse_methods(args.method)
+        if "decimals" in args and args.decimals < 0:
+            raise UsageError(f"--decimals must be >= 0, got {args.decimals}")
         return args.func(args)
     except tuple(_EXIT_CODES) as err:
         name = "IOError" if isinstance(err, OSError) else type(err).__name__

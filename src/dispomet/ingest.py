@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -123,7 +124,7 @@ def _check_header(fieldnames: Iterable[str] | None, required: tuple[str, ...]) -
 
 
 _SIDES = {"B": Side.BUY, "S": Side.SELL}
-_QUANTITY_MAX = 2**63 - 1  # quantities are int64 in the streaming kernel
+_QUANTITY_MAX = 2**63 - 1  # the int64 range of exported trade logs; encode checks it too
 
 
 def _parse_row(fields: tuple[str, ...], line: int, seq: int) -> Transaction:
@@ -160,6 +161,20 @@ def _parse_row(fields: tuple[str, ...], line: int, seq: int) -> Transaction:
     return Transaction(investor_id, asset_id, side, quantity, price, timestamp, seq)
 
 
+def _unreadable(reader, err: UnicodeDecodeError | csv.Error) -> MalformedRow:
+    """The MalformedRow for input the csv reader could not take.
+
+    A csv.Error belongs to the line the reader last took.  A text stream
+    decodes ahead of the reader in chunks that start inside the line being
+    read, so an undecodable byte lies on that line plus the line breaks
+    that precede it in its chunk.
+    """
+    if isinstance(err, csv.Error):
+        return MalformedRow(reader.line_num, str(err))
+    line = reader.line_num + 1 + len(re.findall(rb"\r\n|\r|\n", err.object[: err.start]))
+    return MalformedRow(line, f"not UTF-8 text: byte {err.object[err.start]:#04x} cannot be decoded")
+
+
 def parse_transactions(stream: TextIO, lenient: bool = False) -> list[Transaction]:
     """Parse a transaction log into a chronologically ordered list.
 
@@ -185,37 +200,42 @@ def parse_transactions_report(
     Columns are found by header name; a name given twice resolves to its
     last column, blank lines are skipped, fields past the header are
     ignored and a row too short to hold every required column is a reject.
+    Text that is not UTF-8 or a field longer than the csv module's limit
+    raises MalformedRow at that line, lenient or not.
     """
     reader = csv.reader(stream)
-    header = next(reader, None)
-    _check_header(header, TRANSACTION_COLUMNS)
-    position = {name: i for i, name in enumerate(header)}
-    columns = [position[c] for c in TRANSACTION_COLUMNS]
-    fields = itemgetter(*columns)
-    min_len = max(columns) + 1
     records: list[Transaction] = []
     rejects: list[MalformedRow] = []
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        try:
-            if len(row) < min_len:
-                raise MalformedRow(line, "wrong number of fields")
-            tx = _parse_row(fields(row), line, len(records))
-            aware = tx.timestamp.tzinfo is not None
-            if records and aware != (records[0].timestamp.tzinfo is not None):
-                kind = "timezone-aware" if aware else "naive"
-                raise MalformedRow(
-                    line,
-                    f"timestamp {row[position['timestamp']]!r} is {kind}, unlike the first accepted row",
-                )
-        except MalformedRow as err:
-            if not lenient:
-                raise
-            rejects.append(err)
-            continue
-        records.append(tx)
+    try:
+        header = next(reader, None)
+        _check_header(header, TRANSACTION_COLUMNS)
+        position = {name: i for i, name in enumerate(header)}
+        columns = [position[c] for c in TRANSACTION_COLUMNS]
+        fields = itemgetter(*columns)
+        min_len = max(columns) + 1
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            try:
+                if len(row) < min_len:
+                    raise MalformedRow(line, "wrong number of fields")
+                tx = _parse_row(fields(row), line, len(records))
+                aware = tx.timestamp.tzinfo is not None
+                if records and aware != (records[0].timestamp.tzinfo is not None):
+                    kind = "timezone-aware" if aware else "naive"
+                    raise MalformedRow(
+                        line,
+                        f"timestamp {row[position['timestamp']]!r} is {kind}, unlike the first accepted row",
+                    )
+            except MalformedRow as err:
+                if not lenient:
+                    raise
+                rejects.append(err)
+                continue
+            records.append(tx)
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise _unreadable(reader, err) from None
     if rejects:
         log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
     records.sort(key=attrgetter("timestamp"))  # stable: seq breaks ties
@@ -234,26 +254,33 @@ def serialize_transactions(transactions: Iterable[Transaction], stream: TextIO) 
 
 
 def parse_instruments(stream: TextIO) -> dict[str, Instrument]:
-    """Parse the instrument registry into a mapping asset_id -> Instrument."""
+    """Parse the instrument registry into a mapping asset_id -> Instrument.
+
+    Text that is not UTF-8 or a field longer than the csv module's limit
+    raises MalformedRow at that line, like any other bad row.
+    """
     reader = csv.DictReader(stream)
-    _check_header(reader.fieldnames, REGISTRY_COLUMNS)
     registry: dict[str, Instrument] = {}
-    for row in reader:
-        line = reader.line_num
-        asset_id = (row["asset_id"] or "").strip()
-        if not asset_id:
-            raise MalformedRow(line, "asset_id must be non-empty")
-        if asset_id in registry:
-            raise DuplicateAsset(asset_id)
-        try:
-            leverage = float(row["leverage"])
-        except (TypeError, ValueError):
-            raise MalformedRow(line, f"unparseable leverage {row['leverage']!r}") from None
-        if not math.isfinite(leverage):
-            raise MalformedRow(line, f"leverage must be finite, got {leverage}")
-        if leverage == 0:
-            raise ZeroLeverage(asset_id)
-        registry[asset_id] = Instrument(asset_id, (row["underlying_id"] or "").strip(), leverage)
+    try:
+        _check_header(reader.fieldnames, REGISTRY_COLUMNS)
+        for row in reader:
+            line = reader.line_num
+            asset_id = (row["asset_id"] or "").strip()
+            if not asset_id:
+                raise MalformedRow(line, "asset_id must be non-empty")
+            if asset_id in registry:
+                raise DuplicateAsset(asset_id)
+            try:
+                leverage = float(row["leverage"])
+            except (TypeError, ValueError):
+                raise MalformedRow(line, f"unparseable leverage {row['leverage']!r}") from None
+            if not math.isfinite(leverage):
+                raise MalformedRow(line, f"leverage must be finite, got {leverage}")
+            if leverage == 0:
+                raise ZeroLeverage(asset_id)
+            registry[asset_id] = Instrument(asset_id, (row["underlying_id"] or "").strip(), leverage)
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise _unreadable(reader.reader, err) from None
     return registry
 
 

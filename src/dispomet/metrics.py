@@ -75,6 +75,9 @@ class InvalidBinWidth(Exception):
     pass
 
 
+MAX_BINS = 10**6  # bounds the count list and each hist_*.csv to a million rows
+
+
 @dataclass(slots=True)
 class Tally:
     """RG/RL/PG/PL accumulators for one (investor, asset, context, method)."""
@@ -396,10 +399,13 @@ def histogram(values: Iterable[float], bin_width: float) -> list[tuple[float, in
     """Counts per half-open bin [edge, edge + width) tiling [-1, 1].
 
     The top bin is closed at 1 so the boundary value lands in it.  NaN
-    inputs (undefined records) are ignored.
+    inputs (undefined records) are ignored.  Raises InvalidBinWidth for a
+    width outside (0, 2] or one that gives more than MAX_BINS bins.
     """
     if not bin_width > 0 or bin_width > 2:
         raise InvalidBinWidth(f"bin width must be in (0, 2], got {bin_width}")
+    if 2.0 / bin_width > MAX_BINS:
+        raise InvalidBinWidth(f"bin width {bin_width} gives more than {MAX_BINS} bins")
     n_bins = math.ceil(2.0 / bin_width - 1e-9)
     counts = [0] * n_bins
     for v in values:

@@ -15,6 +15,7 @@ replaying the whole prefix from scratch, then accrues that single event.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -55,8 +56,8 @@ class BehaviorProfile:
             raise InvalidProfile("n_assets must be >= 1")
         if self.horizon_events < 1:
             raise InvalidProfile("horizon_events must be >= 1")
-        if not self.leverages or any(l == 0 for l in self.leverages):
-            raise InvalidProfile("leverage menu must be non-empty with nonzero entries")
+        if not self.leverages or not all(0 < abs(l) < math.inf for l in self.leverages):
+            raise InvalidProfile("leverage menu must be non-empty with nonzero finite entries")
         if self.max_quantity < 1 or self.max_assets_per_investor < 1:
             raise InvalidProfile("max_quantity and max_assets_per_investor must be >= 1")
 

@@ -283,7 +283,7 @@ def test_criterion_7_throughput():
     transactions, _ = generate_population(1000, profile)
     assert len(transactions) >= 1_000_000, f"only generated {len(transactions)}"
     transactions = transactions[:1_000_000]
-    run_engine(transactions[:1000])  # warm up the JIT before timing
+    run_engine(transactions[:1000])  # warm up imports and caches before timing
 
     def timed(txs):
         best = math.inf

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
@@ -262,6 +266,23 @@ _VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
         (["report", "--transactions", "{tx}"], HEADER, REGISTRY, EXIT_ERROR, "EmptyDataset: no transactions"),
         (["compute", "--transactions", "{tx}", "--out", "{out}", "--bins", "0"], CLEAN, REGISTRY, EXIT_ERROR,
          "InvalidBinWidth: bin width must be in (0, 2], got 0.0"),
+        (["compute", "--transactions", "{tx}", "--out", "{out}", "--bins", "1e-300"], CLEAN, REGISTRY, EXIT_ERROR,
+         "InvalidBinWidth: bin width 1e-300 gives more than 1000000 bins"),
+        (["synth", "--out", "{out}", "--investors", "3", "--leverages", "abc"], CLEAN, REGISTRY, EXIT_ERROR,
+         "UsageError: --leverages: expected comma-separated numbers, got 'abc'"),
+        (["synth", "--out", "{out}", "--investors", "3", "--leverages", "1,nan"], CLEAN, REGISTRY, EXIT_ERROR,
+         "InvalidProfile: leverage menu must be non-empty with nonzero finite entries"),
+        (_compare("long-vs-inverse") + ["--decimals", "-1"], CLEAN, REGISTRY, EXIT_ERROR,
+         "UsageError: --decimals must be >= 0, got -1"),
+        (_VALIDATE, CLEAN + "I1,ETF1L,B,1,9.0,2015-01-05 09:03:00\udcff\n", REGISTRY, EXIT_MALFORMED,
+         "MalformedRow: line 5: not UTF-8 text: byte 0xff cannot be decoded"),
+        (_compare("long-vs-inverse") + ["--lenient"], CLEAN, REGISTRY + "ETF2\udcc3(,IDX,2\n", EXIT_MALFORMED,
+         "MalformedRow: line 4: not UTF-8 text: byte 0xc3 cannot be decoded"),
+        (["compute", "--transactions", "{tx}", "--out", "{out}", "--lenient"],
+         CLEAN + "I3" + "x" * 131073 + ",ETF1L,B,1,9.0,2015-01-05 09:03:00\n", REGISTRY, EXIT_MALFORMED,
+         "MalformedRow: line 5: field larger than field limit (131072)"),
+        (_VALIDATE, CLEAN, REGISTRY + 'ETF2L,"' + "IDX\n" * 40000 + '",2\n', EXIT_MALFORMED,
+         "MalformedRow: line 32772: field larger than field limit (131072)"),
     ],
     ids=[
         "validate-transactions-schema", "compare-transactions-schema", "validate-registry-schema",
@@ -269,14 +290,18 @@ _VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
         "validate-duplicate-asset", "compare-duplicate-asset", "validate-zero-leverage",
         "compare-zero-leverage", "validate-bad-leverage", "compare-bad-leverage",
         "compare-non-finite-leverage", "long-vs-inverse-empty-group", "context-split-empty-group",
-        "missing-file", "report-empty-log", "compute-bins-0",
+        "missing-file", "report-empty-log", "compute-bins-0", "compute-bins-too-many",
+        "synth-unparseable-leverages", "synth-non-finite-leverage", "compare-negative-decimals",
+        "validate-transactions-not-utf8", "compare-registry-not-utf8", "compute-field-too-long",
+        "validate-registry-field-too-long",
     ],
 )
 def test_exit_code_and_first_error_line(argv, transactions, registry, code, first_line, tmp_path, capsys):
     paths = {"tx": tmp_path / "transactions.csv", "reg": tmp_path / "instruments.csv",
              "out": tmp_path / "out", "missing": tmp_path / "nope.csv"}
-    paths["tx"].write_text(transactions)
-    paths["reg"].write_text(registry)
+    # A lone surrogate escape in the text writes that raw, undecodable byte.
+    paths["tx"].write_text(transactions, encoding="utf-8", errors="surrogateescape")
+    paths["reg"].write_text(registry, encoding="utf-8", errors="surrogateescape")
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -297,3 +322,49 @@ def test_usage_error_exits_with_code_1(argv, capsys):
         main(argv)
     assert exit_info.value.code == EXIT_ERROR
     assert re.match(r"dispomet( \w+)?: error: ", capsys.readouterr().err.splitlines()[-1])
+
+
+# Fuzz: arbitrary bytes or CSV-shaped text with hostile fields, under a fixed
+# menu of flags, must end in a documented exit code and never in a traceback.
+_FUZZ_FIELDS = st.one_of(
+    st.sampled_from(["I1", "I2", "A", "B", "S", "1", "7", "0", "-1", "10.0", "1e308", "nan",
+                     "inf", "2015-01-05 09:00:00", "2015-01-05 09:00:00+00:00",
+                     "0001-01-01T00:00:00+01:00", "9999-12-31 23:59:59-01:00", '"', ""]),
+    st.text(alphabet="0123456789.-+eE:TZ ,\"\n\rBSabIn\x00é", max_size=12),
+)
+_FUZZ_TABLE = st.tuples(
+    st.permutations(["investor_id", "asset_id", "side", "quantity", "price", "timestamp"]),
+    st.lists(st.lists(_FUZZ_FIELDS, min_size=0, max_size=7), max_size=12),
+).map(lambda t: "\n".join(",".join(row) for row in [list(t[0]), *t[1]]).encode("utf-8"))
+_FUZZ_REGISTRY = st.sampled_from([REGISTRY, REGISTRY_HEADER + "A,IDX,2\nB,IDX,-2\n"]).map(str.encode) | st.binary(
+    max_size=60
+)
+_FUZZ_ARGV = st.sampled_from(
+    [
+        ["validate", "--transactions", "{tx}", "--registry", "{reg}"],
+        ["validate", "--transactions", "{tx}", "--lenient"],
+        ["compute", "--transactions", "{tx}", "--out", "{out}"],
+        ["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "all", "--lenient"],
+        ["compute", "--transactions", "{tx}", "--out", "{out}", "--level", "investor-mean-of-assets",
+         "--eval-scope", "sells-only", "--zero-denominator", "zero", "--method", "value,count"],
+        ["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "wide",
+         "--context-rule", "include-traded-asset", "--bins", "0.5", "--lenient"],
+        *(_compare(spec) + ["--lenient"] for spec in ("volatility-long", "volatility-short",
+                                                      "long-vs-inverse", "context-split")),
+        _compare("long-vs-inverse") + ["--decimals", "0", "--method", "total"],
+        ["report", "--transactions", "{tx}"],
+        ["report", "--transactions", "{tx}", "--lenient", "--bins", "2"],
+    ]
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(transactions=_FUZZ_TABLE | st.binary(max_size=200), registry=_FUZZ_REGISTRY, argv=_FUZZ_ARGV)
+def test_arbitrary_input_ends_in_a_documented_exit_code(transactions, registry, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"tx": Path(tmp, "transactions.csv"), "reg": Path(tmp, "instruments.csv"), "out": Path(tmp, "out")}
+        paths["tx"].write_bytes(transactions)
+        paths["reg"].write_bytes(registry)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([arg.format(**paths) for arg in argv])
+    assert code in range(6)
