@@ -24,6 +24,7 @@ from .ledger import Direction, PortfolioState, Position, RealizationLeg
 from .metrics import (
     Context,
     DeRecord,
+    DeRecords,
     EngineOptions,
     Framing,
     Level,
@@ -37,7 +38,7 @@ from .metrics import (
     run_engine,
     signed_return,
 )
-from .stats import TestResult, compare_groups, format_cell, mann_whitney
+from .stats import TestResult, format_cell, mann_whitney
 from .synth import BehaviorProfile, generate_population, oracle_replay, random_stream
 
 __version__ = "0.1.0"
@@ -47,6 +48,7 @@ __all__ = [
     "Context",
     "DatasetSummary",
     "DeRecord",
+    "DeRecords",
     "Direction",
     "EngineOptions",
     "Framing",
@@ -63,7 +65,6 @@ __all__ = [
     "Transaction",
     "aggregate",
     "classify_context",
-    "compare_groups",
     "compute_de",
     "format_cell",
     "generate_population",

@@ -45,14 +45,27 @@ class EncodedStream:
 def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     """Intern ids into pair indices and split the events into columns.
 
-    Raises ValueError naming the first event whose quantity exceeds int64 or
-    whose price is not a positive finite number.
+    Raises ValueError naming the first event whose (timestamp, seq) is lower
+    than its predecessor's, whose quantity exceeds int64 or whose price is
+    not a positive finite number.
     """
     inv_idx: dict[str, int] = {}
     pair_index: dict[tuple[str, str], int] = {}
     pair_investor: list[int] = []
     ev_pair: list[int] = []
+    prev = transactions[0] if transactions else None
     for tx in transactions:
+        # Checked in this pass, which already loads every event: a separate
+        # pass over a large list that is not in allocation order costs a
+        # cache miss per event.  Timestamps first, seq only on ties.
+        ts = tx.timestamp
+        if ts <= prev.timestamp and (ts < prev.timestamp or tx.seq < prev.seq):
+            i = len(ev_pair)
+            raise ValueError(
+                f"event {i}: (timestamp, seq) ({ts}, {tx.seq}) is lower than "
+                f"event {i - 1}'s ({prev.timestamp}, {prev.seq})"
+            )
+        prev = tx
         key = (tx.investor_id, tx.asset_id)
         pid = pair_index.get(key)
         if pid is None:

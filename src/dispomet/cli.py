@@ -12,9 +12,11 @@ import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from . import ingest, metrics, stats, synth
 from .ingest import DuplicateAsset, IngestError, Instrument, MalformedRow, SchemaError, Transaction, ZeroLeverage
-from .metrics import Context, DeRecord, Framing, Level, Method
+from .metrics import RECORD_CONTEXTS, RECORD_METHODS, Context, DeRecords, Framing, Level, Method
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,31 +70,40 @@ def _load_registry(path: str) -> dict[str, Instrument]:
         return ingest.parse_instruments(fh)
 
 
-def _context_text(context: Context | None) -> str:
-    return context.value if context is not None else "all"
+# Record fields per context and method code; merged contexts read "all".
+_CONTEXT_TEXT = ["all" if c is None else c.value for c in RECORD_CONTEXTS]
+_METHOD_TEXT = [m.value for m in RECORD_METHODS]
 
 
-def _write_records(records: Sequence[DeRecord], stream: TextIO) -> None:
+def _de_text(value: float) -> str:
+    """The ``de`` field: the text of repr(np.float64(value)), equal for every double.
+
+    No CSV reader parses this as a number.  The fix, repr(value), changes
+    the bytes of every records file, so it waits for a change that also
+    re-records the known-answer hashes in perfbench/expected.json.
+    """
+    return f"np.float64({value!r})"
+
+
+def _write_records(records: DeRecords, stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("investor_id", "asset_id", "context", "method", "de", "defined"))
-    for r in records:
-        writer.writerow(
-            (
-                r.investor_id,
-                r.asset_id,
-                _context_text(r.context),
-                r.method.value,
-                "" if math.isnan(r.de) else repr(r.de),
-                "true" if r.defined else "false",
-            )
+    writer.writerows(
+        zip(
+            map(records.investor_ids.__getitem__, records.investor.tolist()),
+            map(records.asset_ids.__getitem__, records.asset.tolist()),
+            map(_CONTEXT_TEXT.__getitem__, records.context.tolist()),
+            map(_METHOD_TEXT.__getitem__, records.method.tolist()),
+            ["" if math.isnan(x) else _de_text(x) for x in records.de.tolist()],
+            ["true" if ok else "false" for ok in records.defined.tolist()],
         )
+    )
 
 
 def _write_histogram(bins: Sequence[tuple[float, int]], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("bin_edge", "count"))
-    for edge, count in bins:
-        writer.writerow((repr(edge), count))
+    writer.writerows((repr(edge), count) for edge, count in bins)
 
 
 def _engine_options(args: argparse.Namespace) -> metrics.EngineOptions:
@@ -118,9 +129,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _compute_records(
     transactions: Sequence[Transaction], args: argparse.Namespace
-) -> dict[Framing, list[DeRecord]]:
+) -> dict[Framing, DeRecords]:
     store = metrics.run_engine(transactions, _engine_options(args))
-    out: dict[Framing, list[DeRecord]] = {}
+    out: dict[Framing, DeRecords] = {}
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     for framing in framings:
         level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
@@ -138,10 +149,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     per_framing = _compute_records(transactions, args)
     for framing, records in per_framing.items():
         for method in args.methods:
-            selected = [r for r in records if r.method is method]
+            selected = records[records.method == RECORD_METHODS.index(method)]
             with open(out_dir / f"records_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
                 _write_records(selected, fh)
-            bins = metrics.histogram((r.de for r in selected if r.defined), args.bins)
+            bins = metrics.histogram(selected.de[selected.defined], args.bins)
             with open(out_dir / f"hist_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
                 _write_histogram(bins, fh)
     print(f"wrote {sum(len(r) for r in per_framing.values())} records to {out_dir}")
@@ -217,12 +228,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     store = metrics.run_engine(transactions, _engine_options(args))
     records = metrics.aggregate(store, Level.PER_ASSET, framing, zero_policy=args.zero_denominator)
     methods = args.methods
-    # The defined values of each (method, leverage, context) group, in record order.
-    values: dict[tuple[Method, float, Context | None], list[float]] = {}
-    for r in records:
-        inst = registry.get(r.asset_id)
-        if r.defined and inst is not None:
-            values.setdefault((r.method, inst.leverage, r.context), []).append(r.de)
+    # Each record's leverage, NaN (selected by no sample) where the registry
+    # lacks the asset.
+    asset_leverage = np.array([registry[a].leverage if a in registry else math.nan for a in records.asset_ids])
+    record_leverage = asset_leverage[records.asset]
+
+    def sample(method: Method, leverage: float, context: Context | None) -> list[float]:
+        """The defined values of one (method, leverage, context) group, in record order."""
+        keep = (
+            records.defined
+            & (record_leverage == leverage)
+            & (records.context == RECORD_CONTEXTS.index(context))
+            & (records.method == RECORD_METHODS.index(method))
+        )
+        return records.de[keep].tolist()
+
     leverages = sorted({inst.leverage for inst in registry.values()})
     if args.spec == "volatility-long":
         plan = _volatility_sections([l for l in leverages if l > 0])
@@ -240,10 +260,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for method in methods:
                 pair = []
                 for leverage, context, group in samples:
-                    sample = values.get((method, leverage, context))
-                    if not sample:
+                    values = sample(method, leverage, context)
+                    if not values:
                         raise stats.EmptyGroup(group)
-                    pair.append(sample)
+                    pair.append(values)
                 results.append(stats.mann_whitney(*pair))
             tested.append((label, results))
         sections.append((title, tested))
@@ -302,7 +322,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         methods=[Method.COUNT],
         zero_policy=args.zero_denominator,
     )
-    bins = metrics.histogram((r.de for r in records if r.defined), args.bins)
+    bins = metrics.histogram(records.de[records.defined], args.bins)
     print("Histogram of the investor-level disposition effect (method Count)")
     peak = max((c for _, c in bins), default=0)
     for edge, count in bins:

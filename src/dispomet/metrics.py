@@ -17,13 +17,18 @@ investor's other open positions after the trade (Neutral when there are no
 other positions or the balance is exactly zero).  Narrow framing merges
 contexts before the ratio; wide framing pools tallies at the investor level
 per context; integrated framing keeps per-asset, per-context tallies.
+
+``aggregate`` returns its records as a sequence of DeRecords backed by
+columns (investor and asset indices, context and method codes, ``de`` and
+``defined``), ordered by (investor_id, asset_id, context, method) as text.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, MutableMapping, Sequence
+from typing import Iterable, Iterator, Mapping, MutableMapping, Sequence
 
 import numpy as np
 
@@ -61,6 +66,14 @@ POOLED_ASSET = "*"
 
 _CTX_INDEX = {Context.POSITIVE: 0, Context.NEGATIVE: 1, Context.NEUTRAL: 2}
 _METHOD_INDEX = {Method.COUNT: 0, Method.TOTAL: 1, Method.VALUE: 2}
+
+#: Context of a record per context code.  A code is also the rank of the
+#: context's text in record order: "all" (contexts merged, narrow framing)
+#: sorts before "negative" and "positive".
+RECORD_CONTEXTS: tuple[Context | None, ...] = (None, Context.NEGATIVE, Context.POSITIVE)
+#: Method of a record per method code: its index in the tally layout, which
+#: is also the rank of its text.
+RECORD_METHODS: tuple[Method, ...] = tuple(_METHOD_INDEX)
 
 
 class MissingPrice(Exception):
@@ -102,6 +115,51 @@ class DeRecord:
     method: Method
     de: float
     defined: bool
+
+
+class DeRecords(Sequence[DeRecord]):
+    """Read-only DeRecords held as columns; a DeRecord is built on access.
+
+    ``investor`` and ``asset`` index ``investor_ids`` and ``asset_ids``,
+    ``context`` and ``method`` are codes into RECORD_CONTEXTS and
+    RECORD_METHODS, and ``de`` is NaN where ``defined`` is false under the
+    "exclude" policy.  An integer index gives one DeRecord; a slice or an
+    index or boolean array gives the selected records as DeRecords.
+    """
+
+    __slots__ = ("investor_ids", "asset_ids", "investor", "asset", "context", "method", "de", "defined")
+
+    def __init__(self, investor_ids, asset_ids, investor, asset, context, method, de, defined) -> None:
+        self.investor_ids: Sequence[str] = investor_ids
+        self.asset_ids: Sequence[str] = asset_ids
+        self.investor, self.asset, self.context = investor, asset, context
+        self.method, self.de, self.defined = method, de, defined
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.investor, self.asset, self.context, self.method, self.de, self.defined
+
+    def __len__(self) -> int:
+        return len(self.de)
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return DeRecords(self.investor_ids, self.asset_ids, *(col[index] for col in self._columns()))
+        i = operator.index(index)
+        return DeRecord(
+            self.investor_ids[self.investor[i]],
+            self.asset_ids[self.asset[i]],
+            RECORD_CONTEXTS[self.context[i]],
+            RECORD_METHODS[self.method[i]],
+            float(self.de[i]),
+            bool(self.defined[i]),
+        )
+
+    def __iter__(self) -> Iterator[DeRecord]:
+        investor_ids, asset_ids = self.investor_ids, self.asset_ids
+        for inv, asset, ctx, method, de, ok in zip(*(col.tolist() for col in self._columns())):
+            yield DeRecord(investor_ids[inv], asset_ids[asset], RECORD_CONTEXTS[ctx], RECORD_METHODS[method], de, ok)
 
 
 def signed_return(reference_price: float, evaluation_price: float, long_exposure: bool) -> float:
@@ -329,7 +387,7 @@ def aggregate(
     *,
     methods: Sequence[Method] = tuple(Method),
     zero_policy: str = "exclude",
-) -> list[DeRecord]:
+) -> DeRecords:
     """Compute DeRecords at the requested framing and aggregation level.
 
     Narrow framing sums the context-partitioned tallies before the ratio;
@@ -338,6 +396,8 @@ def aggregate(
     before the ratio; INVESTOR_MEAN_OF_ASSETS averages the defined
     per-asset values.  A record exists only for a (pair, context) group
     with a nonzero tally, or an investor with at least one such group.
+    The records come back as columns, ordered by (investor_id, asset_id,
+    context, method) as text.
     """
     tal = store.array
     if framing is Framing.NARROW:
@@ -345,76 +405,86 @@ def aggregate(
         groups = (tal[:, 0] + tal[:, 1] + tal[:, 2])[:, None]
         present = (tal != 0.0).any(axis=(1, 2))[:, None]
     else:
-        contexts = (Context.POSITIVE, Context.NEGATIVE)
+        contexts = (Context.POSITIVE, Context.NEGATIVE)  # tally contexts 0 and 1
         groups = tal[:, :2]
         present = (groups != 0.0).any(axis=2)
+    context_codes = np.array([RECORD_CONTEXTS.index(c) for c in contexts], np.int8)
+    method_codes = np.array([_METHOD_INDEX[m] for m in methods], np.int8)
     # (pair, context, method, component) for the requested methods.
-    groups = groups.reshape(*groups.shape[:2], 3, 4)[:, :, [_METHOD_INDEX[m] for m in methods]]
+    groups = groups.reshape(*groups.shape[:2], 3, 4)[:, :, method_codes]
     owner = np.asarray(store._enc.pair_investor, np.int64)
     n_investors = len(store.investors)
     # np.add.at adds pairs one after another in pair order, the summation
     # order of the reference implementations.
     if level is Level.PER_ASSET:
-        keys = [(inv, asset) for inv, asset, _ in store.pairs()]
+        asset_ids = store.assets
+        row_investor = owner
+        row_asset = np.asarray(store._enc.pair_asset, np.int64)
         de, defined = _de_columns(groups, zero_policy)
         emit = np.broadcast_to(present[:, :, None], de.shape)
-    elif level is Level.INVESTOR_POOLED:
-        keys = [(inv, POOLED_ASSET) for inv in store.investors]
-        pooled = np.zeros((n_investors, *groups.shape[1:]))
-        np.add.at(pooled, owner, groups)
-        de, defined = _de_columns(pooled, zero_policy)
-        pooled_present = np.zeros((n_investors, len(contexts)), bool)
-        np.logical_or.at(pooled_present, owner, present)
-        emit = np.broadcast_to(pooled_present[:, :, None], de.shape)
-    elif level is Level.INVESTOR_MEAN_OF_ASSETS:
-        keys = [(inv, POOLED_ASSET) for inv in store.investors]
-        per_asset, per_asset_defined = _de_columns(groups, zero_policy)
-        per_asset_defined &= present[:, :, None]
-        sums = np.zeros((n_investors, *per_asset.shape[1:]))
-        np.add.at(sums, owner, np.where(per_asset_defined, per_asset, 0.0))
-        counts = np.zeros(sums.shape, np.int64)
-        np.add.at(counts, owner, per_asset_defined)
-        emit = defined = counts > 0
-        with np.errstate(invalid="ignore"):
-            de = sums / counts
     else:
-        raise ValueError(f"unknown aggregation level {level!r}")
-    rows, ctxs, meths = (ix.tolist() for ix in np.nonzero(emit))
-    records = [
-        DeRecord(*keys[r], contexts[c], methods[m], value, ok)
-        for r, c, m, value, ok in zip(rows, ctxs, meths, de[emit], defined[emit].tolist())
-    ]
-    records.sort(
-        key=lambda r: (
-            r.investor_id,
-            r.asset_id,
-            r.context.value if r.context else "",
-            r.method.value,
-        )
+        asset_ids = [POOLED_ASSET]
+        row_investor = np.arange(n_investors)
+        row_asset = np.zeros(n_investors, np.int64)
+        if level is Level.INVESTOR_POOLED:
+            pooled = np.zeros((n_investors, *groups.shape[1:]))
+            np.add.at(pooled, owner, groups)
+            de, defined = _de_columns(pooled, zero_policy)
+            pooled_present = np.zeros((n_investors, len(context_codes)), bool)
+            np.logical_or.at(pooled_present, owner, present)
+            emit = np.broadcast_to(pooled_present[:, :, None], de.shape)
+        elif level is Level.INVESTOR_MEAN_OF_ASSETS:
+            per_asset, per_asset_defined = _de_columns(groups, zero_policy)
+            per_asset_defined &= present[:, :, None]
+            sums = np.zeros((n_investors, *per_asset.shape[1:]))
+            np.add.at(sums, owner, np.where(per_asset_defined, per_asset, 0.0))
+            counts = np.zeros(sums.shape, np.int64)
+            np.add.at(counts, owner, per_asset_defined)
+            emit = defined = counts > 0
+            with np.errstate(invalid="ignore"):
+                de = sums / counts
+        else:
+            raise ValueError(f"unknown aggregation level {level!r}")
+    rows, ctxs, meths = np.nonzero(emit)
+    investor = row_investor[rows]
+    asset = row_asset[rows]
+    context = context_codes[ctxs]
+    method = method_codes[meths]
+    # Sort keys are name ranks: investors are numbered in order of first
+    # appearance, assets in asset_id order (so an asset index is its rank),
+    # and the context and method codes are the ranks of their text.
+    investor_rank = np.empty(n_investors, np.int64)
+    investor_rank[sorted(range(n_investors), key=store.investors.__getitem__)] = np.arange(n_investors)
+    order = np.lexsort((method, context, asset, investor_rank[investor]))
+    return DeRecords(
+        store.investors, asset_ids,
+        investor[order], asset[order], context[order], method[order],
+        de[emit][order], defined[emit][order],
     )
-    return records
 
 
 def histogram(values: Iterable[float], bin_width: float) -> list[tuple[float, int]]:
     """Counts per half-open bin [edge, edge + width) tiling [-1, 1].
 
-    The top bin is closed at 1 so the boundary value lands in it.  NaN
-    inputs (undefined records) are ignored.  Raises InvalidBinWidth for a
-    width outside (0, 2] or one that gives more than MAX_BINS bins.
+    A value v falls in bin int((v + 1) / width), the quotient clipped to the
+    first and the last bin before the cast: values below -1 (and -inf) count
+    in the first bin, values at or above 1 (and +inf) in the last, so the
+    top bin is closed at 1.  NaN inputs (undefined records) are ignored.
+    Raises InvalidBinWidth for a width outside (0, 2] or one that gives more
+    than MAX_BINS bins.
     """
     if not bin_width > 0 or bin_width > 2:
         raise InvalidBinWidth(f"bin width must be in (0, 2], got {bin_width}")
     if 2.0 / bin_width > MAX_BINS:
         raise InvalidBinWidth(f"bin width {bin_width} gives more than {MAX_BINS} bins")
     n_bins = math.ceil(2.0 / bin_width - 1e-9)
-    counts = [0] * n_bins
-    for v in values:
-        if math.isnan(v):
-            continue
-        idx = int((v + 1.0) / bin_width)
-        if idx < 0:
-            idx = 0
-        elif idx >= n_bins:
-            idx = n_bins - 1
-        counts[idx] += 1
+    if isinstance(values, np.ndarray):
+        values = np.asarray(values, np.float64)
+    else:
+        values = np.fromiter(values, np.float64)
+    values = values[~np.isnan(values)]
+    with np.errstate(over="ignore"):
+        quotient = (values + 1.0) / bin_width
+    index = np.clip(quotient, 0.0, n_bins - 1).astype(np.int64)
+    counts = np.bincount(index, minlength=n_bins).tolist()
     return [(-1.0 + i * bin_width, counts[i]) for i in range(n_bins)]

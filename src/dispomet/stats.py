@@ -156,21 +156,6 @@ def mann_whitney(x: Sequence[float], y: Sequence[float], mode: str = "auto") -> 
     )
 
 
-def compare_groups(
-    values_a: Sequence[float],
-    values_b: Sequence[float],
-    label_a: str,
-    label_b: str,
-    mode: str = "auto",
-) -> tuple[str, TestResult]:
-    """Row of a comparison table: label "A = B" plus the test result."""
-    if len(values_a) == 0:
-        raise EmptyGroup(label_a)
-    if len(values_b) == 0:
-        raise EmptyGroup(label_b)
-    return f"{label_a} = {label_b}", mann_whitney(values_a, values_b, mode=mode)
-
-
 def format_cell(result: TestResult, decimals: int = 3) -> str:
     """Median difference rounded to ``decimals`` places with stars appended."""
     text = f"{result.median_diff:.{decimals}f}"

@@ -423,6 +423,18 @@ def test_open_slot_bookkeeping_matches_oracle(scope, rule):
     assert {Context.POSITIVE, Context.NEGATIVE} <= {ctx for _, _, ctx, _ in got}
 
 
+def test_encode_rejects_events_out_of_timestamp_seq_order():
+    events = _open_slot_stream()[:4]
+    with pytest.raises(ValueError, match=r"event 2: \(timestamp, seq\) \(2015-01-05 09:01:00, 1\) is lower than event 1's"):
+        run_engine([events[0], events[2], events[1], events[3]])
+    same_minute = [tx("I1", "A", Side.BUY, 1, 10.0, 0, 1), tx("I1", "A", Side.SELL, 1, 11.0, 0, 0)]
+    with pytest.raises(ValueError, match=r"event 1: \(timestamp, seq\) \(2015-01-05 09:00:00, 0\)"):
+        run_engine(same_minute)
+    # seq orders only events of the same timestamp, and an equal pair is in order.
+    run_engine([tx("I1", "A", Side.BUY, 1, 10.0, 0, 5), tx("I1", "A", Side.SELL, 1, 11.0, 1, 0)])
+    run_engine([tx("I1", "A", Side.BUY, 1, 10.0, 0, 0), tx("I1", "A", Side.SELL, 1, 11.0, 0, 0)])
+
+
 @pytest.mark.parametrize("price", [0.0, math.nan, math.inf])
 def test_encode_rejects_price_that_is_not_positive_and_finite(price):
     txs = _open_slot_stream()[:4] + [

@@ -1,0 +1,120 @@
+"""The CLI's column writers against per-record references.
+
+``compute`` writes records and histograms straight from the record columns.
+The references below are the per-DeRecord writer and the Python histogram
+loop those writers replaced; the output bytes must not change.
+"""
+import csv
+import io
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from dispomet import ingest
+from dispomet.cli import EXIT_OK, main
+from dispomet.metrics import Framing, Level, Method, aggregate, histogram, run_engine
+from dispomet.synth import random_stream
+
+
+def _reference_records_csv(records) -> str:
+    """One writerow per DeRecord; ``de`` is the repr of a numpy float64."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("investor_id", "asset_id", "context", "method", "de", "defined"))
+    for r in records:
+        writer.writerow(
+            (
+                r.investor_id,
+                r.asset_id,
+                r.context.value if r.context is not None else "all",
+                r.method.value,
+                "" if math.isnan(r.de) else repr(np.float64(r.de)),
+                "true" if r.defined else "false",
+            )
+        )
+    return buf.getvalue()
+
+
+def _reference_histogram(values, bin_width):
+    """Counts per bin from a loop over the values; int() of an infinite quotient raises."""
+    n_bins = math.ceil(2.0 / bin_width - 1e-9)
+    counts = [0] * n_bins
+    for v in values:
+        if math.isnan(v):
+            continue
+        idx = int((v + 1.0) / bin_width)
+        if idx < 0:
+            idx = 0
+        elif idx >= n_bins:
+            idx = n_bins - 1
+        counts[idx] += 1
+    return [(-1.0 + i * bin_width, counts[i]) for i in range(n_bins)]
+
+
+def _reference_hist_csv(bins) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("bin_edge", "count"))
+    for edge, count in bins:
+        writer.writerow((repr(edge), count))
+    return buf.getvalue()
+
+
+METHOD_SETS = (list(Method), [Method.VALUE], [Method.TOTAL, Method.COUNT])
+WIDTHS = (0.1, 0.3, 0.25, 2 / 3, 0.05)
+
+
+def test_compute_output_bytes_match_per_record_references(tmp_path):
+    path = tmp_path / "transactions.csv"
+    out = tmp_path / "out"
+    for seed in range(100):
+        with open(path, "w", encoding="utf-8") as fh:
+            ingest.serialize_transactions(random_stream(seed, max_investors=4, max_assets=5, max_events=60), fh)
+        with open(path, encoding="utf-8") as fh:
+            store = run_engine(ingest.parse_transactions(fh))
+        width = WIDTHS[seed % len(WIDTHS)]
+        for level, zero_policy, methods in itertools.product(Level, ("exclude", "zero"), METHOD_SETS):
+            argv = [
+                "compute", "--transactions", str(path), "--out", str(out), "--framing", "all",
+                "--level", level.value, "--zero-denominator", zero_policy,
+                "--method", ",".join(m.value for m in methods), "--bins", repr(width),
+            ]
+            assert main(argv) == EXIT_OK
+            for framing in Framing:
+                records = aggregate(store, level, framing, methods=methods, zero_policy=zero_policy)
+                for method in methods:
+                    where = (seed, framing, level, zero_policy, methods, method)
+                    selected = [r for r in records if r.method is method]
+                    name = f"{framing.value}_{method.value}.csv"
+                    assert (out / f"records_{name}").read_bytes() == _reference_records_csv(
+                        selected
+                    ).encode(), where
+                    bins = _reference_histogram([r.de for r in selected if r.defined], width)
+                    assert (out / f"hist_{name}").read_bytes() == _reference_hist_csv(bins).encode(), where
+
+
+@pytest.mark.parametrize("width", [0.1, 0.3, 0.5, 2 / 3, 2.0, 1e-3])
+def test_histogram_counts_match_loop_on_and_next_to_edges(width):
+    n_bins = math.ceil(2.0 / width - 1e-9)
+    edges = np.array([-1.0 + i * width for i in range(n_bins + 1)])
+    values = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [-1.0, 1.0, np.nextafter(-1.0, -2.0), -1.5, -1e300, np.nextafter(1.0, 2.0), 1.5, 1e300, np.nan],
+        ]
+    )
+    want = _reference_histogram(values.tolist(), width)
+    assert histogram(values, width) == want
+    assert histogram(iter(values.tolist()), width) == want
+    # Infinite values, and finite ones whose quotient overflows to infinity,
+    # land in the end bins; the reference loop's int() cannot take them.
+    with pytest.raises(OverflowError):
+        _reference_histogram([math.inf], width)
+    got = histogram(np.append(values, [-np.inf, np.inf, -1.7e308, 1.7e308]), width)
+    assert [count for _, count in got] == [
+        count + 2 * (i == 0) + 2 * (i == n_bins - 1) for i, (_, count) in enumerate(want)
+    ]

@@ -8,10 +8,8 @@ from scipy import stats as sps
 
 from dispomet.stats import (
     STAR_LEGEND,
-    EmptyGroup,
     EmptySample,
     TestResult,
-    compare_groups,
     exact_cdf,
     format_cell,
     mann_whitney,
@@ -131,17 +129,6 @@ def test_format_cell_conventions():
     assert format_cell(_result(-0.021, 0.35)) == "-0.021"
     assert format_cell(_result(0.0, 1.0)) == "0.000"
     assert format_cell(_result(-0.0001, 1.0)) == "0.000"  # no negative zero
-
-
-def test_compare_groups_label_and_sign():
-    label, result = compare_groups([0.2, 0.3, 0.4], [0.35, 0.45, 0.55], "1x", "2x")
-    assert label == "1x = 2x"
-    assert result.median_diff == pytest.approx(0.30 - 0.45)
-
-
-def test_compare_groups_empty():
-    with pytest.raises(EmptyGroup):
-        compare_groups([], [1.0], "-1x", "-7x")
 
 
 def test_render_table_layout():
