@@ -10,7 +10,8 @@ Each investor's open positions are kept in one list of pair ids, ordered by
 asset: a position that opens is inserted with ``bisect.insort`` and one that
 closes is removed.  An evaluation visits only that list, so the
 floating-point summation order of the context balance is identical to the
-reference implementations.
+reference implementations, synth.oracle_replay and the per-object
+semantics beside it.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ INT64_MAX = 2**63 - 1
 class EncodedStream:
     investors: list[str]
     assets: list[str]
-    pair_index: dict[tuple[str, str], int]
     pair_investor: list[int]  # (n_pairs,)
     pair_asset: list[int]  # (n_pairs,)
     ev_pair: list[int]  # (n,)
@@ -89,7 +89,6 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     return EncodedStream(
         investors=investors,
         assets=assets,
-        pair_index=pair_index,
         pair_investor=pair_investor,
         pair_asset=[asset_idx[asset] for _, asset in pair_index],
         ev_pair=ev_pair,

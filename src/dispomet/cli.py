@@ -110,6 +110,13 @@ def _engine_options(args: argparse.Namespace) -> metrics.EngineOptions:
     return metrics.EngineOptions(eval_scope=args.eval_scope, context_rule=args.context_rule)
 
 
+def _print_summary(transactions: Sequence[Transaction]) -> None:
+    rows = ingest.summarize(transactions).rows()
+    width = max(len(label) for label, _ in rows)
+    for label, value in rows:
+        print(f"{label.ljust(width)}  {value}")
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     transactions, rejects = _load_transactions(args.transactions, lenient=args.lenient)
     if args.registry:
@@ -120,10 +127,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for err in rejects:
             print(f"  line {err.line}: {err.reason}")
     if transactions:
-        summary = ingest.summarize(transactions)
-        width = max(len(label) for label, _ in summary.rows())
-        for label, value in summary.rows():
-            print(f"{label.ljust(width)}  {value}")
+        _print_summary(transactions)
     return EXIT_OK
 
 
@@ -308,11 +312,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     if not transactions:
         raise ingest.EmptyDataset("no transactions")
-    summary = ingest.summarize(transactions)
-    width = max(len(label) for label, _ in summary.rows())
     print("Descriptive Summary of Investors")
-    for label, value in summary.rows():
-        print(f"{label.ljust(width)}  {value}")
+    _print_summary(transactions)
     print()
     store = metrics.run_engine(transactions, _engine_options(args))
     records = metrics.aggregate(

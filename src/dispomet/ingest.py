@@ -88,10 +88,6 @@ class Instrument:
     underlying_id: str
     leverage: float
 
-    @property
-    def long_exposure(self) -> bool:
-        return self.leverage > 0
-
 
 @dataclass(frozen=True, slots=True)
 class DatasetSummary:

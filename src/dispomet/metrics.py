@@ -21,6 +21,9 @@ per context; integrated framing keeps per-asset, per-context tallies.
 ``aggregate`` returns its records as a sequence of DeRecords backed by
 columns (investor and asset indices, context and method codes, ``de`` and
 ``defined``), ordered by (investor_id, asset_id, context, method) as text.
+
+The same semantics, one object at a time, are the reference in synth
+(``classify_context``, ``accrue_event``, ``compute_de``, ``oracle_replay``).
 """
 from __future__ import annotations
 
@@ -28,13 +31,12 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, MutableMapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import _kernel
-from .ingest import Side, Transaction
-from .ledger import Direction, Position, RealizationLeg
+from .ingest import Transaction
 
 
 class Method(Enum):
@@ -76,14 +78,6 @@ RECORD_CONTEXTS: tuple[Context | None, ...] = (None, Context.NEGATIVE, Context.P
 RECORD_METHODS: tuple[Method, ...] = tuple(_METHOD_INDEX)
 
 
-class MissingPrice(Exception):
-    """An open position has no market observation; indicates an upstream bug."""
-
-    def __init__(self, asset_id: str) -> None:
-        self.asset_id = asset_id
-        super().__init__(f"no market price for open position in {asset_id!r}")
-
-
 class InvalidBinWidth(Exception):
     pass
 
@@ -102,7 +96,6 @@ class Tally:
 
 
 TallyKey = tuple[str, str, Context, Method]
-TallyMap = MutableMapping[TallyKey, Tally]
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,125 +155,6 @@ class DeRecords(Sequence[DeRecord]):
             yield DeRecord(investor_ids[inv], asset_ids[asset], RECORD_CONTEXTS[ctx], RECORD_METHODS[method], de, ok)
 
 
-def signed_return(reference_price: float, evaluation_price: float, long_exposure: bool) -> float:
-    """Fractional return with the exposure sign folded in.
-
-    Positive for a profitable position regardless of side: (p - r)/r for
-    long exposure, (r - p)/r for short.
-    """
-    if long_exposure:
-        return (evaluation_price - reference_price) / reference_price
-    return (reference_price - evaluation_price) / reference_price
-
-
-def leg_return(leg: RealizationLeg) -> float:
-    return signed_return(
-        leg.reference_price, leg.execution_price, leg.direction is Direction.CLOSED_LONG
-    )
-
-
-def classify_context(
-    open_positions: Sequence[Position],
-    traded_asset_id: str,
-    market_prices: Mapping[str, float],
-    include_traded: bool = False,
-) -> Context:
-    """Sign of the summed unrealized P&L of the other open positions.
-
-    Positions must be ordered by asset_id; the summation order is part of
-    the deterministic contract shared with the streaming engine.
-    """
-    balance = 0.0
-    seen = False
-    for pos in open_positions:
-        if not include_traded and pos.asset_id == traded_asset_id:
-            continue
-        price = market_prices.get(pos.asset_id)
-        if price is None:
-            raise MissingPrice(pos.asset_id)
-        balance += (price - pos.reference_price) * pos.signed_quantity
-        seen = True
-    if not seen or balance == 0.0:
-        return Context.NEUTRAL
-    return Context.POSITIVE if balance > 0.0 else Context.NEGATIVE
-
-
-def _tally(tallies: TallyMap, key: TallyKey) -> Tally:
-    t = tallies.get(key)
-    if t is None:
-        t = tallies[key] = Tally()
-    return t
-
-
-def accrue_event(
-    tallies: TallyMap,
-    investor_id: str,
-    leg: RealizationLeg | None,
-    open_positions: Sequence[Position],
-    market_prices: Mapping[str, float],
-    context: Context,
-) -> None:
-    """Accrue one investor event into the tallies under all three methods.
-
-    ``open_positions`` is the post-trade portfolio (including the remainder
-    of a partially closed position).  Zero-return realizations and paper
-    positions accrue to neither gains nor losses.  Paper increments for an
-    asset are keyed by that asset but by the context of the triggering event.
-    """
-    if leg is not None:
-        ret = leg_return(leg)
-        if ret != 0.0:
-            gain = ret > 0.0
-            for method, amount in (
-                (Method.COUNT, 1.0),
-                (Method.TOTAL, float(leg.quantity_closed)),
-                (Method.VALUE, abs(ret)),
-            ):
-                t = _tally(tallies, (investor_id, leg.asset_id, context, method))
-                if gain:
-                    t.rg += amount
-                else:
-                    t.rl += amount
-    for pos in open_positions:
-        price = market_prices.get(pos.asset_id)
-        if price is None:
-            raise MissingPrice(pos.asset_id)
-        ret = signed_return(pos.reference_price, price, pos.signed_quantity > 0)
-        if ret == 0.0:
-            continue
-        gain = ret > 0.0
-        for method, amount in (
-            (Method.COUNT, 1.0),
-            (Method.TOTAL, float(abs(pos.signed_quantity))),
-            (Method.VALUE, abs(ret)),
-        ):
-            t = _tally(tallies, (investor_id, pos.asset_id, context, method))
-            if gain:
-                t.pg += amount
-            else:
-                t.pl += amount
-
-
-def compute_de(tally: Tally, zero_policy: str = "exclude") -> tuple[float, bool]:
-    """Disposition effect of one tally: RG/(RG+PG) - RL/(RL+PL).
-
-    Returns (value, defined).  With zero_policy="exclude" a zero denominator
-    makes the record undefined (value NaN); with "zero" the undefined side's
-    ratio is mapped to 0 and the record stays defined.
-    """
-    gd = tally.rg + tally.pg
-    ld = tally.rl + tally.pl
-    if zero_policy == "exclude":
-        if gd == 0.0 or ld == 0.0:
-            return math.nan, False
-        return tally.rg / gd - tally.rl / ld, True
-    if zero_policy == "zero":
-        g = tally.rg / gd if gd > 0.0 else 0.0
-        l = tally.rl / ld if ld > 0.0 else 0.0
-        return g - l, True
-    raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
-
-
 # ---------------------------------------------------------------------------
 # Streaming engine
 # ---------------------------------------------------------------------------
@@ -316,23 +190,12 @@ class TallyStore:
     def assets(self) -> list[str]:
         return self._enc.assets
 
-    def pairs(self) -> Iterable[tuple[str, str, int]]:
-        enc = self._enc
-        for pid in range(len(enc.pair_investor)):
-            yield enc.investors[enc.pair_investor[pid]], enc.assets[enc.pair_asset[pid]], pid
-
-    def tally(self, investor_id: str, asset_id: str, context: Context, method: Method) -> Tally:
-        pid = self._enc.pair_index.get((investor_id, asset_id))
-        if pid is None:
-            return Tally()
-        row = self.array[pid, _CTX_INDEX[context]]
-        m = _METHOD_INDEX[method] * 4
-        return Tally(row[m], row[m + 1], row[m + 2], row[m + 3])
-
     def to_dict(self) -> dict[TallyKey, Tally]:
         """Sparse view in oracle_replay's layout: only tallies with a nonzero component."""
+        enc = self._enc
         out: dict[TallyKey, Tally] = {}
-        for inv, asset, pid in self.pairs():
+        for pid, (ii, ai) in enumerate(zip(enc.pair_investor, enc.pair_asset)):
+            inv, asset = enc.investors[ii], enc.assets[ai]
             for ctx, ci in _CTX_INDEX.items():
                 row = self.array[pid, ci]
                 for method, mi in _METHOD_INDEX.items():
@@ -364,7 +227,7 @@ def run_engine(transactions: Sequence[Transaction], options: EngineOptions | Non
 # ---------------------------------------------------------------------------
 
 def _de_columns(tallies: np.ndarray, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
-    """compute_de over the last axis of ``tallies`` (rg, rl, pg, pl)."""
+    """synth.compute_de over the last axis of ``tallies`` (rg, rl, pg, pl)."""
     rg, rl, pg, pl = np.moveaxis(tallies, -1, 0)
     gd = rg + pg
     ld = rl + pl

@@ -99,18 +99,15 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def mann_whitney(x: Sequence[float], y: Sequence[float], mode: str = "auto") -> TestResult:
+def mann_whitney(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Two-sided Mann-Whitney U test of location difference.
 
-    mode "auto" uses exact enumeration when |x|*|y| <= EXACT_PRODUCT_LIMIT
-    and the pooled sample is tie-free, the normal approximation (with tie
-    and continuity corrections) otherwise.  "exact" and "normal" force a
-    mode; forcing exact on tied samples raises ValueError.
+    Uses exact enumeration when |x|*|y| <= EXACT_PRODUCT_LIMIT and the
+    pooled sample is tie-free, the normal approximation (with tie and
+    continuity corrections) otherwise; the result's ``mode`` says which.
     """
     if len(x) == 0 or len(y) == 0:
         raise EmptySample("both samples must be non-empty")
-    if mode not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown mode {mode!r}")
     n1, n2 = len(x), len(y)
     combined = list(x) + list(y)
     ranks = _midranks(combined)
@@ -118,10 +115,7 @@ def mann_whitney(x: Sequence[float], y: Sequence[float], mode: str = "auto") -> 
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
     has_ties = len(set(combined)) < len(combined)
-    if mode == "auto":
-        mode = "exact" if (n1 * n2 <= EXACT_PRODUCT_LIMIT and not has_ties) else "normal"
-    elif mode == "exact" and has_ties:
-        raise ValueError("exact mode requires tie-free samples")
+    mode = "exact" if (n1 * n2 <= EXACT_PRODUCT_LIMIT and not has_ties) else "normal"
 
     if mode == "exact":
         p_one = exact_cdf(min(u1, u2), n1, n2)

@@ -9,21 +9,26 @@ positions.  All randomness comes from PCG64 streams keyed explicitly by
 (seed, investor index), so generation is reproducible across runs,
 platforms, and parallel schedules.
 
-oracle_replay is the brute-force reference for the streaming engine: at
-every event it rebuilds the investor's portfolio and the market prices by
-replaying the whole prefix from scratch, then accrues that single event.
+The second half of the module is the reference semantics that the
+streaming engine (metrics.run_engine) must reproduce bit for bit, written
+one object at a time: the PortfolioState ledger, classify_context,
+accrue_event and compute_de.  oracle_replay is the brute-force reference
+built from them: at every event it rebuilds the investor's portfolio and
+the market prices by replaying the whole prefix from scratch, then accrues
+that single event.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from enum import Enum
+from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
 
 from .ingest import Instrument, Side, Transaction
-from .ledger import PortfolioState
-from .metrics import Context, Tally, TallyKey, accrue_event, classify_context
+from .metrics import Context, Method, Tally, TallyKey
 
 _MARKET_STREAM = 0xFFFFFFFF  # per-investor streams use the investor index
 _BASE_TIME = datetime(2015, 1, 5, 9, 0, 0)
@@ -185,6 +190,206 @@ def random_stream(
             )
         )
     return txs
+
+
+# ---------------------------------------------------------------------------
+# Reference semantics
+# ---------------------------------------------------------------------------
+
+class Direction(Enum):
+    CLOSED_LONG = "closed_long"
+    CLOSED_SHORT = "closed_short"
+
+
+@dataclass(slots=True)
+class Position:
+    asset_id: str
+    signed_quantity: int
+    reference_price: float
+
+
+@dataclass(frozen=True, slots=True)
+class RealizationLeg:
+    asset_id: str
+    quantity_closed: int
+    reference_price: float
+    execution_price: float
+    direction: Direction
+
+
+class PortfolioState:
+    """Holdings of one investor, advanced one transaction at a time.
+
+    Positions are signed (positive = long holding, negative = native short)
+    and carry a volume-weighted average reference price.  Position-increasing
+    trades update the reference price; position-reducing trades leave it
+    unchanged and emit a realization leg.  A trade that crosses through flat
+    (a flip) closes the held amount and reopens the remainder at the trade
+    price.
+
+    Flat positions are kept internally as zero-quantity placeholders so that
+    iteration order stays deterministic; they never appear in open_positions().
+    """
+
+    __slots__ = ("_positions",)
+
+    def __init__(self) -> None:
+        self._positions: dict[str, Position] = {}
+
+    def apply(self, tx: Transaction) -> RealizationLeg | None:
+        delta = tx.quantity if tx.side is Side.BUY else -tx.quantity
+        pos = self._positions.get(tx.asset_id)
+        if pos is None:
+            pos = self._positions[tx.asset_id] = Position(tx.asset_id, 0, 0.0)
+        old = pos.signed_quantity
+        if old == 0:
+            pos.signed_quantity = delta
+            pos.reference_price = tx.price
+            return None
+        if (old > 0) == (delta > 0):
+            # Same-side increase: volume-weighted average entry price.
+            new = old + delta
+            pos.reference_price = (abs(old) * pos.reference_price + tx.quantity * tx.price) / abs(new)
+            pos.signed_quantity = new
+            return None
+        closed = min(abs(old), tx.quantity)
+        leg = RealizationLeg(
+            asset_id=tx.asset_id,
+            quantity_closed=closed,
+            reference_price=pos.reference_price,
+            execution_price=tx.price,
+            direction=Direction.CLOSED_LONG if old > 0 else Direction.CLOSED_SHORT,
+        )
+        new = old + delta
+        pos.signed_quantity = new
+        if new != 0 and (new > 0) != (old > 0):
+            # Flip: the excess reopens on the other side at the trade price.
+            pos.reference_price = tx.price
+        return leg
+
+    def open_positions(self) -> list[Position]:
+        """Non-flat positions, ordered by asset_id."""
+        return sorted(
+            (p for p in self._positions.values() if p.signed_quantity != 0),
+            key=lambda p: p.asset_id,
+        )
+
+    def position(self, asset_id: str) -> Position | None:
+        pos = self._positions.get(asset_id)
+        if pos is None or pos.signed_quantity == 0:
+            return None
+        return pos
+
+
+def signed_return(reference_price: float, evaluation_price: float, long_exposure: bool) -> float:
+    """Fractional return with the exposure sign folded in.
+
+    Positive for a profitable position regardless of side: (p - r)/r for
+    long exposure, (r - p)/r for short.
+    """
+    if long_exposure:
+        return (evaluation_price - reference_price) / reference_price
+    return (reference_price - evaluation_price) / reference_price
+
+
+def classify_context(
+    open_positions: Sequence[Position],
+    traded_asset_id: str,
+    market_prices: Mapping[str, float],
+    include_traded: bool = False,
+) -> Context:
+    """Sign of the summed unrealized P&L of the other open positions.
+
+    Positions must be ordered by asset_id; the summation order is part of
+    the deterministic contract shared with the streaming engine.  Every
+    position's asset must have a market price.
+    """
+    balance = 0.0
+    seen = False
+    for pos in open_positions:
+        if not include_traded and pos.asset_id == traded_asset_id:
+            continue
+        balance += (market_prices[pos.asset_id] - pos.reference_price) * pos.signed_quantity
+        seen = True
+    if not seen or balance == 0.0:
+        return Context.NEUTRAL
+    return Context.POSITIVE if balance > 0.0 else Context.NEGATIVE
+
+
+def _tally(tallies: MutableMapping[TallyKey, Tally], key: TallyKey) -> Tally:
+    t = tallies.get(key)
+    if t is None:
+        t = tallies[key] = Tally()
+    return t
+
+
+def accrue_event(
+    tallies: MutableMapping[TallyKey, Tally],
+    investor_id: str,
+    leg: RealizationLeg | None,
+    open_positions: Sequence[Position],
+    market_prices: Mapping[str, float],
+    context: Context,
+) -> None:
+    """Accrue one investor event into the tallies under all three methods.
+
+    ``open_positions`` is the post-trade portfolio (including the remainder
+    of a partially closed position), each with a market price.  Zero-return
+    realizations and paper positions accrue to neither gains nor losses.
+    Paper increments for an asset are keyed by that asset but by the context
+    of the triggering event.
+    """
+    if leg is not None:
+        ret = signed_return(
+            leg.reference_price, leg.execution_price, leg.direction is Direction.CLOSED_LONG
+        )
+        if ret != 0.0:
+            gain = ret > 0.0
+            for method, amount in (
+                (Method.COUNT, 1.0),
+                (Method.TOTAL, float(leg.quantity_closed)),
+                (Method.VALUE, abs(ret)),
+            ):
+                t = _tally(tallies, (investor_id, leg.asset_id, context, method))
+                if gain:
+                    t.rg += amount
+                else:
+                    t.rl += amount
+    for pos in open_positions:
+        ret = signed_return(pos.reference_price, market_prices[pos.asset_id], pos.signed_quantity > 0)
+        if ret == 0.0:
+            continue
+        gain = ret > 0.0
+        for method, amount in (
+            (Method.COUNT, 1.0),
+            (Method.TOTAL, float(abs(pos.signed_quantity))),
+            (Method.VALUE, abs(ret)),
+        ):
+            t = _tally(tallies, (investor_id, pos.asset_id, context, method))
+            if gain:
+                t.pg += amount
+            else:
+                t.pl += amount
+
+
+def compute_de(tally: Tally, zero_policy: str = "exclude") -> tuple[float, bool]:
+    """Disposition effect of one tally: RG/(RG+PG) - RL/(RL+PL).
+
+    Returns (value, defined).  With zero_policy="exclude" a zero denominator
+    makes the record undefined (value NaN); with "zero" the undefined side's
+    ratio is mapped to 0 and the record stays defined.
+    """
+    gd = tally.rg + tally.pg
+    ld = tally.rl + tally.pl
+    if zero_policy == "exclude":
+        if gd == 0.0 or ld == 0.0:
+            return math.nan, False
+        return tally.rg / gd - tally.rl / ld, True
+    if zero_policy == "zero":
+        g = tally.rg / gd if gd > 0.0 else 0.0
+        l = tally.rl / ld if ld > 0.0 else 0.0
+        return g - l, True
+    raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
 
 
 def oracle_replay(

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from dispomet.ingest import Side, Transaction
-from dispomet.ledger import PortfolioState
 from dispomet.metrics import (
     Context,
     Framing,
@@ -23,7 +22,6 @@ from dispomet.metrics import (
     Method,
     Tally,
     aggregate,
-    compute_de,
     run_engine,
 )
 from dispomet.stats import (
@@ -35,7 +33,14 @@ from dispomet.stats import (
     render_table,
     stars_for,
 )
-from dispomet.synth import BehaviorProfile, generate_population, oracle_replay, random_stream
+from dispomet.synth import (
+    BehaviorProfile,
+    PortfolioState,
+    compute_de,
+    generate_population,
+    oracle_replay,
+    random_stream,
+)
 from dispomet import cli
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dispomet
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
     EXIT_ERROR,
@@ -183,6 +184,17 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the README's relative paths land under tmp_path
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    # The package exports exactly the names the block imports, plus random_stream.
+    imported = set(re.search(r"from dispomet import \((.*?)\)", block, re.S).group(1).replace(",", " ").split())
+    assert set(dispomet.__all__) == imported | {"random_stream"}
+    monkeypatch.chdir(tmp_path)  # the block's CSVs land under tmp_path
+    exec(compile(block, "README.md", "exec"), {})
+    median_diff, p_value, stars = capsys.readouterr().out.split()
+    assert float(median_diff) > 0 and float(p_value) < 0.01 and stars == "***"
 
 
 def test_quantity_beyond_int64_is_a_malformed_row(tmp_path, capsys):

@@ -201,9 +201,7 @@ def test_parse_instruments():
         io.StringIO("asset_id,underlying_id,leverage\nETF7L,FTSEMIB,7\nETF1S,FTSEMIB,-1\n")
     )
     assert reg["ETF7L"].leverage == 7
-    assert reg["ETF7L"].long_exposure
     assert reg["ETF1S"].leverage == -1
-    assert not reg["ETF1S"].long_exposure
 
 
 def test_duplicate_asset_rejected():

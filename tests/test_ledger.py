@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispomet.ingest import Side, Transaction
-from dispomet.ledger import Direction, PortfolioState
+from dispomet.synth import Direction, PortfolioState
 
 
 def tx(side, qty, price, asset="A", minute=0):
@@ -36,7 +36,7 @@ def test_partial_sell_leaves_reference_unchanged():
     leg = state.apply(tx(Side.SELL, 40, 8.0, minute=1))
     assert leg.direction is Direction.CLOSED_LONG
     assert leg.quantity_closed == 40
-    assert leg.per_unit_profit == -2.0
+    assert (leg.reference_price, leg.execution_price) == (10.0, 8.0)
     pos = state.position("A")
     assert pos.signed_quantity == 60
     assert pos.reference_price == 10.0
@@ -48,7 +48,7 @@ def test_sell_exceeding_long_flips_to_short():
     leg = state.apply(tx(Side.SELL, 150, 11.0, minute=1))
     assert leg.direction is Direction.CLOSED_LONG
     assert leg.quantity_closed == 100
-    assert leg.per_unit_profit == 1.0
+    assert (leg.reference_price, leg.execution_price) == (10.0, 11.0)
     pos = state.position("A")
     assert pos.signed_quantity == -50
     assert pos.reference_price == 11.0
@@ -60,7 +60,7 @@ def test_buy_covers_short_at_profit():
     leg = state.apply(tx(Side.BUY, 50, 9.0, minute=1))
     assert leg.direction is Direction.CLOSED_SHORT
     assert leg.quantity_closed == 50
-    assert leg.per_unit_profit == 2.0
+    assert (leg.reference_price, leg.execution_price) == (11.0, 9.0)
     assert state.position("A") is None
 
 
@@ -115,7 +115,9 @@ def test_side_swap_negates_quantities_and_profits(seq):
         assert (leg is None) == (mleg is None)
         if leg is not None:
             assert mleg.quantity_closed == leg.quantity_closed
-            assert mleg.per_unit_profit == -leg.per_unit_profit
+            # Same prices, opposite side: the mirrored leg's profit is the negation.
+            assert (mleg.reference_price, mleg.execution_price) == (leg.reference_price, leg.execution_price)
+            assert mleg.direction is not leg.direction
         pos, mpos = state.position("A"), mirrored.position("A")
         assert (pos.signed_quantity if pos else 0) == -(mpos.signed_quantity if mpos else 0)
 

@@ -4,7 +4,6 @@ from datetime import datetime
 import pytest
 
 from dispomet.ingest import Side, Transaction
-from dispomet.ledger import Direction, Position, RealizationLeg
 from dispomet.metrics import (
     Context,
     EngineOptions,
@@ -13,15 +12,23 @@ from dispomet.metrics import (
     Level,
     Method,
     Tally,
-    accrue_event,
     aggregate,
-    classify_context,
-    compute_de,
     histogram,
     run_engine,
+)
+from dispomet.synth import (
+    BehaviorProfile,
+    Direction,
+    Position,
+    RealizationLeg,
+    accrue_event,
+    classify_context,
+    compute_de,
+    generate_population,
+    oracle_replay,
+    random_stream,
     signed_return,
 )
-from dispomet.synth import BehaviorProfile, generate_population, oracle_replay, random_stream
 
 
 def tx(investor, asset, side, qty, price, minute, seq):
@@ -74,6 +81,14 @@ def test_classify_context_sums_monetary_pnl(qty, ref, market, expected):
     alone = Context.POSITIVE if expected > 0 else Context.NEUTRAL
     assert classify_context([held], "X", prices) is alone
     assert classify_context([held, Position("B", -1, 1.0)], "X", prices) is Context.NEUTRAL
+
+
+def test_reference_needs_a_price_for_every_open_position():
+    positions = [Position("A", 10, 10.0), Position("B", 5, 10.0)]
+    with pytest.raises(KeyError, match="'B'"):
+        classify_context(positions, "A", {"A": 12.0})
+    with pytest.raises(KeyError, match="'B'"):
+        accrue_event({}, "I1", None, positions, {"A": 12.0}, Context.NEUTRAL)
 
 
 def closed_long(asset, qty, ref, price):
@@ -166,7 +181,7 @@ def _store(tallies):
     """A TallyStore holding the given {(investor, asset, context, method): Tally} numbers."""
     pairs = sorted({(inv, asset) for inv, asset, _, _ in tallies})
     store = run_engine([tx(inv, asset, Side.BUY, 1, 10.0, 0, i) for i, (inv, asset) in enumerate(pairs)])
-    pid = {(inv, asset): p for inv, asset, p in store.pairs()}
+    pid = {pair: p for p, pair in enumerate(pairs)}  # pair ids follow first appearance
     store.array[:] = 0.0
     for (inv, asset, ctx, method), t in tallies.items():
         m = list(Method).index(method) * 4
@@ -258,18 +273,19 @@ def _stream_gain_and_paper():
 
 
 def test_engine_realized_gain_in_positive_context():
-    store = run_engine(_stream_gain_and_paper())
-    tally = store.tally("I1", "A", Context.POSITIVE, Method.COUNT)
+    tallies = run_engine(_stream_gain_and_paper()).to_dict()
+    tally = tallies[("I1", "A", Context.POSITIVE, Method.COUNT)]
     assert tally.rg == 1.0
     # B's paper gain is keyed by B with the context of the triggering event.
-    tally_b = store.tally("I1", "B", Context.POSITIVE, Method.COUNT)
+    tally_b = tallies[("I1", "B", Context.POSITIVE, Method.COUNT)]
     assert tally_b.pg >= 1.0
 
 
 def test_narrow_tallies_are_context_partition_sums():
     store = run_engine(_stream_gain_and_paper())
-    for (inv, asset, _, method), _t in store.to_dict().items():
-        parts = [store.tally(inv, asset, ctx, method) for ctx in Context]
+    tallies = store.to_dict()
+    for inv, asset, _, method in tallies:
+        parts = [tallies.get((inv, asset, ctx, method), Tally()) for ctx in Context]
         merged = Tally(*(sum(getattr(p, f) for p in parts) for f in ("rg", "rl", "pg", "pl")))
         narrow = aggregate(store, Level.PER_ASSET, Framing.NARROW, methods=[method])
         for record in narrow:
@@ -285,7 +301,7 @@ def test_sells_only_scope_skips_buy_events():
     ]
     every = run_engine(txs)
     sells = run_engine(txs, EngineOptions(eval_scope="sells-only"))
-    assert every.tally("I1", "A", Context.POSITIVE, Method.COUNT).pg == 1.0
+    assert every.to_dict()[("I1", "A", Context.POSITIVE, Method.COUNT)].pg == 1.0
     assert sells.to_dict() == {}
 
 
