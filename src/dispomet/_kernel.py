@@ -1,7 +1,11 @@
 """Integer-encoded streaming kernel behind metrics.run_engine.
 
-``encode`` interns the transactions once into flat columns of Python ints
-and floats, numbering assets in asset_id order.  ``stream`` then makes one
+``encode`` reads the columns of an ingest.TransactionColumns: a list of
+Transactions is first turned into columns by TransactionColumns.of, which
+reads each object once.  It interns the (investor_id, asset_id) column pair
+into pair indices, numbering assets in asset_id order, checks the event
+order, quantities and prices, and passes the side, quantity and price
+columns on without a copy.  ``stream`` then makes one
 sequential pass over those columns in plain Python, keeping per-pair
 positions in lists and the tallies in an ``array('d')`` buffer that is
 returned without a copy through ``np.frombuffer``.
@@ -16,14 +20,16 @@ semantics beside it.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import insort
 from dataclasses import dataclass
+from itertools import compress, count, islice
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import Side, Transaction
+from .ingest import Transaction, TransactionColumns
 
 njit = None  # the benchmark's env line reads this to name the backend
 
@@ -37,9 +43,21 @@ class EncodedStream:
     pair_investor: list[int]  # (n_pairs,)
     pair_asset: list[int]  # (n_pairs,)
     ev_pair: list[int]  # (n,)
-    ev_side: list[int]  # (n,) +1 buy / -1 sell
-    ev_qty: list[int]  # (n,) at most INT64_MAX
-    ev_price: list[float]  # (n,)
+    ev_side: Sequence[int]  # (n,) +1 buy / -1 sell
+    ev_qty: Sequence[int]  # (n,) at most INT64_MAX
+    ev_price: Sequence[float]  # (n,)
+
+
+def _first_out_of_order(timestamps: Sequence, seq: Sequence[int]) -> int | None:
+    """Index of the first event whose (timestamp, seq) is lower than its predecessor's."""
+    # Such an event has a lower timestamp or a lower seq than its
+    # predecessor, so only those events need the full comparison.
+    ts_lower = map(operator.lt, islice(timestamps, 1, None), timestamps)
+    seq_lower = map(operator.lt, islice(seq, 1, None), seq)
+    for i in compress(count(1), map(operator.or_, ts_lower, seq_lower)):
+        if timestamps[i] <= timestamps[i - 1]:
+            return i
+    return None
 
 
 def encode(transactions: Sequence[Transaction]) -> EncodedStream:
@@ -49,36 +67,23 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     than its predecessor's, whose quantity exceeds int64 or whose price is
     not a positive finite number.
     """
-    inv_idx: dict[str, int] = {}
+    txs = TransactionColumns.of(transactions)
+    i = _first_out_of_order(txs.timestamp, txs.seq)
+    if i is not None:
+        raise ValueError(
+            f"event {i}: (timestamp, seq) ({txs.timestamp[i]}, {txs.seq[i]}) is lower than "
+            f"event {i - 1}'s ({txs.timestamp[i - 1]}, {txs.seq[i - 1]})"
+        )
+    # Pairs and investors are numbered in order of first appearance.
     pair_index: dict[tuple[str, str], int] = {}
-    pair_investor: list[int] = []
-    ev_pair: list[int] = []
-    prev = transactions[0] if transactions else None
-    for tx in transactions:
-        # Checked in this pass, which already loads every event: a separate
-        # pass over a large list that is not in allocation order costs a
-        # cache miss per event.  Timestamps first, seq only on ties.
-        ts = tx.timestamp
-        if ts <= prev.timestamp and (ts < prev.timestamp or tx.seq < prev.seq):
-            i = len(ev_pair)
-            raise ValueError(
-                f"event {i}: (timestamp, seq) ({ts}, {tx.seq}) is lower than "
-                f"event {i - 1}'s ({prev.timestamp}, {prev.seq})"
-            )
-        prev = tx
-        key = (tx.investor_id, tx.asset_id)
-        pid = pair_index.get(key)
-        if pid is None:
-            pid = pair_index[key] = len(pair_index)
-            pair_investor.append(inv_idx.setdefault(key[0], len(inv_idx)))
-        ev_pair.append(pid)
-    ev_qty = [tx.quantity for tx in transactions]
+    ev_pair = [pair_index.setdefault(key, len(pair_index)) for key in zip(txs.investor_id, txs.asset_id)]
+    inv_idx: dict[str, int] = {}
+    pair_investor = [inv_idx.setdefault(inv, len(inv_idx)) for inv, _ in pair_index]
+    ev_qty = txs.quantity
     if ev_qty and max(ev_qty) > INT64_MAX:
         i = next(i for i, q in enumerate(ev_qty) if q > INT64_MAX)
         raise ValueError(f"event {i}: quantity {ev_qty[i]} exceeds the int64 maximum {INT64_MAX}")
-    buy = Side.BUY
-    ev_side = [1 if tx.side is buy else -1 for tx in transactions]
-    ev_price = [float(tx.price) for tx in transactions]
+    ev_price = txs.price
     # A comparison chain, because min and max are unreliable with NaN present.
     if not all(0.0 < p < math.inf for p in ev_price):
         i = next(i for i, p in enumerate(ev_price) if not 0.0 < p < math.inf)
@@ -92,7 +97,7 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
         pair_investor=pair_investor,
         pair_asset=[asset_idx[asset] for _, asset in pair_index],
         ev_pair=ev_pair,
-        ev_side=ev_side,
+        ev_side=txs.side,
         ev_qty=ev_qty,
         ev_price=ev_price,
     )

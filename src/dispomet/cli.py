@@ -15,7 +15,9 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import ingest, metrics, stats, synth
-from .ingest import DuplicateAsset, IngestError, Instrument, MalformedRow, SchemaError, Transaction, ZeroLeverage
+from .ingest import (
+    DuplicateAsset, IngestError, Instrument, MalformedRow, SchemaError, TransactionColumns, ZeroLeverage,
+)
 from .metrics import RECORD_CONTEXTS, RECORD_METHODS, Context, DeRecords, Framing, Level, Method
 
 EXIT_OK = 0
@@ -24,6 +26,11 @@ EXIT_SCHEMA = 2
 EXIT_MALFORMED = 3
 EXIT_EMPTY_GROUP = 4
 EXIT_IO = 5
+
+#: Largest --decimals.  A median difference lies in [-2, 2], where 17
+#: places already exceed a double's precision; far larger values fail in
+#: format() or build strings of gigabytes.
+MAX_DECIMALS = 17
 
 _FRAMING_LEVEL_DEFAULTS = {
     Framing.NARROW: Level.PER_ASSET,
@@ -60,7 +67,7 @@ def _parse_methods(text: str) -> list[Method]:
     return [Method(name) for name in names]
 
 
-def _load_transactions(path: str, lenient: bool = False) -> tuple[list[Transaction], list[MalformedRow]]:
+def _load_transactions(path: str, lenient: bool = False) -> tuple[TransactionColumns, list[MalformedRow]]:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return ingest.parse_transactions_report(fh, lenient=lenient)
 
@@ -110,7 +117,7 @@ def _engine_options(args: argparse.Namespace) -> metrics.EngineOptions:
     return metrics.EngineOptions(eval_scope=args.eval_scope, context_rule=args.context_rule)
 
 
-def _print_summary(transactions: Sequence[Transaction]) -> None:
+def _print_summary(transactions: TransactionColumns) -> None:
     rows = ingest.summarize(transactions).rows()
     width = max(len(label) for label, _ in rows)
     for label, value in rows:
@@ -132,7 +139,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _compute_records(
-    transactions: Sequence[Transaction], args: argparse.Namespace
+    transactions: TransactionColumns, args: argparse.Namespace
 ) -> dict[Framing, DeRecords]:
     store = metrics.run_engine(transactions, _engine_options(args))
     out: dict[Framing, DeRecords] = {}
@@ -419,6 +426,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.methods = _parse_methods(args.method)
         if "decimals" in args and args.decimals < 0:
             raise UsageError(f"--decimals must be >= 0, got {args.decimals}")
+        if "decimals" in args and args.decimals > MAX_DECIMALS:
+            raise UsageError(f"--decimals must be <= {MAX_DECIMALS}, got {args.decimals}")
         return args.func(args)
     except tuple(_EXIT_CODES) as err:
         name = "IOError" if isinstance(err, OSError) else type(err).__name__

@@ -5,19 +5,31 @@ carry six fields (investor_id, asset_id, side, quantity, price, timestamp);
 the registry carries asset_id, underlying_id, leverage.  Parsed transactions
 are assigned a ``seq`` index in input order and then stably sorted by
 (timestamp, seq), so same-second events keep their input ordering.
+
+The parser fills columns, not objects: it returns a TransactionColumns, a
+read-only sequence of Transactions whose ids are interned strings, sides
++1/-1, quantities an ``array('q')``, prices an ``array('d')`` and ``seq``
+``range(n)`` when the input was already in time order.  A Transaction is
+built only when an element is read.  TransactionColumns.of turns a list of
+Transactions into columns too, so the engine and summarize read one layout
+whichever the source.
 """
 from __future__ import annotations
 
 import csv
 import logging
 import math
+import operator
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from operator import attrgetter, itemgetter
+from itertools import islice
+from operator import itemgetter
 from statistics import median
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +88,85 @@ class Transaction:
     seq: int = 0
 
 
+_SIDE_OF_SIGN = {1: Side.BUY, -1: Side.SELL}
+
+
+class TransactionColumns(Sequence[Transaction]):
+    """Read-only Transactions held as columns; a Transaction is built on access.
+
+    ``side`` holds +1 for a buy and -1 for a sell; the other columns hold
+    the Transaction field of the same name.  An integer index gives one
+    Transaction, a slice a TransactionColumns over the selected rows.  It
+    equals any sequence of equal Transactions, field by field, in order.
+    """
+
+    __slots__ = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq")
+
+    def __init__(
+        self,
+        investor_id: Sequence[str],
+        asset_id: Sequence[str],
+        side: Sequence[int],
+        quantity: Sequence[int],
+        price: Sequence[float],
+        timestamp: Sequence[datetime],
+        seq: Sequence[int],
+    ) -> None:
+        self.investor_id, self.asset_id, self.side = investor_id, asset_id, side
+        self.quantity, self.price, self.timestamp, self.seq = quantity, price, timestamp, seq
+        if len({len(column) for column in self._columns()}) > 1:
+            raise ValueError("transaction columns differ in length")
+
+    @classmethod
+    def of(cls, transactions: Sequence[Transaction]) -> "TransactionColumns":
+        """``transactions`` as columns, reading each Transaction once.
+
+        A TransactionColumns is returned as it is.  Sides and prices go into
+        arrays as the parser's do, prices through float(); quantities and
+        seq stay lists of the given ints, so encode can name a quantity
+        beyond int64.
+        """
+        if isinstance(transactions, cls):
+            return transactions
+        columns = investor_id, asset_id, side, quantity, price, timestamp, seq = (
+            [], [], array("b"), [], array("d"), [], []
+        )
+        buy = Side.BUY
+        for tx in transactions:
+            investor_id.append(tx.investor_id)
+            asset_id.append(tx.asset_id)
+            side.append(1 if tx.side is buy else -1)
+            quantity.append(tx.quantity)
+            price.append(float(tx.price))
+            timestamp.append(tx.timestamp)
+            seq.append(tx.seq)
+        return cls(*columns)
+
+    def _columns(self) -> tuple[Sequence, ...]:
+        return self.investor_id, self.asset_id, self.side, self.quantity, self.price, self.timestamp, self.seq
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TransactionColumns(*(column[index] for column in self._columns()))
+        i = operator.index(index)
+        return Transaction(
+            self.investor_id[i], self.asset_id[i], _SIDE_OF_SIGN[self.side[i]],
+            self.quantity[i], self.price[i], self.timestamp[i], self.seq[i],
+        )
+
+    def __iter__(self) -> Iterator[Transaction]:
+        for inv, asset, side, qty, price, ts, seq in zip(*self._columns()):
+            yield Transaction(inv, asset, _SIDE_OF_SIGN[side], qty, price, ts, seq)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @dataclass(frozen=True, slots=True)
 class Instrument:
     """Asset metadata: underlying index and signed leverage factor.
@@ -119,11 +210,12 @@ def _check_header(fieldnames: Iterable[str] | None, required: tuple[str, ...]) -
         raise SchemaError(f"missing column(s): {', '.join(missing)}")
 
 
-_SIDES = {"B": Side.BUY, "S": Side.SELL}
+_SIDES = {"B": 1, "S": -1}
 _QUANTITY_MAX = 2**63 - 1  # the int64 range of exported trade logs; encode checks it too
 
 
-def _parse_row(fields: tuple[str, ...], line: int, seq: int) -> Transaction:
+def _parse_row(fields: tuple[str, ...], line: int) -> tuple[str, str, int, int, float, datetime]:
+    """One row's fields, side as +1/-1; raises MalformedRow naming the line."""
     investor_id, asset_id, side_txt, qty_txt, price_txt, ts_txt = fields
     side_txt = side_txt.strip()
     side = _SIDES.get(side_txt)
@@ -154,7 +246,7 @@ def _parse_row(fields: tuple[str, ...], line: int, seq: int) -> Transaction:
     asset_id = asset_id.strip()
     if not investor_id or not asset_id:
         raise MalformedRow(line, "investor_id and asset_id must be non-empty")
-    return Transaction(investor_id, asset_id, side, quantity, price, timestamp, seq)
+    return investor_id, asset_id, side, quantity, price, timestamp
 
 
 def _unreadable(reader, err: UnicodeDecodeError | csv.Error) -> MalformedRow:
@@ -171,8 +263,8 @@ def _unreadable(reader, err: UnicodeDecodeError | csv.Error) -> MalformedRow:
     return MalformedRow(line, f"not UTF-8 text: byte {err.object[err.start]:#04x} cannot be decoded")
 
 
-def parse_transactions(stream: TextIO, lenient: bool = False) -> list[Transaction]:
-    """Parse a transaction log into a chronologically ordered list.
+def parse_transactions(stream: TextIO, lenient: bool = False) -> TransactionColumns:
+    """Parse a transaction log into a chronologically ordered TransactionColumns.
 
     Raises MalformedRow on the first bad row unless ``lenient`` is set, in
     which case bad rows are skipped.  Raises SchemaError if a required
@@ -182,9 +274,14 @@ def parse_transactions(stream: TextIO, lenient: bool = False) -> list[Transactio
     return txs
 
 
+def _take(column: Sequence, order: list[int]) -> Sequence:
+    taken = list(map(column.__getitem__, order))
+    return array(column.typecode, taken) if isinstance(column, array) else taken
+
+
 def parse_transactions_report(
     stream: TextIO, lenient: bool = False
-) -> tuple[list[Transaction], list[MalformedRow]]:
+) -> tuple[TransactionColumns, list[MalformedRow]]:
     """Like parse_transactions, also returning the rejected-row errors.
 
     In strict mode the first reject raises; in lenient mode every reject is
@@ -200,7 +297,14 @@ def parse_transactions_report(
     raises MalformedRow at that line, lenient or not.
     """
     reader = csv.reader(stream)
-    records: list[Transaction] = []
+    investor_ids: list[str] = []
+    asset_ids: list[str] = []
+    sides = array("b")
+    quantities = array("q")
+    prices = array("d")
+    timestamps: list[datetime] = []
+    ids: dict[str, str] = {}  # one str object per distinct id
+    first_aware: bool | None = None
     rejects: list[MalformedRow] = []
     try:
         header = next(reader, None)
@@ -216,9 +320,11 @@ def parse_transactions_report(
             try:
                 if len(row) < min_len:
                     raise MalformedRow(line, "wrong number of fields")
-                tx = _parse_row(fields(row), line, len(records))
-                aware = tx.timestamp.tzinfo is not None
-                if records and aware != (records[0].timestamp.tzinfo is not None):
+                investor_id, asset_id, side, quantity, price, timestamp = _parse_row(fields(row), line)
+                aware = timestamp.tzinfo is not None
+                if first_aware is None:
+                    first_aware = aware
+                elif aware != first_aware:
                     kind = "timezone-aware" if aware else "naive"
                     raise MalformedRow(
                         line,
@@ -229,13 +335,21 @@ def parse_transactions_report(
                     raise
                 rejects.append(err)
                 continue
-            records.append(tx)
+            investor_ids.append(ids.setdefault(investor_id, investor_id))
+            asset_ids.append(ids.setdefault(asset_id, asset_id))
+            sides.append(side)
+            quantities.append(quantity)
+            prices.append(price)
+            timestamps.append(timestamp)
     except (UnicodeDecodeError, csv.Error) as err:
         raise _unreadable(reader, err) from None
     if rejects:
         log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
-    records.sort(key=attrgetter("timestamp"))  # stable: seq breaks ties
-    return records, rejects
+    columns = [investor_ids, asset_ids, sides, quantities, prices, timestamps]
+    if any(map(operator.gt, timestamps, islice(timestamps, 1, None))):
+        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)  # stable: seq breaks ties
+        return TransactionColumns(*(_take(c, order) for c in columns), array("q", order)), rejects
+    return TransactionColumns(*columns, range(len(timestamps))), rejects
 
 
 def serialize_transactions(transactions: Iterable[Transaction], stream: TextIO) -> None:
@@ -291,44 +405,36 @@ _SECONDS_PER_YEAR = 365.25 * 86400.0
 _SECONDS_PER_DAY = 86400.0
 
 
-def summarize(transactions: list[Transaction]) -> DatasetSummary:
+def _spans(keys: Iterable, timestamps: Sequence[datetime]) -> dict:
+    """(first, last) timestamp per key."""
+    spans: dict = {}
+    for key, ts in zip(keys, timestamps):
+        span = spans.get(key)
+        spans[key] = (ts, ts) if span is None else (min(span[0], ts), max(span[1], ts))
+    return spans
+
+
+def summarize(transactions: Sequence[Transaction]) -> DatasetSummary:
     """Descriptive summary: medians over per-investor and per-asset groups."""
-    if not transactions:
+    txs = TransactionColumns.of(transactions)
+    if not txs:
         raise EmptyDataset("summarize requires at least one transaction")
-    per_investor_count: dict[str, int] = {}
-    per_investor_assets: dict[str, set[str]] = {}
-    first_last: dict[str, tuple[datetime, datetime]] = {}
-    asset_first_last: dict[tuple[str, str], tuple[datetime, datetime]] = {}
-    assets: set[str] = set()
-    for tx in transactions:
-        inv = tx.investor_id
-        per_investor_count[inv] = per_investor_count.get(inv, 0) + 1
-        per_investor_assets.setdefault(inv, set()).add(tx.asset_id)
-        assets.add(tx.asset_id)
-        span = first_last.get(inv)
-        if span is None:
-            first_last[inv] = (tx.timestamp, tx.timestamp)
-        else:
-            first_last[inv] = (min(span[0], tx.timestamp), max(span[1], tx.timestamp))
-        key = (inv, tx.asset_id)
-        aspan = asset_first_last.get(key)
-        if aspan is None:
-            asset_first_last[key] = (tx.timestamp, tx.timestamp)
-        else:
-            asset_first_last[key] = (min(aspan[0], tx.timestamp), max(aspan[1], tx.timestamp))
+    per_investor_count = Counter(txs.investor_id)
+    investor_spans = _spans(txs.investor_id, txs.timestamp)
+    pair_spans = _spans(zip(txs.investor_id, txs.asset_id), txs.timestamp)
+    assets_per_investor = Counter(inv for inv, _ in pair_spans)
     horizons = [
-        (last - first).total_seconds() / _SECONDS_PER_YEAR for first, last in first_last.values()
+        (last - first).total_seconds() / _SECONDS_PER_YEAR for first, last in investor_spans.values()
     ]
     holding_days = [
-        (last - first).total_seconds() / _SECONDS_PER_DAY
-        for first, last in asset_first_last.values()
+        (last - first).total_seconds() / _SECONDS_PER_DAY for first, last in pair_spans.values()
     ]
     return DatasetSummary(
         n_investors=len(per_investor_count),
-        n_assets=len(assets),
-        n_transactions=len(transactions),
+        n_assets=len(set(txs.asset_id)),
+        n_transactions=len(txs),
         median_transactions_per_investor=float(median(per_investor_count.values())),
-        median_assets_per_investor=float(median(len(s) for s in per_investor_assets.values())),
+        median_assets_per_investor=float(median(assets_per_investor.values())),
         median_account_horizon_years=float(median(horizons)),
         median_holding_days_per_asset=float(median(holding_days)),
     )

@@ -10,7 +10,9 @@ current market price.  Increments accrue, per method, into a tally keyed by
 * Value: the absolute fractional return.
 
 The disposition effect of a tally is RG/(RG+PG) - RL/(RL+PL); it lies in
-[-1, 1] and is undefined when either denominator is zero.
+[-1, 1] and is undefined when either denominator is zero or, under either
+zero-denominator policy, when it is not finite (inf/inf from an overflowed
+tally).
 
 Portfolio context is the sign of the summed monetary unrealized P&L of the
 investor's other open positions after the trade (Neutral when there are no
@@ -208,9 +210,10 @@ class TallyStore:
 
 
 def run_engine(transactions: Sequence[Transaction], options: EngineOptions | None = None) -> TallyStore:
-    """Single-pass accrual over a chronologically ordered transaction list.
+    """Single-pass accrual over chronologically ordered transactions.
 
-    The accrual kernel is sequential and deterministic.
+    A TransactionColumns is read as it is; a list of Transactions is turned
+    into one first.  The accrual kernel is sequential and deterministic.
     """
     opts = options or EngineOptions()
     enc = _kernel.encode(transactions)
@@ -235,12 +238,15 @@ def _de_columns(tallies: np.ndarray, zero_policy: str) -> tuple[np.ndarray, np.n
         g = rg / gd
         l = rl / ld
     if zero_policy == "exclude":
+        de = g - l
         defined = (gd != 0.0) & (ld != 0.0)
-        return np.where(defined, g - l, np.nan), defined
-    if zero_policy == "zero":
+    elif zero_policy == "zero":
         de = np.where(gd > 0.0, g, 0.0) - np.where(ld > 0.0, l, 0.0)
-        return de, np.ones(de.shape, bool)
-    raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
+        defined = np.ones(de.shape, bool)
+    else:
+        raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
+    defined &= np.isfinite(de)
+    return np.where(defined, de, np.nan), defined
 
 
 def aggregate(

@@ -377,19 +377,23 @@ def compute_de(tally: Tally, zero_policy: str = "exclude") -> tuple[float, bool]
 
     Returns (value, defined).  With zero_policy="exclude" a zero denominator
     makes the record undefined (value NaN); with "zero" the undefined side's
-    ratio is mapped to 0 and the record stays defined.
+    ratio is mapped to 0 and the record stays defined.  Under either policy
+    a value that is not finite, such as inf/inf from a tally that overflowed,
+    is undefined.
     """
     gd = tally.rg + tally.pg
     ld = tally.rl + tally.pl
     if zero_policy == "exclude":
         if gd == 0.0 or ld == 0.0:
             return math.nan, False
-        return tally.rg / gd - tally.rl / ld, True
-    if zero_policy == "zero":
+        de = tally.rg / gd - tally.rl / ld
+    elif zero_policy == "zero":
         g = tally.rg / gd if gd > 0.0 else 0.0
         l = tally.rl / ld if ld > 0.0 else 0.0
-        return g - l, True
-    raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
+        de = g - l
+    else:
+        raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
+    return (de, True) if math.isfinite(de) else (math.nan, False)
 
 
 def oracle_replay(

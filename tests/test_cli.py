@@ -19,6 +19,7 @@ from dispomet.cli import (
     EXIT_SCHEMA,
     main,
 )
+from dispomet.ingest import Transaction
 
 HEADER = "investor_id,asset_id,side,quantity,price,timestamp\n"
 CLEAN = (
@@ -105,6 +106,29 @@ def test_synth_then_compute_and_compare(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "-1x = 1x" in out
     assert "* p<0.1, ** p<0.05, *** p<0.01" in out
+
+
+def test_log_commands_build_no_transaction(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--investors", "100", "--seed", "42",
+                 "--pg", "0.6", "--pl", "0.3", "--assets", "8", "--horizon", "40"]) == EXIT_OK
+    tx, reg = str(data / "transactions.csv"), str(data / "instruments.csv")
+    header, *rows = (data / "transactions.csv").read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"  # out of time order, with one bad row
+    shuffled.write_text(header + "".join(rows[::-1]) + "I1,A,X,1,1,2015-01-05 09:00:00\n")
+
+    def no_transaction(self, *args, **kwargs):
+        raise AssertionError("a Transaction was built")
+
+    monkeypatch.setattr(Transaction, "__init__", no_transaction)
+    for log in (tx, str(shuffled)):
+        assert main(["validate", "--transactions", log, "--registry", reg, "--lenient"]) == EXIT_OK
+        assert main(["report", "--transactions", log, "--lenient"]) == EXIT_OK
+        assert main(["compute", "--transactions", log, "--out", str(tmp_path / "out"),
+                     "--framing", "all", "--lenient"]) == EXIT_OK
+        for spec in ("volatility-long", "volatility-short", "long-vs-inverse", "context-split"):
+            assert main(["compare", "--transactions", log, "--registry", reg, "--spec", spec,
+                         "--lenient"]) == EXIT_OK
 
 
 def test_compare_context_split_sections(tmp_path, capsys):
@@ -286,6 +310,8 @@ _VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
          "InvalidProfile: leverage menu must be non-empty with nonzero finite entries"),
         (_compare("long-vs-inverse") + ["--decimals", "-1"], CLEAN, REGISTRY, EXIT_ERROR,
          "UsageError: --decimals must be >= 0, got -1"),
+        (_compare("long-vs-inverse") + ["--decimals", "3000000000"], CLEAN, REGISTRY, EXIT_ERROR,
+         "UsageError: --decimals must be <= 17, got 3000000000"),
         (_VALIDATE, CLEAN + "I1,ETF1L,B,1,9.0,2015-01-05 09:03:00\udcff\n", REGISTRY, EXIT_MALFORMED,
          "MalformedRow: line 5: not UTF-8 text: byte 0xff cannot be decoded"),
         (_compare("long-vs-inverse") + ["--lenient"], CLEAN, REGISTRY + "ETF2\udcc3(,IDX,2\n", EXIT_MALFORMED,
@@ -304,6 +330,7 @@ _VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
         "compare-non-finite-leverage", "long-vs-inverse-empty-group", "context-split-empty-group",
         "missing-file", "report-empty-log", "compute-bins-0", "compute-bins-too-many",
         "synth-unparseable-leverages", "synth-non-finite-leverage", "compare-negative-decimals",
+        "compare-decimals-too-large",
         "validate-transactions-not-utf8", "compare-registry-not-utf8", "compute-field-too-long",
         "validate-registry-field-too-long",
     ],

@@ -1,5 +1,9 @@
+import dataclasses
 import io
 import logging
+import math
+import random
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -12,6 +16,7 @@ from dispomet.ingest import (
     SchemaError,
     Side,
     Transaction,
+    TransactionColumns,
     ZeroLeverage,
     parse_instruments,
     parse_transactions,
@@ -19,6 +24,8 @@ from dispomet.ingest import (
     serialize_transactions,
     summarize,
 )
+from dispomet.metrics import EngineOptions, run_engine
+from dispomet.synth import BehaviorProfile, generate_population
 
 HEADER = "investor_id,asset_id,side,quantity,price,timestamp\n"
 
@@ -259,3 +266,103 @@ def test_summary_table_rows():
     labels = [label for label, _ in summarize(txs).rows()]
     assert "Number of transactions" in labels
     assert "Number of different assets traded" in labels
+
+
+def _population(n_investors=12):
+    txs, _ = generate_population(n_investors, BehaviorProfile(0.6, 0.3, n_assets=6, horizon_events=30, seed=5))
+    return txs
+
+
+def _text(txs):
+    buf = io.StringIO()
+    serialize_transactions(txs, buf)
+    return buf.getvalue()
+
+
+def test_transaction_columns_equal_the_list_of_their_transactions():
+    txs = _population()
+    for cols in (parse(_text(txs)), TransactionColumns.of(txs)):
+        assert isinstance(cols, TransactionColumns)
+        assert cols == txs and txs == cols and not cols != txs
+        assert cols == tuple(txs) and list(cols) == txs
+        assert cols == TransactionColumns.of(txs)
+        assert cols != txs[:-1] and cols != txs + txs[:1]
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("investor_id", lambda v: v + "x"),
+        ("asset_id", lambda v: v + "x"),
+        ("side", lambda v: Side.SELL if v is Side.BUY else Side.BUY),
+        ("quantity", lambda v: v + 1),
+        ("price", lambda v: math.nextafter(v, math.inf)),
+        ("timestamp", lambda v: v + timedelta(microseconds=1)),
+        ("seq", lambda v: v + 1),
+    ],
+)
+def test_transaction_columns_differ_when_one_field_of_one_row_differs(field, change):
+    txs = _population()
+    cols = parse(_text(txs))
+    i = len(txs) // 2
+    changed = list(txs)
+    changed[i] = dataclasses.replace(txs[i], **{field: change(getattr(txs[i], field))})
+    assert cols != changed and not cols == changed
+    assert changed != cols
+
+
+def test_transaction_columns_index_and_slice_like_a_list():
+    txs = _population()
+    cols = parse(_text(txs))
+    n = len(txs)
+    for i in (0, 1, n - 1, -1, -2, -n):
+        assert cols[i] == txs[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            cols[i]
+    for part in (slice(None), slice(3, 17), slice(-5, None), slice(None, -3), slice(None, None, -2),
+                 slice(1, None, 3), slice(5, 2), slice(n, n + 5)):
+        assert isinstance(cols[part], TransactionColumns)
+        assert cols[part] == txs[part]
+    empty = parse(HEADER)
+    assert len(empty) == 0 and not empty
+    assert empty == [] and list(empty) == [] and empty[0:3] == []
+    with pytest.raises(IndexError):
+        empty[0]
+    with pytest.raises(IndexError):
+        empty[-1]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in-time-order", "shuffled"])
+def test_engine_and_summary_read_columns_like_the_list(shuffled):
+    text = _text(_population())
+    if shuffled:  # the parser sorts, and seq keeps the input positions
+        header, *rows = text.splitlines(keepends=True)
+        random.Random(3).shuffle(rows)
+        text = header + "".join(rows)
+    cols = parse(text)
+    assert isinstance(cols.seq, range) is not shuffled
+    listed = list(cols)
+    for scope in ("every-event", "sells-only"):
+        for rule in ("exclude-traded-asset", "include-traded-asset"):
+            options = EngineOptions(eval_scope=scope, context_rule=rule)
+            assert run_engine(cols, options).array.tobytes() == run_engine(listed, options).array.tobytes()
+    assert summarize(cols) == summarize(listed)
+
+
+def test_parse_retains_at_most_160_bytes_per_row(tmp_path):
+    # A Transaction per row kept about 300 bytes; the columns keep under 120.
+    txs, _ = generate_population(450, BehaviorProfile(0.6, 0.3, n_assets=8, horizon_events=60, seed=3))
+    assert len(txs) >= 20_000
+    path = tmp_path / "transactions.csv"
+    path.write_text(_text(txs), encoding="utf-8")
+    del txs
+    with open(path, encoding="utf-8", newline="") as fh:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cols, _ = parse_transactions_report(fh)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert retained / len(cols) <= 160, f"{retained / len(cols):.0f} bytes per row"

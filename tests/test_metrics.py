@@ -1,6 +1,7 @@
 import math
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from dispomet.ingest import Side, Transaction
@@ -368,6 +369,31 @@ def _assert_matches_naive(store):
                     ], where
                     for r, w in zip(got, want):
                         assert r.de == w[4] if r.defined else math.isnan(r.de), (where, r, w)
+
+
+def test_de_that_is_not_finite_is_undefined():
+    # Each sale of A1 realizes a gain return of 1e300/1e-300, which overflows
+    # to inf, and so does the paper gain of the unit still held: the pooled
+    # Value tally of the context in which A2's losses fall is inf/(inf+inf).
+    txs = [
+        tx("I1", "A1", Side.BUY, 2, 1e-300, 0, 0),
+        tx("I1", "A2", Side.BUY, 2, 10.0, 1, 1),
+        tx("I1", "A1", Side.SELL, 1, 1e300, 2, 2),
+        tx("I1", "A2", Side.SELL, 1, 5.0, 3, 3),
+        tx("I1", "A1", Side.SELL, 1, 1e300, 4, 4),
+        tx("I1", "A2", Side.SELL, 1, 4.0, 5, 5),
+    ]
+    store = run_engine(txs)
+    _assert_matches_naive(store)
+    for zero_policy in ("exclude", "zero"):
+        assert compute_de(Tally(math.inf, 1.0, math.inf, 1.0), zero_policy)[1] is False
+        pooled = aggregate(store, Level.INVESTOR_POOLED, Framing.WIDE, methods=[Method.VALUE], zero_policy=zero_policy)
+        (negative,) = [r for r in pooled if r.context is Context.NEGATIVE]
+        assert not negative.defined and math.isnan(negative.de)
+        for framing in Framing:
+            for level in Level:
+                records = aggregate(store, level, framing, zero_policy=zero_policy)
+                assert np.isfinite(records.de[records.defined]).all(), (framing, level, zero_policy)
 
 
 def test_aggregate_matches_naive_reference_on_random_streams():
