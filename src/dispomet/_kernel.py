@@ -4,8 +4,10 @@
 Transactions is first turned into columns by TransactionColumns.of, which
 reads each object once.  It interns the (investor_id, asset_id) column pair
 into pair indices, numbering assets in asset_id order, checks the event
-order, quantities and prices, and passes the side, quantity and price
-columns on without a copy.  ``stream`` then makes one
+order on the integer timestamp column (microseconds since 1970-01-01, of
+the UTC instant when the timestamps are timezone-aware) and seq, checks
+quantities and prices, and passes the side, quantity and price columns on
+without a copy.  ``stream`` then makes one
 sequential pass over those columns in plain Python, keeping per-pair
 positions in lists and the tallies in an ``array('d')`` buffer that is
 returned without a copy through ``np.frombuffer``.
@@ -48,7 +50,7 @@ class EncodedStream:
     ev_price: Sequence[float]  # (n,)
 
 
-def _first_out_of_order(timestamps: Sequence, seq: Sequence[int]) -> int | None:
+def _first_out_of_order(timestamps: Sequence[int], seq: Sequence[int]) -> int | None:
     """Index of the first event whose (timestamp, seq) is lower than its predecessor's."""
     # Such an event has a lower timestamp or a lower seq than its
     # predecessor, so only those events need the full comparison.
@@ -65,14 +67,16 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
 
     Raises ValueError naming the first event whose (timestamp, seq) is lower
     than its predecessor's, whose quantity exceeds int64 or whose price is
-    not a positive finite number.
+    not a positive finite number, or, for a list, whose timestamp is naive
+    where event 0's is aware or the other way round.
     """
     txs = TransactionColumns.of(transactions)
     i = _first_out_of_order(txs.timestamp, txs.seq)
     if i is not None:
+        tx, before = txs[i], txs[i - 1]
         raise ValueError(
-            f"event {i}: (timestamp, seq) ({txs.timestamp[i]}, {txs.seq[i]}) is lower than "
-            f"event {i - 1}'s ({txs.timestamp[i - 1]}, {txs.seq[i - 1]})"
+            f"event {i}: (timestamp, seq) ({tx.timestamp}, {tx.seq}) is lower than "
+            f"event {i - 1}'s ({before.timestamp}, {before.seq})"
         )
     # Pairs and investors are numbered in order of first appearance.
     pair_index: dict[tuple[str, str], int] = {}

@@ -10,7 +10,7 @@ import csv
 import math
 import sys
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -140,16 +140,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _compute_records(
     transactions: TransactionColumns, args: argparse.Namespace
-) -> dict[Framing, DeRecords]:
+) -> Iterator[tuple[Framing, DeRecords]]:
+    """Each requested framing with its records, aggregated when the caller asks for it."""
     store = metrics.run_engine(transactions, _engine_options(args))
-    out: dict[Framing, DeRecords] = {}
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     for framing in framings:
         level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
-        out[framing] = metrics.aggregate(
+        # Yielded without a local name, so a framing's records are freed once
+        # the caller drops them, before the next framing is aggregated.
+        yield framing, metrics.aggregate(
             store, level, framing, methods=args.methods, zero_policy=args.zero_denominator
         )
-    return out
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -157,8 +158,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_framing = _compute_records(transactions, args)
-    for framing, records in per_framing.items():
+    n_records = 0
+    for framing, records in _compute_records(transactions, args):
+        n_records += len(records)
         for method in args.methods:
             selected = records[records.method == RECORD_METHODS.index(method)]
             with open(out_dir / f"records_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
@@ -166,7 +168,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
             bins = metrics.histogram(selected.de[selected.defined], args.bins)
             with open(out_dir / f"hist_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
                 _write_histogram(bins, fh)
-    print(f"wrote {sum(len(r) for r in per_framing.values())} records to {out_dir}")
+        del records, selected  # written: free them before the next framing is aggregated
+    print(f"wrote {n_records} records to {out_dir}")
     return EXIT_OK
 
 

@@ -9,10 +9,15 @@ are assigned a ``seq`` index in input order and then stably sorted by
 The parser fills columns, not objects: it returns a TransactionColumns, a
 read-only sequence of Transactions whose ids are interned strings, sides
 +1/-1, quantities an ``array('q')``, prices an ``array('d')`` and ``seq``
-``range(n)`` when the input was already in time order.  A Transaction is
-built only when an element is read.  TransactionColumns.of turns a list of
-Transactions into columns too, so the engine and summarize read one layout
-whichever the source.
+``range(n)`` when the input was already in time order.  Timestamps are an
+``array('q')`` of microseconds since 1970-01-01: the wall time in a naive
+log, the UTC instant in a timezone-aware one, which also keeps a ``tz``
+column of each row's fixed-offset zone.  The parser converts each timestamp
+once, as it reads the row, and sorts, checks order and measures spans on
+those integers.  A Transaction, and its ``datetime``, is built only when an
+element is read.  TransactionColumns.of turns a list of Transactions into
+columns too, so the engine and summarize read one layout whichever the
+source.
 """
 from __future__ import annotations
 
@@ -24,9 +29,9 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from enum import Enum
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from statistics import median
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -90,17 +95,50 @@ class Transaction:
 
 _SIDE_OF_SIGN = {1: Side.BUY, -1: Side.SELL}
 
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _instant(ts: datetime) -> tuple[int, timezone | None]:
+    """``ts`` as (microseconds since 1970-01-01, zone).
+
+    A naive ``ts`` counts its wall time and has no zone.  An aware one
+    counts its UTC instant, and its zone is a fixed-offset ``timezone``: its
+    own tzinfo when that is one, else the offset it gave.
+    """
+    offset = ts.utcoffset()
+    if offset is None:
+        span, tz = ts - _EPOCH, None
+    else:
+        # The offset is taken from the timedelta, not from the datetime,
+        # whose UTC instant can fall outside years 1-9999.
+        span = ts.replace(tzinfo=None) - _EPOCH - offset
+        tz = ts.tzinfo if type(ts.tzinfo) is timezone else timezone(offset)
+    # span // _MICROSECOND, without its slower timedelta division
+    return (span.days * 86_400 + span.seconds) * 1_000_000 + span.microseconds, tz
+
+
+def _datetime(micros: int, tz: timezone | None) -> datetime:
+    """The datetime that _instant turned into ``(micros, tz)``."""
+    if tz is None:
+        return _EPOCH + _MICROSECOND * micros
+    return (_EPOCH + (_MICROSECOND * micros + tz.utcoffset(None))).replace(tzinfo=tz)
+
 
 class TransactionColumns(Sequence[Transaction]):
     """Read-only Transactions held as columns; a Transaction is built on access.
 
-    ``side`` holds +1 for a buy and -1 for a sell; the other columns hold
-    the Transaction field of the same name.  An integer index gives one
+    ``side`` holds +1 for a buy and -1 for a sell and ``timestamp`` the
+    microseconds since 1970-01-01 of the wall time (naive) or of the UTC
+    instant (aware).  ``tz`` is None for naive timestamps; for aware ones it
+    holds each row's fixed-offset zone, so a row reads back as the datetime
+    it was made from, with the same utcoffset().  The other columns hold the
+    Transaction field of the same name.  An integer index gives one
     Transaction, a slice a TransactionColumns over the selected rows.  It
     equals any sequence of equal Transactions, field by field, in order.
     """
 
-    __slots__ = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq")
+    __slots__ = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq", "tz")
 
     def __init__(
         self,
@@ -109,38 +147,54 @@ class TransactionColumns(Sequence[Transaction]):
         side: Sequence[int],
         quantity: Sequence[int],
         price: Sequence[float],
-        timestamp: Sequence[datetime],
+        timestamp: Sequence[int],
         seq: Sequence[int],
+        tz: Sequence[timezone] | None = None,
     ) -> None:
         self.investor_id, self.asset_id, self.side = investor_id, asset_id, side
         self.quantity, self.price, self.timestamp, self.seq = quantity, price, timestamp, seq
-        if len({len(column) for column in self._columns()}) > 1:
+        self.tz = tz
+        lengths = {len(column) for column in self._columns()}
+        if len(lengths) > 1 or (tz is not None and len(tz) not in lengths):
             raise ValueError("transaction columns differ in length")
 
     @classmethod
     def of(cls, transactions: Sequence[Transaction]) -> "TransactionColumns":
         """``transactions`` as columns, reading each Transaction once.
 
-        A TransactionColumns is returned as it is.  Sides and prices go into
-        arrays as the parser's do, prices through float(); quantities and
-        seq stay lists of the given ints, so encode can name a quantity
-        beyond int64.
+        A TransactionColumns is returned as it is.  Sides, prices and
+        timestamps go into arrays as the parser's do, prices through
+        float(); quantities and seq stay lists of the given ints, so encode
+        can name a quantity beyond int64.  Raises ValueError naming the
+        first event whose timestamp is naive where event 0's is aware, or
+        the other way round.
         """
         if isinstance(transactions, cls):
             return transactions
         columns = investor_id, asset_id, side, quantity, price, timestamp, seq = (
-            [], [], array("b"), [], array("d"), [], []
+            [], [], array("b"), [], array("d"), array("q"), []
         )
+        tz: list[timezone] = []
+        zones: dict[timezone, timezone] = {}  # one object per distinct offset
+        aware: bool | None = None
         buy = Side.BUY
-        for tx in transactions:
+        for i, tx in enumerate(transactions):
+            micros, zone = _instant(tx.timestamp)
+            if aware is None:
+                aware = zone is not None
+            elif (zone is not None) != aware:
+                kind = "timezone-aware" if zone is not None else "naive"
+                raise ValueError(f"event {i}: timestamp {tx.timestamp} is {kind}, unlike event 0's")
             investor_id.append(tx.investor_id)
             asset_id.append(tx.asset_id)
             side.append(1 if tx.side is buy else -1)
             quantity.append(tx.quantity)
             price.append(float(tx.price))
-            timestamp.append(tx.timestamp)
+            timestamp.append(micros)
+            if aware:
+                tz.append(zones.setdefault(zone, zone))
             seq.append(tx.seq)
-        return cls(*columns)
+        return cls(*columns, tz=tz if aware else None)
 
     def _columns(self) -> tuple[Sequence, ...]:
         return self.investor_id, self.asset_id, self.side, self.quantity, self.price, self.timestamp, self.seq
@@ -150,15 +204,18 @@ class TransactionColumns(Sequence[Transaction]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return TransactionColumns(*(column[index] for column in self._columns()))
+            tz = None if self.tz is None else self.tz[index]
+            return TransactionColumns(*(column[index] for column in self._columns()), tz=tz)
         i = operator.index(index)
         return Transaction(
-            self.investor_id[i], self.asset_id[i], _SIDE_OF_SIGN[self.side[i]],
-            self.quantity[i], self.price[i], self.timestamp[i], self.seq[i],
+            self.investor_id[i], self.asset_id[i], _SIDE_OF_SIGN[self.side[i]], self.quantity[i],
+            self.price[i], _datetime(self.timestamp[i], None if self.tz is None else self.tz[i]), self.seq[i],
         )
 
     def __iter__(self) -> Iterator[Transaction]:
-        for inv, asset, side, qty, price, ts, seq in zip(*self._columns()):
+        timestamps = map(_datetime, self.timestamp, repeat(None) if self.tz is None else self.tz)
+        columns = (self.investor_id, self.asset_id, self.side, self.quantity, self.price, timestamps, self.seq)
+        for inv, asset, side, qty, price, ts, seq in zip(*columns):
             yield Transaction(inv, asset, _SIDE_OF_SIGN[side], qty, price, ts, seq)
 
     def __eq__(self, other: object) -> bool:
@@ -214,8 +271,24 @@ _SIDES = {"B": 1, "S": -1}
 _QUANTITY_MAX = 2**63 - 1  # the int64 range of exported trade logs; encode checks it too
 
 
-def _parse_row(fields: tuple[str, ...], line: int) -> tuple[str, str, int, int, float, datetime]:
-    """One row's fields, side as +1/-1; raises MalformedRow naming the line."""
+def _timestamp(text: str) -> tuple[int, timezone | None] | None:
+    """A timestamp field as _instant gives it, or None for unparseable text."""
+    try:
+        ts = datetime.fromisoformat(text.strip())
+    except ValueError:
+        return None
+    return _instant(ts)
+
+
+def _parse_row(
+    fields: tuple[str, ...], line: int, timestamp: tuple[int, timezone | None] | None
+) -> tuple[str, str, int, int, float, int, timezone | None]:
+    """One row's fields, side as +1/-1 and the timestamp as (microseconds, zone).
+
+    ``timestamp`` is _timestamp of the row's timestamp field, which the
+    caller converts once per run of equal text.  Raises MalformedRow naming
+    the line.
+    """
     investor_id, asset_id, side_txt, qty_txt, price_txt, ts_txt = fields
     side_txt = side_txt.strip()
     side = _SIDES.get(side_txt)
@@ -238,15 +311,13 @@ def _parse_row(fields: tuple[str, ...], line: int) -> tuple[str, str, int, int, 
         raise MalformedRow(line, f"price must be positive, got {price}")
     if not math.isfinite(price):
         raise MalformedRow(line, f"price must be finite, got {price}")
-    try:
-        timestamp = datetime.fromisoformat(ts_txt.strip())
-    except ValueError:
-        raise MalformedRow(line, f"unparseable timestamp {ts_txt!r}") from None
+    if timestamp is None:
+        raise MalformedRow(line, f"unparseable timestamp {ts_txt!r}")
     investor_id = investor_id.strip()
     asset_id = asset_id.strip()
     if not investor_id or not asset_id:
         raise MalformedRow(line, "investor_id and asset_id must be non-empty")
-    return investor_id, asset_id, side, quantity, price, timestamp
+    return investor_id, asset_id, side, quantity, price, *timestamp
 
 
 def _unreadable(reader, err: UnicodeDecodeError | csv.Error) -> MalformedRow:
@@ -302,8 +373,11 @@ def parse_transactions_report(
     sides = array("b")
     quantities = array("q")
     prices = array("d")
-    timestamps: list[datetime] = []
+    timestamps = array("q")
+    tzs: list[timezone] = []
     ids: dict[str, str] = {}  # one str object per distinct id
+    zones: dict[timezone, timezone] = {}  # one object per distinct offset
+    last_text = timestamp = None  # the previous row's timestamp field and its conversion
     first_aware: bool | None = None
     rejects: list[MalformedRow] = []
     try:
@@ -312,6 +386,7 @@ def parse_transactions_report(
         position = {name: i for i, name in enumerate(header)}
         columns = [position[c] for c in TRANSACTION_COLUMNS]
         fields = itemgetter(*columns)
+        timestamp_column = position["timestamp"]
         min_len = max(columns) + 1
         for row in reader:
             if not row:
@@ -320,15 +395,22 @@ def parse_transactions_report(
             try:
                 if len(row) < min_len:
                     raise MalformedRow(line, "wrong number of fields")
-                investor_id, asset_id, side, quantity, price, timestamp = _parse_row(fields(row), line)
-                aware = timestamp.tzinfo is not None
+                # Logs repeat a timestamp over consecutive rows: convert it
+                # once per run of equal text.
+                if row[timestamp_column] != last_text:
+                    last_text = row[timestamp_column]
+                    timestamp = _timestamp(last_text)
+                investor_id, asset_id, side, quantity, price, micros, zone = _parse_row(
+                    fields(row), line, timestamp
+                )
+                aware = zone is not None
                 if first_aware is None:
                     first_aware = aware
                 elif aware != first_aware:
                     kind = "timezone-aware" if aware else "naive"
                     raise MalformedRow(
                         line,
-                        f"timestamp {row[position['timestamp']]!r} is {kind}, unlike the first accepted row",
+                        f"timestamp {row[timestamp_column]!r} is {kind}, unlike the first accepted row",
                     )
             except MalformedRow as err:
                 if not lenient:
@@ -340,16 +422,22 @@ def parse_transactions_report(
             sides.append(side)
             quantities.append(quantity)
             prices.append(price)
-            timestamps.append(timestamp)
+            timestamps.append(micros)
+            if aware:
+                tzs.append(zones.setdefault(zone, zone))
     except (UnicodeDecodeError, csv.Error) as err:
         raise _unreadable(reader, err) from None
     if rejects:
         log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
     columns = [investor_ids, asset_ids, sides, quantities, prices, timestamps]
+    tz = tzs if first_aware else None
     if any(map(operator.gt, timestamps, islice(timestamps, 1, None))):
         order = sorted(range(len(timestamps)), key=timestamps.__getitem__)  # stable: seq breaks ties
-        return TransactionColumns(*(_take(c, order) for c in columns), array("q", order)), rejects
-    return TransactionColumns(*columns, range(len(timestamps))), rejects
+        columns = [*(_take(c, order) for c in columns), array("q", order)]
+        tz = None if tz is None else _take(tz, order)
+    else:
+        columns.append(range(len(timestamps)))
+    return TransactionColumns(*columns, tz=tz), rejects
 
 
 def serialize_transactions(transactions: Iterable[Transaction], stream: TextIO) -> None:
@@ -405,7 +493,7 @@ _SECONDS_PER_YEAR = 365.25 * 86400.0
 _SECONDS_PER_DAY = 86400.0
 
 
-def _spans(keys: Iterable, timestamps: Sequence[datetime]) -> dict:
+def _spans(keys: Iterable, timestamps: Sequence[int]) -> dict:
     """(first, last) timestamp per key."""
     spans: dict = {}
     for key, ts in zip(keys, timestamps):
@@ -423,12 +511,10 @@ def summarize(transactions: Sequence[Transaction]) -> DatasetSummary:
     investor_spans = _spans(txs.investor_id, txs.timestamp)
     pair_spans = _spans(zip(txs.investor_id, txs.asset_id), txs.timestamp)
     assets_per_investor = Counter(inv for inv, _ in pair_spans)
-    horizons = [
-        (last - first).total_seconds() / _SECONDS_PER_YEAR for first, last in investor_spans.values()
-    ]
-    holding_days = [
-        (last - first).total_seconds() / _SECONDS_PER_DAY for first, last in pair_spans.values()
-    ]
+    # A span in microseconds over the int 10**6 is exactly the span's
+    # timedelta.total_seconds().
+    horizons = [(last - first) / 10**6 / _SECONDS_PER_YEAR for first, last in investor_spans.values()]
+    holding_days = [(last - first) / 10**6 / _SECONDS_PER_DAY for first, last in pair_spans.values()]
     return DatasetSummary(
         n_investors=len(per_investor_count),
         n_assets=len(set(txs.asset_id)),

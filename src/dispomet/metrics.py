@@ -196,10 +196,11 @@ class TallyStore:
         """Sparse view in oracle_replay's layout: only tallies with a nonzero component."""
         enc = self._enc
         out: dict[TallyKey, Tally] = {}
+        tallies = self.array.tolist()  # Python floats, as Tally's fields are
         for pid, (ii, ai) in enumerate(zip(enc.pair_investor, enc.pair_asset)):
             inv, asset = enc.investors[ii], enc.assets[ai]
             for ctx, ci in _CTX_INDEX.items():
-                row = self.array[pid, ci]
+                row = tallies[pid][ci]
                 for method, mi in _METHOD_INDEX.items():
                     m = mi * 4
                     if row[m] or row[m + 1] or row[m + 2] or row[m + 3]:

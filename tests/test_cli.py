@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dispomet
+from dispomet import metrics
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
     EXIT_ERROR,
@@ -82,6 +83,25 @@ def test_compute_outputs_per_framing_and_method(clean_file, tmp_path):
     # I1's single closed gain has no loss side, so the record is undefined.
     i1 = [r for r in rows if r["investor_id"] == "I1"]
     assert i1 and all(r["defined"] == "false" and r["de"] == "" for r in i1)
+
+
+def test_compute_writes_each_framing_before_aggregating_the_next(clean_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    written_before = []
+    aggregate = metrics.aggregate
+
+    def recording_aggregate(store, level, framing, **kwargs):
+        written_before.append(sorted(p.name for p in out.iterdir()))
+        return aggregate(store, level, framing, **kwargs)
+
+    monkeypatch.setattr(metrics, "aggregate", recording_aggregate)
+    assert main(["compute", "--transactions", clean_file, "--out", str(out), "--framing", "all"]) == EXIT_OK
+    methods = ("count", "total", "value")
+    files = [
+        sorted(f"{kind}_{framing}_{method}.csv" for kind in ("hist", "records") for method in methods)
+        for framing in ("narrow", "wide")
+    ]
+    assert written_before == [[], files[0], sorted(files[0] + files[1])]
 
 
 def test_compute_single_method_subset(clean_file, tmp_path):

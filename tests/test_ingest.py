@@ -4,7 +4,8 @@ import logging
 import math
 import random
 import tracemalloc
-from datetime import datetime, timedelta, timezone
+from array import array
+from datetime import datetime, timedelta, timezone, tzinfo
 
 import pytest
 from hypothesis import given, strategies as st
@@ -366,3 +367,124 @@ def test_parse_retains_at_most_160_bytes_per_row(tmp_path):
         finally:
             tracemalloc.stop()
     assert retained / len(cols) <= 160, f"{retained / len(cols):.0f} bytes per row"
+
+
+def test_parse_retains_at_most_48_bytes_per_row(tmp_path):
+    # Timestamps as an array('q') of microseconds instead of a list of
+    # datetimes: about 44 bytes per row of a naive log in time order.
+    txs, _ = generate_population(450, BehaviorProfile(0.6, 0.3, n_assets=8, horizon_events=60, seed=3))
+    assert len(txs) >= 20_000
+    path = tmp_path / "transactions.csv"
+    path.write_text(_text(txs), encoding="utf-8")
+    del txs
+    with open(path, encoding="utf-8", newline="") as fh:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cols, _ = parse_transactions_report(fh)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert cols.tz is None
+    assert retained / len(cols) <= 48, f"{retained / len(cols):.0f} bytes per row"
+
+
+NAIVE_TIMES = [
+    "2015-01-05 09:00:00", "2015-01-05T09:00:00.000001", "2015-01-05 09:00", "1970-01-01",
+    "1969-12-31 23:59:59.999999", "0001-01-01 00:00:00", "9999-12-31 23:59:59.999999",
+    "2015-01-05 09:00:00",
+]
+AWARE_TIMES = [
+    "2015-01-05T09:00:00+01:00", "2015-01-05T09:00:00+02:00", "2015-01-05T09:00:00+01:00:00.000001",
+    "2015-01-05 08:00:00.5+00:00", "2015-01-05T09:00:00Z", "2015-01-05T08:30:00-00:30",
+    "0001-01-01T00:00:00+01:00", "9999-12-31 23:59:59-01:00", "2015-01-05T09:00:00+01:00",
+]
+
+
+def _rows(times):
+    return HEADER + "".join(f"I{i % 2},A{i % 3},B,1,10,{t}\n" for i, t in enumerate(times))
+
+
+def _exactly(ts):
+    """A datetime's wall time and offset: equal only for the same datetime."""
+    return ts.replace(tzinfo=None), ts.utcoffset()
+
+
+@pytest.mark.parametrize("times", [NAIVE_TIMES, AWARE_TIMES], ids=["naive", "aware"])
+def test_timestamps_read_back_as_fromisoformat_gives_them(times):
+    parsed = parse(_rows(times))
+    assert isinstance(parsed.timestamp, array) and parsed.timestamp.typecode == "q"
+    assert (parsed.tz is None) == (times is NAIVE_TIMES)
+    # In time order by the instant, input order breaking ties.
+    instants = [datetime.fromisoformat(times[s]) for s in parsed.seq]
+    assert instants == sorted(datetime.fromisoformat(t) for t in times)
+    assert list(parsed.timestamp) == sorted(parsed.timestamp)
+    listed = list(parsed)
+    for cols in (parsed, TransactionColumns.of(listed)):
+        reads = (list(cols), [cols[i] for i in range(len(cols))], list(cols[::-1])[::-1])
+        for read in reads:
+            for tx in read:
+                assert _exactly(tx.timestamp) == _exactly(datetime.fromisoformat(times[tx.seq]))
+                assert tx.timestamp == datetime.fromisoformat(times[tx.seq])
+
+
+@pytest.mark.parametrize(
+    "first, last",
+    [
+        ("0001-01-01 00:00:00", "9999-12-31 23:59:59.999999"),
+        ("0001-01-01T00:00:00+01:00", "9999-12-31 23:59:59-01:00"),
+        ("2015-01-05T09:00:00+01:00:00.000001", "2015-03-05T09:00:00.5-00:00:30.25"),
+    ],
+)
+def test_summary_spans_are_the_timedelta_total_seconds(first, last):
+    s = summarize(parse(HEADER + f"I1,A1,B,1,10,{first}\nI1,A1,S,1,10,{last}\n"))
+    span = (datetime.fromisoformat(last) - datetime.fromisoformat(first)).total_seconds()
+    assert s.median_account_horizon_years == span / (365.25 * 86400.0)
+    assert s.median_holding_days_per_asset == span / 86400.0
+
+
+def test_equal_instants_with_different_offsets_keep_input_order():
+    txs = parse(
+        HEADER
+        + "I1,A1,B,1,10,2015-01-05T10:00:00+01:00\n"
+        + "I1,A2,B,1,10,2015-01-05T09:00:00+00:00\n"
+        + "I1,A3,B,1,10,2015-01-05T11:00:00+02:00\n"
+        + "I1,A4,B,1,10,2015-01-05T08:59:59.999999Z\n"
+    )
+    assert [tx.asset_id for tx in txs] == ["A4", "A1", "A2", "A3"]
+    assert list(txs.seq) == [3, 0, 1, 2]
+    hours = [0, 1, 0, 2]
+    assert [tx.timestamp.utcoffset() for tx in txs] == [timedelta(hours=h) for h in hours]
+    assert [tx.timestamp.hour for tx in txs] == [8, 10, 9, 11]
+
+
+@pytest.mark.parametrize("aware_first", [False, True], ids=["naive-first", "aware-first"])
+def test_columns_of_a_list_reject_mixed_timezone_awareness(aware_first):
+    naive = datetime(2015, 1, 5, 9, 0, 0)
+    aware = naive.replace(tzinfo=timezone.utc)
+    first, other = (aware, naive) if aware_first else (naive, aware)
+    txs = [
+        Transaction("I1", "A1", Side.BUY, 1, 10.0, first, 0),
+        Transaction("I1", "A1", Side.BUY, 1, 10.0, first + timedelta(minutes=1), 1),
+        Transaction("I1", "A1", Side.SELL, 1, 11.0, other + timedelta(minutes=2), 2),
+    ]
+    kind = "naive" if aware_first else "timezone-aware"
+    message = f"event 2: timestamp {txs[2].timestamp} is {kind}, unlike event 0's"
+    for build in (TransactionColumns.of, run_engine, summarize):
+        with pytest.raises(ValueError) as err:
+            build(txs)
+        assert str(err.value) == message
+
+
+class _NinetyMinutesAhead(tzinfo):
+    """A tzinfo that is not a datetime.timezone."""
+
+    def utcoffset(self, dt):
+        return timedelta(minutes=90)
+
+
+def test_columns_of_a_list_keep_any_tzinfo_as_its_fixed_offset():
+    ts = datetime(2015, 1, 5, 9, 0, 0, tzinfo=_NinetyMinutesAhead())
+    (tx,) = TransactionColumns.of([Transaction("I1", "A1", Side.BUY, 1, 10.0, ts, 0)])
+    assert tx.timestamp == ts and _exactly(tx.timestamp) == _exactly(ts)
+    assert tx.timestamp.tzinfo == timezone(timedelta(minutes=90))

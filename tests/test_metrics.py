@@ -1,5 +1,5 @@
 import math
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -475,6 +475,28 @@ def test_encode_rejects_events_out_of_timestamp_seq_order():
     # seq orders only events of the same timestamp, and an equal pair is in order.
     run_engine([tx("I1", "A", Side.BUY, 1, 10.0, 0, 5), tx("I1", "A", Side.SELL, 1, 11.0, 1, 0)])
     run_engine([tx("I1", "A", Side.BUY, 1, 10.0, 0, 0), tx("I1", "A", Side.SELL, 1, 11.0, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        ((None, None), "event 1: (timestamp, seq) (2015-01-05 09:00:00, 1) is lower than "
+                       "event 0's (2015-01-05 09:30:00, 0)"),
+        # 09:00+01:00 is 08:00 UTC: aware events are ordered by their instant.
+        ((0, 1), "event 1: (timestamp, seq) (2015-01-05 09:00:00+01:00, 1) is lower than "
+                 "event 0's (2015-01-05 09:30:00+00:00, 0)"),
+    ],
+    ids=["naive", "aware"],
+)
+def test_encode_names_the_out_of_order_events_as_datetimes(offsets, message):
+    zones = [None if h is None else timezone(timedelta(hours=h)) for h in offsets]
+    events = [
+        Transaction("I1", "A", Side.BUY, 1, 10.0, datetime(2015, 1, 5, 9, 30, tzinfo=zones[0]), 0),
+        Transaction("I1", "A", Side.SELL, 1, 11.0, datetime(2015, 1, 5, 9, 0, tzinfo=zones[1]), 1),
+    ]
+    with pytest.raises(ValueError) as err:
+        run_engine(events)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("price", [0.0, math.nan, math.inf])
