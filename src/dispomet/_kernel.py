@@ -1,13 +1,12 @@
 """Integer-encoded streaming kernel behind metrics.run_engine.
 
-``encode`` reads the columns of an ingest.TransactionColumns: a list of
-Transactions is first turned into columns by TransactionColumns.of, which
-reads each object once.  It interns the (investor_id, asset_id) column pair
-into pair indices, numbering assets in asset_id order, checks the event
-order on the integer timestamp column (microseconds since 1970-01-01, of
-the UTC instant when the timestamps are timezone-aware) and seq, checks
-quantities and prices, and passes the side, quantity and price columns on
-without a copy.  ``stream`` then makes one
+``encode`` reads an ingest.TransactionColumns, the one layout the parser
+and TransactionColumns.of both build, the latter from a list of
+Transactions.  In one numpy pass over views of its columns it checks the
+(timestamp, seq) order, that quantities are positive and that prices are
+positive and finite.  It interns the (investor_id, asset_id) column pair
+into pair indices, numbering assets in asset_id order, and passes the side,
+quantity and price arrays on without a copy.  ``stream`` then makes one
 sequential pass over those columns in plain Python, keeping per-pair
 positions in lists and the tallies in an ``array('d')`` buffer that is
 returned without a copy through ``np.frombuffer``.
@@ -22,20 +21,16 @@ semantics beside it.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from bisect import insort
 from dataclasses import dataclass
-from itertools import compress, count, islice
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import Transaction, TransactionColumns
+from .ingest import Transaction, TransactionColumns, first_out_of_order
 
 njit = None  # the benchmark's env line reads this to name the backend
-
-INT64_MAX = 2**63 - 1
 
 
 @dataclass(slots=True)
@@ -45,53 +40,43 @@ class EncodedStream:
     pair_investor: list[int]  # (n_pairs,)
     pair_asset: list[int]  # (n_pairs,)
     ev_pair: list[int]  # (n,)
-    ev_side: Sequence[int]  # (n,) +1 buy / -1 sell
-    ev_qty: Sequence[int]  # (n,) at most INT64_MAX
-    ev_price: Sequence[float]  # (n,)
-
-
-def _first_out_of_order(timestamps: Sequence[int], seq: Sequence[int]) -> int | None:
-    """Index of the first event whose (timestamp, seq) is lower than its predecessor's."""
-    # Such an event has a lower timestamp or a lower seq than its
-    # predecessor, so only those events need the full comparison.
-    ts_lower = map(operator.lt, islice(timestamps, 1, None), timestamps)
-    seq_lower = map(operator.lt, islice(seq, 1, None), seq)
-    for i in compress(count(1), map(operator.or_, ts_lower, seq_lower)):
-        if timestamps[i] <= timestamps[i - 1]:
-            return i
-    return None
+    ev_side: array  # (n,) 'b', +1 buy / -1 sell
+    ev_qty: array  # (n,) 'q', positive
+    ev_price: array  # (n,) 'd', positive and finite
 
 
 def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     """Intern ids into pair indices and split the events into columns.
 
     Raises ValueError naming the first event whose (timestamp, seq) is lower
-    than its predecessor's, whose quantity exceeds int64 or whose price is
-    not a positive finite number, or, for a list, whose timestamp is naive
-    where event 0's is aware or the other way round.
+    than its predecessor's, whose quantity is not positive or whose price is
+    not a positive finite number, or, for a list, whose quantity lies
+    outside int64 or whose timestamp is naive where event 0's is aware or
+    the other way round.
     """
     txs = TransactionColumns.of(transactions)
-    i = _first_out_of_order(txs.timestamp, txs.seq)
+    i = first_out_of_order(txs.timestamp, txs.seq)
     if i is not None:
         tx, before = txs[i], txs[i - 1]
         raise ValueError(
             f"event {i}: (timestamp, seq) ({tx.timestamp}, {tx.seq}) is lower than "
             f"event {i - 1}'s ({before.timestamp}, {before.seq})"
         )
+    qty_ok = np.frombuffer(txs.quantity, np.int64) > 0
+    if not qty_ok.all():
+        i = int(qty_ok.argmin())
+        raise ValueError(f"event {i}: quantity {txs.quantity[i]} is not positive")
+    # NaN fails both comparisons, so it is rejected too.
+    prices = np.frombuffer(txs.price, np.float64)
+    price_ok = (prices > 0.0) & (prices < math.inf)
+    if not price_ok.all():
+        i = int(price_ok.argmin())
+        raise ValueError(f"event {i}: price {txs.price[i]} is not a positive finite number")
     # Pairs and investors are numbered in order of first appearance.
     pair_index: dict[tuple[str, str], int] = {}
     ev_pair = [pair_index.setdefault(key, len(pair_index)) for key in zip(txs.investor_id, txs.asset_id)]
     inv_idx: dict[str, int] = {}
     pair_investor = [inv_idx.setdefault(inv, len(inv_idx)) for inv, _ in pair_index]
-    ev_qty = txs.quantity
-    if ev_qty and max(ev_qty) > INT64_MAX:
-        i = next(i for i, q in enumerate(ev_qty) if q > INT64_MAX)
-        raise ValueError(f"event {i}: quantity {ev_qty[i]} exceeds the int64 maximum {INT64_MAX}")
-    ev_price = txs.price
-    # A comparison chain, because min and max are unreliable with NaN present.
-    if not all(0.0 < p < math.inf for p in ev_price):
-        i = next(i for i, p in enumerate(ev_price) if not 0.0 < p < math.inf)
-        raise ValueError(f"event {i}: price {ev_price[i]} is not a positive finite number")
     investors = list(inv_idx)
     assets = sorted({asset for _, asset in pair_index})
     asset_idx = {asset: ai for ai, asset in enumerate(assets)}
@@ -102,8 +87,8 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
         pair_asset=[asset_idx[asset] for _, asset in pair_index],
         ev_pair=ev_pair,
         ev_side=txs.side,
-        ev_qty=ev_qty,
-        ev_price=ev_price,
+        ev_qty=txs.quantity,
+        ev_price=txs.price,
     )
 
 

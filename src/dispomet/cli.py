@@ -10,7 +10,7 @@ import csv
 import math
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -113,8 +113,13 @@ def _write_histogram(bins: Sequence[tuple[float, int]], stream: TextIO) -> None:
     writer.writerows((repr(edge), count) for edge, count in bins)
 
 
-def _engine_options(args: argparse.Namespace) -> metrics.EngineOptions:
-    return metrics.EngineOptions(eval_scope=args.eval_scope, context_rule=args.context_rule)
+def _run_engine(transactions: TransactionColumns, args: argparse.Namespace) -> metrics.TallyStore:
+    """run_engine with the --eval-scope and --context-rule flags as its booleans."""
+    return metrics.run_engine(
+        transactions,
+        sells_only=args.eval_scope == "sells-only",
+        include_traded=args.context_rule == "include-traded-asset",
+    )
 
 
 def _print_summary(transactions: TransactionColumns) -> None:
@@ -138,19 +143,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compute_records(
-    transactions: TransactionColumns, args: argparse.Namespace
-) -> Iterator[tuple[Framing, DeRecords]]:
-    """Each requested framing with its records, aggregated when the caller asks for it."""
-    store = metrics.run_engine(transactions, _engine_options(args))
-    framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
-    for framing in framings:
-        level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
-        # Yielded without a local name, so a framing's records are freed once
-        # the caller drops them, before the next framing is aggregated.
-        yield framing, metrics.aggregate(
-            store, level, framing, methods=args.methods, zero_policy=args.zero_denominator
-        )
+def _write_framing(store: metrics.TallyStore, framing: Framing, args: argparse.Namespace, out_dir: Path) -> int:
+    """Write one framing's records_* and hist_* files; returns its record count.
+
+    The records are freed on return, before the next framing is aggregated.
+    """
+    level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
+    records = metrics.aggregate(store, level, framing, methods=args.methods, zero_policy=args.zero_denominator)
+    for method in args.methods:
+        selected = records[records.method == RECORD_METHODS.index(method)]
+        with open(out_dir / f"records_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
+            _write_records(selected, fh)
+        bins = metrics.histogram(selected.de[selected.defined], args.bins)
+        with open(out_dir / f"hist_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
+            _write_histogram(bins, fh)
+    return len(records)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -158,17 +165,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_records = 0
-    for framing, records in _compute_records(transactions, args):
-        n_records += len(records)
-        for method in args.methods:
-            selected = records[records.method == RECORD_METHODS.index(method)]
-            with open(out_dir / f"records_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
-                _write_records(selected, fh)
-            bins = metrics.histogram(selected.de[selected.defined], args.bins)
-            with open(out_dir / f"hist_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
-                _write_histogram(bins, fh)
-        del records, selected  # written: free them before the next framing is aggregated
+    store = _run_engine(transactions, args)
+    framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
+    n_records = sum(_write_framing(store, framing, args, out_dir) for framing in framings)
     print(f"wrote {n_records} records to {out_dir}")
     return EXIT_OK
 
@@ -239,7 +238,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     registry = _load_registry(args.registry)
     framing, row_header = _COMPARE_SPECS[args.spec]
-    store = metrics.run_engine(transactions, _engine_options(args))
+    store = _run_engine(transactions, args)
     records = metrics.aggregate(store, Level.PER_ASSET, framing, zero_policy=args.zero_denominator)
     methods = args.methods
     # Each record's leverage, NaN (selected by no sample) where the registry
@@ -325,7 +324,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     print("Descriptive Summary of Investors")
     _print_summary(transactions)
     print()
-    store = metrics.run_engine(transactions, _engine_options(args))
+    store = _run_engine(transactions, args)
     records = metrics.aggregate(
         store,
         Level.INVESTOR_POOLED,

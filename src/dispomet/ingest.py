@@ -7,17 +7,15 @@ are assigned a ``seq`` index in input order and then stably sorted by
 (timestamp, seq), so same-second events keep their input ordering.
 
 The parser fills columns, not objects: it returns a TransactionColumns, a
-read-only sequence of Transactions whose ids are interned strings, sides
-+1/-1, quantities an ``array('q')``, prices an ``array('d')`` and ``seq``
-``range(n)`` when the input was already in time order.  Timestamps are an
-``array('q')`` of microseconds since 1970-01-01: the wall time in a naive
-log, the UTC instant in a timezone-aware one, which also keeps a ``tz``
-column of each row's fixed-offset zone.  The parser converts each timestamp
-once, as it reads the row, and sorts, checks order and measures spans on
-those integers.  A Transaction, and its ``datetime``, is built only when an
-element is read.  TransactionColumns.of turns a list of Transactions into
-columns too, so the engine and summarize read one layout whichever the
-source.
+read-only sequence of Transactions over typed columns, whose ``seq`` is
+``range(n)`` when the input was already in time order.  Timestamps are
+microseconds since 1970-01-01: the wall time in a naive log, the UTC instant
+in a timezone-aware one, which also keeps a ``tz`` column of each row's
+fixed-offset zone.  The parser converts each timestamp once, as it reads the
+row, and sorts, checks order and measures spans on those integers.  A
+Transaction, and its ``datetime``, is built only when an element is read.
+TransactionColumns.of builds the same columns from a list of Transactions,
+so the engine and summarize read one layout whichever the source.
 """
 from __future__ import annotations
 
@@ -31,10 +29,12 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 from statistics import median
 from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +95,8 @@ class Transaction:
 
 _SIDE_OF_SIGN = {1: Side.BUY, -1: Side.SELL}
 
+INT64_MAX = 2**63 - 1  # the largest quantity: the int64 range of exported trade logs
+
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -125,17 +127,38 @@ def _datetime(micros: int, tz: timezone | None) -> datetime:
     return (_EPOCH + (_MICROSECOND * micros + tz.utcoffset(None))).replace(tzinfo=tz)
 
 
+def first_out_of_order(timestamp: array, seq: range | array) -> int | None:
+    """Index of the first event whose (timestamp, seq) is lower than its predecessor's.
+
+    ``timestamp`` and an ``array('q')`` seq are read through numpy views.
+    An equal (timestamp, seq) pair is in order; a ``range`` seq is ordered
+    like its step, so a descending one puts every equal timestamp out of order.
+    """
+    ts = np.frombuffer(timestamp, np.int64)
+    lower = ts[1:] < ts[:-1]
+    if isinstance(seq, range):
+        if seq.step < 0:
+            lower |= ts[1:] == ts[:-1]
+    else:
+        sq = np.frombuffer(seq, np.int64)
+        lower |= (ts[1:] == ts[:-1]) & (sq[1:] < sq[:-1])
+    return int(lower.argmax()) + 1 if lower.any() else None
+
+
 class TransactionColumns(Sequence[Transaction]):
     """Read-only Transactions held as columns; a Transaction is built on access.
 
-    ``side`` holds +1 for a buy and -1 for a sell and ``timestamp`` the
-    microseconds since 1970-01-01 of the wall time (naive) or of the UTC
-    instant (aware).  ``tz`` is None for naive timestamps; for aware ones it
-    holds each row's fixed-offset zone, so a row reads back as the datetime
-    it was made from, with the same utcoffset().  The other columns hold the
-    Transaction field of the same name.  An integer index gives one
-    Transaction, a slice a TransactionColumns over the selected rows.  It
-    equals any sequence of equal Transactions, field by field, in order.
+    Whoever builds it, ``side`` is an ``array('b')`` of +1 for a buy and -1
+    for a sell, ``quantity`` an ``array('q')``, ``price`` an ``array('d')``,
+    ``seq`` a ``range`` or an ``array('q')`` and ``timestamp`` an
+    ``array('q')`` of the microseconds since 1970-01-01 of the wall time
+    (naive) or of the UTC instant (aware).  ``tz`` is None for naive
+    timestamps; for aware ones it holds each row's fixed-offset zone, so a
+    row reads back as the datetime it was made from, with the same
+    utcoffset().  Each column holds the Transaction field of its name.  An
+    integer index gives one Transaction, a slice a TransactionColumns over
+    the selected rows.  It equals any sequence of equal Transactions, field
+    by field, in order.
     """
 
     __slots__ = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq", "tz")
@@ -144,11 +167,11 @@ class TransactionColumns(Sequence[Transaction]):
         self,
         investor_id: Sequence[str],
         asset_id: Sequence[str],
-        side: Sequence[int],
-        quantity: Sequence[int],
-        price: Sequence[float],
-        timestamp: Sequence[int],
-        seq: Sequence[int],
+        side: array,
+        quantity: array,
+        price: array,
+        timestamp: array,
+        seq: range | array,
         tz: Sequence[timezone] | None = None,
     ) -> None:
         self.investor_id, self.asset_id, self.side = investor_id, asset_id, side
@@ -162,17 +185,16 @@ class TransactionColumns(Sequence[Transaction]):
     def of(cls, transactions: Sequence[Transaction]) -> "TransactionColumns":
         """``transactions`` as columns, reading each Transaction once.
 
-        A TransactionColumns is returned as it is.  Sides, prices and
-        timestamps go into arrays as the parser's do, prices through
-        float(); quantities and seq stay lists of the given ints, so encode
-        can name a quantity beyond int64.  Raises ValueError naming the
-        first event whose timestamp is naive where event 0's is aware, or
-        the other way round.
+        A TransactionColumns is returned as it is.  The columns have the
+        parser's types, prices going through float() and seq, which must fit
+        in int64, into an ``array('q')``.  Raises ValueError naming the first
+        event whose quantity lies outside int64 or whose timestamp is naive
+        where event 0's is aware, or the other way round.
         """
         if isinstance(transactions, cls):
             return transactions
         columns = investor_id, asset_id, side, quantity, price, timestamp, seq = (
-            [], [], array("b"), [], array("d"), array("q"), []
+            [], [], array("b"), array("q"), array("d"), array("q"), array("q")
         )
         tz: list[timezone] = []
         zones: dict[timezone, timezone] = {}  # one object per distinct offset
@@ -188,7 +210,11 @@ class TransactionColumns(Sequence[Transaction]):
             investor_id.append(tx.investor_id)
             asset_id.append(tx.asset_id)
             side.append(1 if tx.side is buy else -1)
-            quantity.append(tx.quantity)
+            try:
+                quantity.append(tx.quantity)
+            except OverflowError:
+                problem = "is not positive" if tx.quantity < 0 else f"exceeds the int64 maximum {INT64_MAX}"
+                raise ValueError(f"event {i}: quantity {tx.quantity} {problem}") from None
             price.append(float(tx.price))
             timestamp.append(micros)
             if aware:
@@ -268,7 +294,6 @@ def _check_header(fieldnames: Iterable[str] | None, required: tuple[str, ...]) -
 
 
 _SIDES = {"B": 1, "S": -1}
-_QUANTITY_MAX = 2**63 - 1  # the int64 range of exported trade logs; encode checks it too
 
 
 def _timestamp(text: str) -> tuple[int, timezone | None] | None:
@@ -301,8 +326,8 @@ def _parse_row(
         raise MalformedRow(line, f"quantity must be a whole number of units, got {qty_txt!r}") from None
     if quantity <= 0:
         raise MalformedRow(line, f"quantity must be positive, got {quantity}")
-    if quantity > _QUANTITY_MAX:
-        raise MalformedRow(line, f"quantity must be at most {_QUANTITY_MAX}, got {quantity}")
+    if quantity > INT64_MAX:
+        raise MalformedRow(line, f"quantity must be at most {INT64_MAX}, got {quantity}")
     try:
         price = float(price_txt)
     except ValueError:
@@ -431,7 +456,7 @@ def parse_transactions_report(
         log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
     columns = [investor_ids, asset_ids, sides, quantities, prices, timestamps]
     tz = tzs if first_aware else None
-    if any(map(operator.gt, timestamps, islice(timestamps, 1, None))):
+    if first_out_of_order(timestamps, range(len(timestamps))) is not None:
         order = sorted(range(len(timestamps)), key=timestamps.__getitem__)  # stable: seq breaks ties
         columns = [*(_take(c, order) for c in columns), array("q", order)]
         tz = None if tz is None else _take(tz, order)

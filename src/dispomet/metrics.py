@@ -20,9 +20,12 @@ other positions or the balance is exactly zero).  Narrow framing merges
 contexts before the ratio; wide framing pools tallies at the investor level
 per context; integrated framing keeps per-asset, per-context tallies.
 
-``aggregate`` returns its records as a sequence of DeRecords backed by
-columns (investor and asset indices, context and method codes, ``de`` and
-``defined``), ordered by (investor_id, asset_id, context, method) as text.
+``run_engine`` streams the events through _kernel into a TallyStore, the
+dense tally array with each pair's investor and asset and no event column.
+``aggregate`` reads its public fields and returns its records as a sequence
+of DeRecords backed by columns (investor and asset indices, context and
+method codes, ``de`` and ``defined``), ordered by (investor_id, asset_id,
+context, method) as text.
 
 The same semantics, one object at a time, are the reference in synth
 (``classify_context``, ``accrue_event``, ``compute_de``, ``oracle_replay``).
@@ -161,44 +164,29 @@ class DeRecords(Sequence[DeRecord]):
 # Streaming engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class EngineOptions:
-    eval_scope: str = "every-event"  # or "sells-only"
-    context_rule: str = "exclude-traded-asset"  # or "include-traded-asset"
-
-    def __post_init__(self) -> None:
-        if self.eval_scope not in ("every-event", "sells-only"):
-            raise ValueError(f"unknown eval scope {self.eval_scope!r}")
-        if self.context_rule not in ("exclude-traded-asset", "include-traded-asset"):
-            raise ValueError(f"unknown context rule {self.context_rule!r}")
-
-
+@dataclass(slots=True)
 class TallyStore:
     """Dense tally storage produced by the streaming engine.
 
-    Array layout: (pair, context, method*4 + component) with components
-    rg, rl, pg, pl and contexts positive, negative, neutral.
+    ``array`` has shape (pair, context, method*4 + component) with
+    components rg, rl, pg, pl and contexts positive, negative, neutral.
+    Pair p belongs to ``investors[pair_investor[p]]`` and
+    ``assets[pair_asset[p]]``; investors are numbered in order of first
+    appearance, assets in asset_id order.
     """
 
-    def __init__(self, encoded: "_kernel.EncodedStream", array) -> None:
-        self._enc = encoded
-        self.array = array
-
-    @property
-    def investors(self) -> list[str]:
-        return self._enc.investors
-
-    @property
-    def assets(self) -> list[str]:
-        return self._enc.assets
+    investors: list[str]
+    assets: list[str]
+    pair_investor: list[int]
+    pair_asset: list[int]
+    array: np.ndarray
 
     def to_dict(self) -> dict[TallyKey, Tally]:
         """Sparse view in oracle_replay's layout: only tallies with a nonzero component."""
-        enc = self._enc
         out: dict[TallyKey, Tally] = {}
         tallies = self.array.tolist()  # Python floats, as Tally's fields are
-        for pid, (ii, ai) in enumerate(zip(enc.pair_investor, enc.pair_asset)):
-            inv, asset = enc.investors[ii], enc.assets[ai]
+        for pid, (ii, ai) in enumerate(zip(self.pair_investor, self.pair_asset)):
+            inv, asset = self.investors[ii], self.assets[ai]
             for ctx, ci in _CTX_INDEX.items():
                 row = tallies[pid][ci]
                 for method, mi in _METHOD_INDEX.items():
@@ -210,20 +198,22 @@ class TallyStore:
         return out
 
 
-def run_engine(transactions: Sequence[Transaction], options: EngineOptions | None = None) -> TallyStore:
+def run_engine(
+    transactions: Sequence[Transaction], *, sells_only: bool = False, include_traded: bool = False
+) -> TallyStore:
     """Single-pass accrual over chronologically ordered transactions.
 
     A TransactionColumns is read as it is; a list of Transactions is turned
-    into one first.  The accrual kernel is sequential and deterministic.
+    into one first.  ``sells_only`` evaluates sells only (buys still move
+    positions and prices); ``include_traded`` counts the traded asset's own
+    position in the portfolio context.  The accrual kernel is sequential and
+    deterministic.  Raises ValueError for an event that _kernel.encode
+    rejects.
     """
-    opts = options or EngineOptions()
     enc = _kernel.encode(transactions)
-    tal = _kernel.stream(
-        enc,
-        sells_only=opts.eval_scope == "sells-only",
-        include_traded=opts.context_rule == "include-traded-asset",
-    )
-    return TallyStore(enc, tal)
+    tallies = _kernel.stream(enc, sells_only, include_traded)
+    # The event columns go with enc; the store keeps the per-pair ones.
+    return TallyStore(enc.investors, enc.assets, enc.pair_investor, enc.pair_asset, tallies)
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +269,21 @@ def aggregate(
         groups = tal[:, :2]
         present = (groups != 0.0).any(axis=2)
     context_codes = np.array([RECORD_CONTEXTS.index(c) for c in contexts], np.int8)
-    method_codes = np.array([_METHOD_INDEX[m] for m in methods], np.int8)
-    # (pair, context, method, component) for the requested methods.
-    groups = groups.reshape(*groups.shape[:2], 3, 4)[:, :, method_codes]
-    owner = np.asarray(store._enc.pair_investor, np.int64)
+    # (pair, context, method, component), a view for wide and integrated
+    # framing; unrequested methods are dropped from emit, not copied out.
+    groups = groups.reshape(*groups.shape[:2], 3, 4)
+    requested = np.zeros(3, bool)
+    requested[[_METHOD_INDEX[m] for m in methods]] = True
+    owner = np.asarray(store.pair_investor, np.int64)
     n_investors = len(store.investors)
     # np.add.at adds pairs one after another in pair order, the summation
     # order of the reference implementations.
     if level is Level.PER_ASSET:
         asset_ids = store.assets
         row_investor = owner
-        row_asset = np.asarray(store._enc.pair_asset, np.int64)
+        row_asset = np.asarray(store.pair_asset, np.int64)
         de, defined = _de_columns(groups, zero_policy)
-        emit = np.broadcast_to(present[:, :, None], de.shape)
+        emit = present[:, :, None] & requested
     else:
         asset_ids = [POOLED_ASSET]
         row_investor = np.arange(n_investors)
@@ -302,7 +294,7 @@ def aggregate(
             de, defined = _de_columns(pooled, zero_policy)
             pooled_present = np.zeros((n_investors, len(context_codes)), bool)
             np.logical_or.at(pooled_present, owner, present)
-            emit = np.broadcast_to(pooled_present[:, :, None], de.shape)
+            emit = pooled_present[:, :, None] & requested
         elif level is Level.INVESTOR_MEAN_OF_ASSETS:
             per_asset, per_asset_defined = _de_columns(groups, zero_policy)
             per_asset_defined &= present[:, :, None]
@@ -310,7 +302,8 @@ def aggregate(
             np.add.at(sums, owner, np.where(per_asset_defined, per_asset, 0.0))
             counts = np.zeros(sums.shape, np.int64)
             np.add.at(counts, owner, per_asset_defined)
-            emit = defined = counts > 0
+            defined = counts > 0
+            emit = defined & requested
             with np.errstate(invalid="ignore"):
                 de = sums / counts
         else:
@@ -319,7 +312,7 @@ def aggregate(
     investor = row_investor[rows]
     asset = row_asset[rows]
     context = context_codes[ctxs]
-    method = method_codes[meths]
+    method = meths.astype(np.int8)  # a method's code is its index in the tally layout
     # Sort keys are name ranks: investors are numbered in order of first
     # appearance, assets in asset_id order (so an asset index is its rank),
     # and the context and method codes are the ranks of their text.

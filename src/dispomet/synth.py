@@ -397,16 +397,13 @@ def compute_de(tally: Tally, zero_policy: str = "exclude") -> tuple[float, bool]
 
 
 def oracle_replay(
-    transactions: list[Transaction],
-    eval_scope: str = "every-event",
-    context_rule: str = "exclude-traded-asset",
+    transactions: list[Transaction], *, sells_only: bool = False, include_traded: bool = False
 ) -> dict[TallyKey, Tally]:
     """Brute-force tally computation by full prefix replay at every event.
 
-    Quadratic in the number of events; intended for small inputs only.
+    The flags mean what they mean to metrics.run_engine.  Quadratic in the
+    number of events; intended for small inputs only.
     """
-    include_traded = context_rule == "include-traded-asset"
-    sells_only = eval_scope == "sells-only"
     tallies: dict[TallyKey, Tally] = {}
     for i, tx in enumerate(transactions):
         prefix = transactions[: i + 1]

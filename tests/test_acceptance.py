@@ -87,12 +87,10 @@ def test_criterion_2_oracle_equivalence():
     # Non-default engine options agree with the oracle too.
     for seed in range(50):
         txs = random_stream(seed)
-        from dispomet.metrics import EngineOptions
-
-        for scope, rule in (("sells-only", "exclude-traded-asset"), ("every-event", "include-traded-asset")):
-            got = run_engine(txs, EngineOptions(eval_scope=scope, context_rule=rule)).to_dict()
-            want = oracle_replay(txs, eval_scope=scope, context_rule=rule)
-            assert _dicts_equal(got, want), f"seed {seed} scope={scope} rule={rule}"
+        for sells_only, include_traded in ((True, False), (False, True)):
+            got = run_engine(txs, sells_only=sells_only, include_traded=include_traded).to_dict()
+            want = oracle_replay(txs, sells_only=sells_only, include_traded=include_traded)
+            assert _dicts_equal(got, want), f"seed {seed} sells_only={sells_only} include_traded={include_traded}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
     _report("criterion 2: oracle equivalence", f"{elapsed:.1f}s")

@@ -25,7 +25,7 @@ from dispomet.ingest import (
     serialize_transactions,
     summarize,
 )
-from dispomet.metrics import EngineOptions, run_engine
+from dispomet.metrics import run_engine
 from dispomet.synth import BehaviorProfile, generate_population
 
 HEADER = "investor_id,asset_id,side,quantity,price,timestamp\n"
@@ -334,6 +334,26 @@ def test_transaction_columns_index_and_slice_like_a_list():
         empty[-1]
 
 
+def test_columns_have_one_layout_whoever_built_them():
+    txs = _population()
+    parsed, built = parse(_text(txs)), TransactionColumns.of(txs)
+    assert isinstance(parsed.seq, range) and isinstance(built.seq, array)
+    for cols in (parsed, built, parsed[::-1], built[1::2]):
+        assert [c.typecode for c in (cols.side, cols.quantity, cols.price, cols.timestamp)] == ["b", "q", "d", "q"]
+        assert isinstance(cols.seq, range) or cols.seq.typecode == "q"
+
+
+def test_reversed_rows_of_one_timestamp_are_out_of_order():
+    cols = parse(HEADER + "I1,A1,B,1,10.0,2015-01-05 09:00:00\n" * 3)
+    assert cols[::-1].seq == range(2, -1, -1)
+    with pytest.raises(ValueError) as err:
+        run_engine(cols[::-1])
+    assert str(err.value) == (
+        "event 1: (timestamp, seq) (2015-01-05 09:00:00, 1) is lower than event 0's (2015-01-05 09:00:00, 2)"
+    )
+    run_engine(cols[:1][::-1])  # one row is in order
+
+
 @pytest.mark.parametrize("shuffled", [False, True], ids=["in-time-order", "shuffled"])
 def test_engine_and_summary_read_columns_like_the_list(shuffled):
     text = _text(_population())
@@ -344,10 +364,10 @@ def test_engine_and_summary_read_columns_like_the_list(shuffled):
     cols = parse(text)
     assert isinstance(cols.seq, range) is not shuffled
     listed = list(cols)
-    for scope in ("every-event", "sells-only"):
-        for rule in ("exclude-traded-asset", "include-traded-asset"):
-            options = EngineOptions(eval_scope=scope, context_rule=rule)
-            assert run_engine(cols, options).array.tobytes() == run_engine(listed, options).array.tobytes()
+    for sells_only in (False, True):
+        for include_traded in (False, True):
+            flags = dict(sells_only=sells_only, include_traded=include_traded)
+            assert run_engine(cols, **flags).array.tobytes() == run_engine(listed, **flags).array.tobytes()
     assert summarize(cols) == summarize(listed)
 
 

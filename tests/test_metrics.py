@@ -7,7 +7,6 @@ import pytest
 from dispomet.ingest import Side, Transaction
 from dispomet.metrics import (
     Context,
-    EngineOptions,
     Framing,
     InvalidBinWidth,
     Level,
@@ -301,7 +300,7 @@ def test_sells_only_scope_skips_buy_events():
         tx("I1", "B", Side.BUY, 1, 5.0, 2, 2),  # I1 evaluation: A shows a paper gain
     ]
     every = run_engine(txs)
-    sells = run_engine(txs, EngineOptions(eval_scope="sells-only"))
+    sells = run_engine(txs, sells_only=True)
     assert every.to_dict()[("I1", "A", Context.POSITIVE, Method.COUNT)].pg == 1.0
     assert sells.to_dict() == {}
 
@@ -413,8 +412,20 @@ def test_encode_rejects_quantity_beyond_int64():
         tx("I1", "A", Side.BUY, 2**63 - 1, 10.0, 0, 0),
         tx("I1", "A", Side.SELL, 2**63, 11.0, 1, 1),
     ]
-    with pytest.raises(ValueError, match="event 1: quantity 9223372036854775808"):
+    with pytest.raises(ValueError) as err:
         run_engine(txs)
+    assert str(err.value) == "event 1: quantity 9223372036854775808 exceeds the int64 maximum 9223372036854775807"
+
+
+@pytest.mark.parametrize("quantity", [-2, 0, -(2**63) - 1])
+@pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+def test_engine_rejects_quantity_that_is_not_positive(side, quantity):
+    # A BUY of -2 ended in a ZeroDivisionError from the reference price
+    # update, and a SELL of 0 in tallies unlike oracle_replay's.
+    txs = [tx("I1", "A", Side.BUY, 2, 10.0, 0, 0), tx("I1", "A", side, quantity, 11.0, 1, 1)]
+    with pytest.raises(ValueError) as err:
+        run_engine(txs)
+    assert str(err.value) == f"event 1: quantity {quantity} is not positive"
 
 
 def _open_slot_stream():
@@ -460,8 +471,9 @@ def _open_slot_stream():
 @pytest.mark.parametrize("rule", ["exclude-traded-asset", "include-traded-asset"])
 def test_open_slot_bookkeeping_matches_oracle(scope, rule):
     txs = _open_slot_stream()
-    got = run_engine(txs, EngineOptions(eval_scope=scope, context_rule=rule)).to_dict()
-    assert got == oracle_replay(txs, eval_scope=scope, context_rule=rule)
+    flags = dict(sells_only=scope == "sells-only", include_traded=rule == "include-traded-asset")
+    got = run_engine(txs, **flags).to_dict()
+    assert got == oracle_replay(txs, **flags)
     assert {Context.POSITIVE, Context.NEGATIVE} <= {ctx for _, _, ctx, _ in got}
 
 
@@ -505,6 +517,6 @@ def test_encode_rejects_price_that_is_not_positive_and_finite(price):
         tx("I1", "Z", Side.BUY, 1, price, 30, 30),
         tx("I1", "A", Side.SELL, 1, 10.0, 31, 31),
     ]
-    for scope in ("every-event", "sells-only"):
+    for sells_only in (False, True):
         with pytest.raises(ValueError, match=f"event 4: price {price} is not a positive finite number"):
-            run_engine(txs, EngineOptions(eval_scope=scope))
+            run_engine(txs, sells_only=sells_only)
