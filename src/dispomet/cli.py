@@ -9,7 +9,9 @@ import argparse
 import csv
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -77,34 +79,51 @@ def _load_registry(path: str) -> dict[str, Instrument]:
         return ingest.parse_instruments(fh)
 
 
-# Record fields per context and method code; merged contexts read "all".
-_CONTEXT_TEXT = ["all" if c is None else c.value for c in RECORD_CONTEXTS]
-_METHOD_TEXT = [m.value for m in RECORD_METHODS]
+# The context and method fields of a record, each followed by its
+# delimiter, at index context * len(RECORD_METHODS) + method; merged
+# contexts read "all".
+_LABEL_TEXT = np.array(
+    [f"{'all' if c is None else c.value},{m.value}," for c in RECORD_CONTEXTS for m in RECORD_METHODS], object
+)
+
+#: Rows per writelines call of _write_records, so no file's whole text is held at once.
+_WRITE_CHUNK = 4096
 
 
-def _de_text(value: float) -> str:
-    """The ``de`` field: the text of repr(np.float64(value)), equal for every double.
+def _field_texts(values: Sequence[str]) -> np.ndarray:
+    """Each value as csv.writer writes it in a row, followed by the delimiter.
 
-    No CSV reader parses this as a number.  The fix, repr(value), changes
-    the bytes of every records file, so it waits for a change that also
-    re-records the known-answer hashes in perfbench/expected.json.
+    Every value is its own row, so one holding a delimiter, a quote or a
+    newline is quoted exactly as in a whole records row.  The empty second
+    field keeps csv.writer from quoting a lone empty value.
     """
-    return f"np.float64({value!r})"
+    rows: list[str] = []
+    csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n").writerows(zip(values, repeat("")))
+    return np.array([row[:-1] for row in rows], object)
 
 
 def _write_records(records: DeRecords, stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("investor_id", "asset_id", "context", "method", "de", "defined"))
-    writer.writerows(
-        zip(
-            map(records.investor_ids.__getitem__, records.investor.tolist()),
-            map(records.asset_ids.__getitem__, records.asset.tolist()),
-            map(_CONTEXT_TEXT.__getitem__, records.context.tolist()),
-            map(_METHOD_TEXT.__getitem__, records.method.tolist()),
-            ["" if math.isnan(x) else _de_text(x) for x in records.de.tolist()],
-            ["true" if ok else "false" for ok in records.defined.tolist()],
+    """Write records as CSV rows, _WRITE_CHUNK rows per writelines call.
+
+    The text of each investor and asset id is made once per call, and a row
+    is the str sum of object-array lookups.  This is the one place ``de`` is
+    formatted: as repr(np.float64(de)), which no CSV reader parses as a
+    number; writing repr(de) instead changes the bytes of every records
+    file, so it waits for a change that also re-records the known-answer
+    hashes in perfbench/expected.json.  A record is undefined exactly where
+    its ``de`` is NaN, and then the field is empty.
+    """
+    stream.write("investor_id,asset_id,context,method,de,defined\n")
+    investor_text = _field_texts(records.investor_ids)
+    asset_text = _field_texts(records.asset_ids)
+    label = records.context * len(RECORD_METHODS) + records.method
+    for start in range(0, len(records), _WRITE_CHUNK):
+        part = slice(start, start + _WRITE_CHUNK)
+        de_text = np.array(  # x != x: NaN, an undefined record
+            [",false\n" if x != x else f"np.float64({x!r}),true\n" for x in records.de[part].tolist()], object
         )
-    )
+        rows = investor_text[records.investor[part]] + asset_text[records.asset[part]] + _LABEL_TEXT[label[part]]
+        stream.writelines((rows + de_text).tolist())
 
 
 def _write_histogram(bins: Sequence[tuple[float, int]], stream: TextIO) -> None:
@@ -166,6 +185,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store = _run_engine(transactions, args)
+    del transactions  # the columns are not needed to write, so the writes reuse their memory
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     n_records = sum(_write_framing(store, framing, args, out_dir) for framing in framings)
     print(f"wrote {n_records} records to {out_dir}")

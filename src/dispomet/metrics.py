@@ -120,9 +120,10 @@ class DeRecords(Sequence[DeRecord]):
 
     ``investor`` and ``asset`` index ``investor_ids`` and ``asset_ids``,
     ``context`` and ``method`` are codes into RECORD_CONTEXTS and
-    RECORD_METHODS, and ``de`` is NaN where ``defined`` is false under the
-    "exclude" policy.  An integer index gives one DeRecord; a slice or an
-    index or boolean array gives the selected records as DeRecords.
+    RECORD_METHODS, and ``de`` is NaN exactly where ``defined`` is false,
+    under either zero-denominator policy.  An integer index gives one
+    DeRecord; a slice or an index or boolean array gives the selected
+    records as DeRecords.
     """
 
     __slots__ = ("investor_ids", "asset_ids", "investor", "asset", "context", "method", "de", "defined")
@@ -262,12 +263,13 @@ def aggregate(
     tal = store.array
     if framing is Framing.NARROW:
         contexts: tuple[Context | None, ...] = (None,)
-        groups = (tal[:, 0] + tal[:, 1] + tal[:, 2])[:, None]
-        present = (tal != 0.0).any(axis=(1, 2))[:, None]
+        # Adds the contexts in order, as the reference does.  Tallies are
+        # non-negative, so a zero sum means all three contexts are zero.
+        groups = tal.sum(axis=1, keepdims=True)
     else:
         contexts = (Context.POSITIVE, Context.NEGATIVE)  # tally contexts 0 and 1
         groups = tal[:, :2]
-        present = (groups != 0.0).any(axis=2)
+    present = (groups != 0.0).any(axis=2)
     context_codes = np.array([RECORD_CONTEXTS.index(c) for c in contexts], np.int8)
     # (pair, context, method, component), a view for wide and integrated
     # framing; unrequested methods are dropped from emit, not copied out.
@@ -308,6 +310,7 @@ def aggregate(
                 de = sums / counts
         else:
             raise ValueError(f"unknown aggregation level {level!r}")
+    del groups  # a narrow context sum is a third the size of the tallies
     rows, ctxs, meths = np.nonzero(emit)
     investor = row_investor[rows]
     asset = row_asset[rows]

@@ -1,10 +1,14 @@
 """The CLI's column writers against per-record references.
 
-``compute`` writes records and histograms straight from the record columns.
-The references below are the per-DeRecord writer and the Python histogram
-loop those writers replaced; the output bytes must not change.
+``compute`` writes records and histograms straight from the record columns:
+a records row is joined from each id's field text, made once by csv.writer,
+and the rows go out in chunks of ``cli._WRITE_CHUNK``.  The references below
+are the per-DeRecord csv.writer loop and the Python histogram loop those
+writers replaced; the output bytes must not change, whatever the ids hold,
+the level or the chunk size.
 """
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -12,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from dispomet import ingest
+from dispomet import cli, ingest
 from dispomet.cli import EXIT_OK, main
 from dispomet.metrics import Framing, Level, Method, aggregate, histogram, run_engine
 from dispomet.synth import random_stream
@@ -118,3 +122,69 @@ def test_histogram_counts_match_loop_on_and_next_to_edges(width):
     assert [count for _, count in got] == [
         count + 2 * (i == 0) + 2 * (i == n_bins - 1) for i, (_, count) in enumerate(want)
     ]
+
+
+def _assert_records_match_reference(path, out, level):
+    """compute --framing all at ``level``; every records file equals the reference writer's."""
+    argv = ["compute", "--transactions", str(path), "--out", str(out), "--framing", "all", "--level", level.value]
+    assert main(argv) == EXIT_OK
+    with open(path, encoding="utf-8", newline="") as fh:
+        store = run_engine(ingest.parse_transactions(fh))
+    files = {}
+    for framing in Framing:
+        records = aggregate(store, level, framing)
+        for method in Method:
+            name = f"records_{framing.value}_{method.value}.csv"
+            files[name] = (out / name).read_bytes()
+            want = _reference_records_csv([r for r in records if r.method is method]).encode()
+            assert files[name] == want, (level, name)
+    return files
+
+
+def test_methods_whose_row_sets_differ_match_reference(tmp_path):
+    # i1's Value gain tallies overflow to inf, so its per-asset Value DE is
+    # undefined and its mean-of-assets Value record is dropped, while its
+    # Count and Total records are kept: the methods' files hold different
+    # investors.
+    rows = [
+        "i1,a,B,2,1e-300", "i1,a,S,1,1e300", "i1,a,S,1,1e-301",
+        "i2,a,B,2,1.0", "i2,a,S,1,2.0", "i2,a,S,1,0.5",
+    ]
+    path = tmp_path / "transactions.csv"
+    path.write_text(
+        "investor_id,asset_id,side,quantity,price,timestamp\n"
+        + "".join(f"{row},2024-01-02 10:00:{second:02d}\n" for second, row in enumerate(rows)),
+        encoding="utf-8",
+    )
+    files = _assert_records_match_reference(path, tmp_path / "out", Level.INVESTOR_MEAN_OF_ASSETS)
+    investors = {name: {line.split(b",")[0] for line in text.splitlines()[1:]} for name, text in files.items()}
+    assert investors["records_narrow_count.csv"] == {b"i1", b"i2"}
+    assert investors["records_narrow_value.csv"] == {b"i2"}
+
+
+QUOTED_INVESTORS = tuple(
+    f"{name} {k}" for k in (1, 2) for name in ("inv,", 'say "hi"', "line\nbreak", "cr\r\nlf", "two  inner", "Zoë 投資家")
+)
+QUOTED_ASSETS = ("A,1", 'B"x"', "C\nD", "E\r\nF", "G H", "ÄÖ-ETF")
+
+
+@pytest.mark.parametrize("level", list(Level))
+def test_ids_that_need_quoting_survive_every_level_and_chunk_size(tmp_path, monkeypatch, level):
+    investors = {f"I{i:03d}": name for i, name in enumerate(QUOTED_INVESTORS)}
+    assets = {f"A{a:03d}": name for a, name in enumerate(QUOTED_ASSETS)}
+    stream = [
+        dataclasses.replace(tx, investor_id=investors[tx.investor_id], asset_id=assets[tx.asset_id])
+        for tx in random_stream(23, max_investors=12, max_assets=6, max_events=200)
+    ]
+    assert {tx.investor_id for tx in stream} == set(QUOTED_INVESTORS)
+    assert {tx.asset_id for tx in stream} == set(QUOTED_ASSETS)
+    path = tmp_path / "transactions.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        ingest.serialize_transactions(stream, fh)
+    assert b'"line\nbreak 1"' in path.read_bytes() and b'"cr\r\nlf 2"' in path.read_bytes()
+    files = _assert_records_match_reference(path, tmp_path / "out", level)
+    # Some file holds more rows than one chunk of 7.
+    assert max(len(list(csv.reader(io.StringIO(t.decode(), newline="")))) - 1 for t in files.values()) > 7
+    for chunk in (1, 7):
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+        assert _assert_records_match_reference(path, tmp_path / f"out{chunk}", level) == files
