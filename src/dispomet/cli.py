@@ -9,7 +9,7 @@ import argparse
 import csv
 import math
 import sys
-from itertools import repeat
+from itertools import combinations, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence, TextIO
@@ -202,15 +202,10 @@ def _lev_label(leverage: float) -> str:
 
 
 def _volatility_sections(leverages):
-    pairs = [
-        (leverages[i], leverages[j])
-        for i in range(len(leverages))
-        for j in range(i + 1, len(leverages))
-    ]
     sections = []
     for title, context in (("Negative Portfolio", Context.NEGATIVE), ("Positive Portfolio", Context.POSITIVE)):
         rows = []
-        for lev_a, lev_b in pairs:
+        for lev_a, lev_b in combinations(leverages, 2):  # each pair once, in list order
             sample_a = (lev_a, context, f"{_lev_label(lev_a)} in {title}")
             sample_b = (lev_b, context, f"{_lev_label(lev_b)} in {title}")
             rows.append((f"{_lev_label(lev_a)} = {_lev_label(lev_b)}", (sample_a, sample_b)))

@@ -15,7 +15,8 @@ fixed-offset zone.  The parser converts each timestamp once, as it reads the
 row, and sorts, checks order and measures spans on those integers.  A
 Transaction, and its ``datetime``, is built only when an element is read.
 TransactionColumns.of builds the same columns from a list of Transactions,
-so the engine and summarize read one layout whichever the source.
+so the engine, summarize and serialize_transactions read one layout
+whichever the source; the synth generators build it directly.
 """
 from __future__ import annotations
 
@@ -94,6 +95,7 @@ class Transaction:
 
 
 _SIDE_OF_SIGN = {1: Side.BUY, -1: Side.SELL}
+_SIDE_TEXT = {sign: side.value for sign, side in _SIDE_OF_SIGN.items()}
 
 INT64_MAX = 2**63 - 1  # the largest quantity: the int64 range of exported trade logs
 
@@ -465,15 +467,28 @@ def parse_transactions_report(
     return TransactionColumns(*columns, tz=tz), rejects
 
 
+def _timestamp_texts(timestamp: array, tz: Sequence[timezone] | None) -> Iterator[str]:
+    """Each row's timestamp as isoformat text, formatted once per run of equal values."""
+    last = text = None
+    for key in zip(timestamp, repeat(None) if tz is None else tz):
+        if key != last:
+            last = key
+            text = _datetime(*key).isoformat(sep=" ")
+        yield text
+
+
 def serialize_transactions(transactions: Iterable[Transaction], stream: TextIO) -> None:
-    """Write transactions in the same delimited format parse_transactions reads."""
+    """Write transactions in the same delimited format parse_transactions reads.
+
+    The rows are written from the columns of TransactionColumns.of, which
+    raises its ValueError for a list it cannot turn into columns.
+    """
+    txs = TransactionColumns.of(transactions)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(TRANSACTION_COLUMNS)
-    for tx in transactions:
-        writer.writerow(
-            (tx.investor_id, tx.asset_id, tx.side.value, tx.quantity,
-             repr(tx.price), tx.timestamp.isoformat(sep=" "))
-        )
+    sides = map(_SIDE_TEXT.__getitem__, txs.side)
+    texts = _timestamp_texts(txs.timestamp, txs.tz)
+    writer.writerows(zip(txs.investor_id, txs.asset_id, sides, txs.quantity, map(repr, txs.price), texts))
 
 
 def parse_instruments(stream: TextIO) -> dict[str, Instrument]:

@@ -224,9 +224,10 @@ def run_engine(
 def _de_columns(tallies: np.ndarray, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
     """synth.compute_de over the last axis of ``tallies`` (rg, rl, pg, pl)."""
     rg, rl, pg, pl = np.moveaxis(tallies, -1, 0)
-    gd = rg + pg
-    ld = rl + pl
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A sum past the double range is inf, and the record undefined.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gd = rg + pg
+        ld = rl + pl
         g = rg / gd
         l = rl / ld
     if zero_policy == "exclude":
@@ -264,8 +265,10 @@ def aggregate(
     if framing is Framing.NARROW:
         contexts: tuple[Context | None, ...] = (None,)
         # Adds the contexts in order, as the reference does.  Tallies are
-        # non-negative, so a zero sum means all three contexts are zero.
-        groups = tal.sum(axis=1, keepdims=True)
+        # non-negative, so a zero sum means all three contexts are zero; a
+        # sum past the double range is inf, which _de_columns makes undefined.
+        with np.errstate(over="ignore"):
+            groups = tal.sum(axis=1, keepdims=True)
     else:
         contexts = (Context.POSITIVE, Context.NEGATIVE)  # tally contexts 0 and 1
         groups = tal[:, :2]
@@ -292,7 +295,8 @@ def aggregate(
         row_asset = np.zeros(n_investors, np.int64)
         if level is Level.INVESTOR_POOLED:
             pooled = np.zeros((n_investors, *groups.shape[1:]))
-            np.add.at(pooled, owner, groups)
+            with np.errstate(over="ignore"):  # an inf sum is undefined, as above
+                np.add.at(pooled, owner, groups)
             de, defined = _de_columns(pooled, zero_policy)
             pooled_present = np.zeros((n_investors, len(context_codes)), bool)
             np.logical_or.at(pooled_present, owner, present)

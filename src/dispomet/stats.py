@@ -9,6 +9,7 @@ significance stars *** p<0.01, ** p<0.05, * p<0.1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
@@ -123,12 +124,7 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> TestResult:
     else:
         n = n1 + n2
         # Tie correction on the rank variance.
-        tie_sum = 0
-        seen: dict[float, int] = {}
-        for v in combined:
-            seen[v] = seen.get(v, 0) + 1
-        for t in seen.values():
-            tie_sum += t**3 - t
+        tie_sum = sum(t**3 - t for t in Counter(combined).values())
         var = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
         if var <= 0.0:
             p = 1.0
@@ -178,26 +174,20 @@ def render_table(
     for row in cells:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
+
+    def aligned(row: list[str]) -> str:
+        """The label left-aligned and the cells right-aligned in their columns."""
+        return "  ".join(c.ljust(widths[0]) if k == 0 else c.rjust(widths[k]) for k, c in enumerate(row))
+
     lines: list[str] = []
     i = 0
     for title, rows in sections:
         if title:
             lines.append(title)
-        lines.append(
-            "  ".join(
-                h.ljust(widths[0]) if k == 0 else h.rjust(widths[k])
-                for k, h in enumerate(header)
-            )
-        )
-        for label, _ in rows:
-            row = cells[i]
+        lines.append(aligned(header))
+        for _ in rows:
+            lines.append(aligned(cells[i]))
             i += 1
-            lines.append(
-                "  ".join(
-                    c.ljust(widths[0]) if k == 0 else c.rjust(widths[k])
-                    for k, c in enumerate(row)
-                )
-            )
         lines.append("")
     lines.append(STAR_LEGEND)
     return "\n".join(lines)

@@ -7,7 +7,9 @@ position and then, at each subsequent step, sells winners with probability
 p_realize_gain and losers with p_realize_loss, occasionally adding new
 positions.  All randomness comes from PCG64 streams keyed explicitly by
 (seed, investor index), so generation is reproducible across runs,
-platforms, and parallel schedules.
+platforms, and parallel schedules.  Both generators return a
+TransactionColumns, the parser's layout: each event is appended straight
+into its typed columns, and a Transaction is built only when one is read.
 
 The second half of the module is the reference semantics that the
 streaming engine (metrics.run_engine) must reproduce bit for bit, written
@@ -20,18 +22,20 @@ that single event.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from enum import Enum
 from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
 
-from .ingest import Instrument, Side, Transaction
+from .ingest import Instrument, Side, Transaction, TransactionColumns, _instant, _take
 from .metrics import Context, Method, Tally, TallyKey
 
 _MARKET_STREAM = 0xFFFFFFFF  # per-investor streams use the investor index
-_BASE_TIME = datetime(2015, 1, 5, 9, 0, 0)
+_BASE_MICROS = _instant(datetime(2015, 1, 5, 9, 0, 0))[0]  # microseconds, the timestamp column's unit
+_MINUTE = 60 * 10**6
 
 
 class InvalidProfile(Exception):
@@ -96,43 +100,42 @@ def _price_grid(profile: BehaviorProfile) -> np.ndarray:
 
 def generate_population(
     n_investors: int, profile: BehaviorProfile
-) -> tuple[list[Transaction], dict[str, Instrument]]:
-    """Deterministic synthetic transaction list plus its instrument registry."""
+) -> tuple[TransactionColumns, dict[str, Instrument]]:
+    """Deterministic synthetic log, stably sorted by timestamp, plus its instrument registry."""
     profile.validate()
     if n_investors < 1:
         raise InvalidProfile("n_investors must be >= 1")
     registry = _instrument_universe(profile)
     asset_ids = list(registry)
-    grid = _price_grid(profile)
-    step_times = [_BASE_TIME + timedelta(minutes=t) for t in range(profile.horizon_events)]
-    raw: list[Transaction] = []
+    prices = _price_grid(profile).tolist()  # the floats float(grid[t, k]) gives
+    step_micros = [_BASE_MICROS + t * _MINUTE for t in range(profile.horizon_events)]
+    columns = investor_id, asset_id, side, quantity, price, timestamp = (
+        [], [], array("b"), array("q"), array("d"), array("q")
+    )
     for i in range(n_investors):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([profile.seed, i])))
         menu_size = min(profile.n_assets, profile.max_assets_per_investor)
         menu = sorted(rng.choice(profile.n_assets, size=menu_size, replace=False).tolist())
-        offset = timedelta(seconds=int(rng.integers(0, 50)))
+        investor = f"I{i:05d}"
+        offset = int(rng.integers(0, 50)) * 10**6  # whole seconds
         positions: dict[int, list[float]] = {}  # asset index -> [qty, vwap ref]
 
-        def emit(t: int, k: int, side: Side, qty: int) -> None:
-            raw.append(
-                Transaction(
-                    investor_id=f"I{i:05d}",
-                    asset_id=asset_ids[k],
-                    side=side,
-                    quantity=qty,
-                    price=float(grid[t, k]),
-                    timestamp=step_times[t] + offset,
-                )
-            )
+        def emit(t: int, k: int, sign: int, qty: int) -> None:  # sign: +1 buy, -1 sell
+            investor_id.append(investor)
+            asset_id.append(asset_ids[k])
+            side.append(sign)
+            quantity.append(qty)
+            price.append(prices[t][k])
+            timestamp.append(step_micros[t] + offset)
 
         def buy(t: int, k: int, qty: int) -> None:
-            emit(t, k, Side.BUY, qty)
-            price = float(grid[t, k])
+            emit(t, k, 1, qty)
+            p = prices[t][k]
             pos = positions.get(k)
             if pos is None:
-                positions[k] = [float(qty), price]
+                positions[k] = [float(qty), p]
             else:
-                pos[1] = (pos[0] * pos[1] + qty * price) / (pos[0] + qty)
+                pos[1] = (pos[0] * pos[1] + qty * p) / (pos[0] + qty)
                 pos[0] += qty
 
         first = menu[int(rng.integers(len(menu)))]
@@ -140,22 +143,16 @@ def generate_population(
         for t in range(1, profile.horizon_events):
             for k in sorted(positions):
                 qty, ref = positions[k]
-                price = float(grid[t, k])
+                p = prices[t][k]
                 roll = rng.random()
-                if price > ref and roll < profile.p_realize_gain:
-                    emit(t, k, Side.SELL, int(qty))
-                    del positions[k]
-                elif price < ref and roll < profile.p_realize_loss:
-                    emit(t, k, Side.SELL, int(qty))
+                if (p > ref and roll < profile.p_realize_gain) or (p < ref and roll < profile.p_realize_loss):
+                    emit(t, k, -1, int(qty))
                     del positions[k]
             if rng.random() < profile.p_new_position:
                 k = menu[int(rng.integers(len(menu)))]
                 buy(t, k, int(rng.integers(1, profile.max_quantity + 1)))
-    raw.sort(key=lambda tx: tx.timestamp)  # stable: generation order breaks ties
-    return [
-        Transaction(tx.investor_id, tx.asset_id, tx.side, tx.quantity, tx.price, tx.timestamp, seq)
-        for seq, tx in enumerate(raw)
-    ], registry
+    order = np.argsort(np.frombuffer(timestamp, np.int64), kind="stable").tolist()
+    return TransactionColumns(*(_take(c, order) for c in columns), range(len(order))), registry
 
 
 def random_stream(
@@ -163,33 +160,30 @@ def random_stream(
     max_investors: int = 3,
     max_assets: int = 4,
     max_events: int = 50,
-) -> list[Transaction]:
+) -> TransactionColumns:
     """Unstructured random stream for oracle-equivalence checks.
 
     Sides, quantities, and investors are uniform; each asset's price follows
-    an independent positive multiplicative walk.
+    an independent positive multiplicative walk; one event a minute.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x5EED])))
     n_inv = int(rng.integers(1, max_investors + 1))
     n_assets = int(rng.integers(1, max_assets + 1))
     n_events = int(rng.integers(1, max_events + 1))
     prices = rng.uniform(20.0, 80.0, size=n_assets)
-    txs: list[Transaction] = []
+    investor_id, asset_id, side, quantity, price, timestamp = (
+        [], [], array("b"), array("q"), array("d"), array("q")
+    )
     for e in range(n_events):
         a = int(rng.integers(n_assets))
         prices[a] *= 1.0 + float(rng.uniform(-0.05, 0.05))
-        txs.append(
-            Transaction(
-                investor_id=f"I{int(rng.integers(n_inv)):03d}",
-                asset_id=f"A{a:03d}",
-                side=Side.BUY if rng.random() < 0.5 else Side.SELL,
-                quantity=int(rng.integers(1, 21)),
-                price=round(float(prices[a]), 4),
-                timestamp=_BASE_TIME + timedelta(minutes=e),
-                seq=e,
-            )
-        )
-    return txs
+        investor_id.append(f"I{int(rng.integers(n_inv)):03d}")
+        asset_id.append(f"A{a:03d}")
+        side.append(1 if rng.random() < 0.5 else -1)
+        quantity.append(int(rng.integers(1, 21)))
+        price.append(round(float(prices[a]), 4))
+        timestamp.append(_BASE_MICROS + e * _MINUTE)
+    return TransactionColumns(investor_id, asset_id, side, quantity, price, timestamp, range(n_events))
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +391,15 @@ def compute_de(tally: Tally, zero_policy: str = "exclude") -> tuple[float, bool]
 
 
 def oracle_replay(
-    transactions: list[Transaction], *, sells_only: bool = False, include_traded: bool = False
+    transactions: Sequence[Transaction], *, sells_only: bool = False, include_traded: bool = False
 ) -> dict[TallyKey, Tally]:
     """Brute-force tally computation by full prefix replay at every event.
 
-    The flags mean what they mean to metrics.run_engine.  Quadratic in the
-    number of events; intended for small inputs only.
+    The flags mean what they mean to metrics.run_engine.  The input is read
+    into a list of Transactions once, at the top.  Quadratic in the number
+    of events; intended for small inputs only.
     """
+    transactions = list(transactions)
     tallies: dict[TallyKey, Tally] = {}
     for i, tx in enumerate(transactions):
         prefix = transactions[: i + 1]

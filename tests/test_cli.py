@@ -129,6 +129,10 @@ def test_synth_then_compute_and_compare(tmp_path, capsys):
 
 
 def test_log_commands_build_no_transaction(tmp_path, monkeypatch):
+    def no_transaction(self, *args, **kwargs):
+        raise AssertionError("a Transaction was built")
+
+    monkeypatch.setattr(Transaction, "__init__", no_transaction)
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--investors", "100", "--seed", "42",
                  "--pg", "0.6", "--pl", "0.3", "--assets", "8", "--horizon", "40"]) == EXIT_OK
@@ -136,11 +140,6 @@ def test_log_commands_build_no_transaction(tmp_path, monkeypatch):
     header, *rows = (data / "transactions.csv").read_text().splitlines(keepends=True)
     shuffled = tmp_path / "shuffled.csv"  # out of time order, with one bad row
     shuffled.write_text(header + "".join(rows[::-1]) + "I1,A,X,1,1,2015-01-05 09:00:00\n")
-
-    def no_transaction(self, *args, **kwargs):
-        raise AssertionError("a Transaction was built")
-
-    monkeypatch.setattr(Transaction, "__init__", no_transaction)
     for log in (tx, str(shuffled)):
         assert main(["validate", "--transactions", log, "--registry", reg, "--lenient"]) == EXIT_OK
         assert main(["report", "--transactions", log, "--lenient"]) == EXIT_OK
@@ -182,6 +181,22 @@ def test_report_prints_summary_and_histogram(clean_file, capsys):
     out = capsys.readouterr().out
     assert "Descriptive Summary of Investors" in out
     assert "Histogram" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_tallies_whose_sums_overflow_print_nothing_to_stderr(tmp_path, capsys):
+    # Finite tallies whose narrow, pooled and rg + pg sums pass the double
+    # range; numpy warned about each sum on stderr.
+    rows = ("i2,b,S,3,1.0", "i2,b,B,2,1.5e308", "i2,a,S,1,1e-300", "i1,a,S,3,2.0",
+            "i1,b,B,2,1.5e308", "i1,b,S,2,2.0", "i2,a,B,3,2.0")
+    path = tmp_path / "transactions.csv"
+    path.write_text(HEADER + "".join(f"{row},2015-01-05 09:00:{s:02d}\n" for s, row in enumerate(rows)))
+    for level in ("per-asset", "investor-pooled", "investor-mean-of-assets"):
+        assert main(["compute", "--transactions", str(path), "--out", str(tmp_path / level),
+                     "--framing", "all", "--level", level]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+    assert main(["report", "--transactions", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_validate_accepts_byte_order_mark(tmp_path, capsys):

@@ -270,8 +270,9 @@ def test_summary_table_rows():
 
 
 def _population(n_investors=12):
+    """A generated log as a list of Transactions, so TransactionColumns.of takes its list path."""
     txs, _ = generate_population(n_investors, BehaviorProfile(0.6, 0.3, n_assets=6, horizon_events=30, seed=5))
-    return txs
+    return list(txs)
 
 
 def _text(txs):
@@ -446,6 +447,16 @@ def test_timestamps_read_back_as_fromisoformat_gives_them(times):
             for tx in read:
                 assert _exactly(tx.timestamp) == _exactly(datetime.fromisoformat(times[tx.seq]))
                 assert tx.timestamp == datetime.fromisoformat(times[tx.seq])
+
+
+@pytest.mark.parametrize("times", [NAIVE_TIMES, AWARE_TIMES], ids=["naive", "aware"])
+def test_serialize_writes_each_timestamp_with_its_own_offset(times):
+    # Equal instants in different zones sort next to each other, and a run
+    # of equal timestamps is formatted once: each row keeps its own text.
+    parsed = parse(_rows(times))
+    want = [datetime.fromisoformat(times[s]).isoformat(sep=" ") for s in parsed.seq]
+    for txs in (parsed, list(parsed)):
+        assert [line.rsplit(",", 1)[1] for line in _text(txs).splitlines()[1:]] == want
 
 
 @pytest.mark.parametrize(

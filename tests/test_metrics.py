@@ -370,6 +370,20 @@ def _assert_matches_naive(store):
                         assert r.de == w[4] if r.defined else math.isnan(r.de), (where, r, w)
 
 
+#: A log whose tallies are finite but whose sums pass the double range: the
+#: narrow context sum, the investor-pooled sum and rg + pg or rl + pl.  One
+#: row a second, as (investor, asset, side, quantity, price).
+SUMS_OVERFLOW = (
+    ("i2", "b", Side.SELL, 3, 1.0),
+    ("i2", "b", Side.BUY, 2, 1.5e308),
+    ("i2", "a", Side.SELL, 1, 1e-300),
+    ("i1", "a", Side.SELL, 3, 2.0),
+    ("i1", "b", Side.BUY, 2, 1.5e308),
+    ("i1", "b", Side.SELL, 2, 2.0),
+    ("i2", "a", Side.BUY, 3, 2.0),
+)
+
+
 def test_de_that_is_not_finite_is_undefined():
     # Each sale of A1 realizes a gain return of 1e300/1e-300, which overflows
     # to inf, and so does the paper gain of the unit still held: the pooled
@@ -382,17 +396,23 @@ def test_de_that_is_not_finite_is_undefined():
         tx("I1", "A1", Side.SELL, 1, 1e300, 4, 4),
         tx("I1", "A2", Side.SELL, 1, 4.0, 5, 5),
     ]
-    store = run_engine(txs)
-    _assert_matches_naive(store)
+    sums_overflow = [
+        Transaction(*row, datetime(2015, 1, 5, 9, 0, second), second) for second, row in enumerate(SUMS_OVERFLOW)
+    ]
+    overflowed = run_engine(txs)
     for zero_policy in ("exclude", "zero"):
         assert compute_de(Tally(math.inf, 1.0, math.inf, 1.0), zero_policy)[1] is False
-        pooled = aggregate(store, Level.INVESTOR_POOLED, Framing.WIDE, methods=[Method.VALUE], zero_policy=zero_policy)
+        pooled = aggregate(overflowed, Level.INVESTOR_POOLED, Framing.WIDE, methods=[Method.VALUE], zero_policy=zero_policy)
         (negative,) = [r for r in pooled if r.context is Context.NEGATIVE]
         assert not negative.defined and math.isnan(negative.de)
-        for framing in Framing:
-            for level in Level:
-                records = aggregate(store, level, framing, zero_policy=zero_policy)
-                assert np.isfinite(records.de[records.defined]).all(), (framing, level, zero_policy)
+    # An overflowing sum would warn, which this suite turns into an error.
+    for store in (overflowed, run_engine(sums_overflow)):
+        _assert_matches_naive(store)
+        for zero_policy in ("exclude", "zero"):
+            for framing in Framing:
+                for level in Level:
+                    records = aggregate(store, level, framing, zero_policy=zero_policy)
+                    assert np.isfinite(records.de[records.defined]).all(), (framing, level, zero_policy)
 
 
 def test_aggregate_matches_naive_reference_on_random_streams():

@@ -1,8 +1,9 @@
+import hashlib
 import io
 
 import pytest
 
-from dispomet.ingest import parse_transactions, serialize_transactions
+from dispomet.ingest import TransactionColumns, parse_transactions, serialize_transactions
 from dispomet.metrics import Context, Method, run_engine
 from dispomet.synth import (
     BehaviorProfile,
@@ -94,3 +95,54 @@ def test_oracle_matches_engine_on_random_stream():
 
 def test_random_stream_deterministic():
     assert random_stream(7) == random_stream(7)
+
+
+# sha256 of each generated log as serialize_transactions writes it, recorded
+# while the generators still built a list of Transactions.  The wide profile
+# is tie-heavy: each step's events of 300 investors share 50 second offsets.
+POPULATION_SHA256 = [
+    (40, dict(p_realize_gain=0.5, p_realize_loss=0.5, n_assets=4, horizon_events=20, seed=5),
+     601, "9641d992025cc6357b9092133d738d7deb8eef8f74e580dfaba9adb1df3591dd"),
+    (30, dict(p_realize_gain=0.6, p_realize_loss=0.3, n_assets=40, horizon_events=120,
+              max_assets_per_investor=8, seed=11),
+     2880, "4ed18c1e8c4930d5b7102678e4137735540198d747ec8b2aa4ab7c1c95a6bdd3"),
+    (300, dict(p_realize_gain=0.5, p_realize_loss=0.5, n_assets=200, horizon_events=12,
+               max_assets_per_investor=12, p_new_position=1.0, seed=3),
+     6429, "353a95c3edde0fec3ed5defa978dd7a988307a9f72490094cba8b32e7d823f26"),
+    (3, dict(p_realize_gain=0.9, p_realize_loss=0.1, n_assets=20, horizon_events=400,
+             max_assets_per_investor=6, seed=7),
+     893, "24133311e02efc1c8bfa5a7414e5cf33bcede0e25d0790e4ae43a21c7213decc"),
+]
+STREAM_SHA256 = [
+    (0, {}, 29, "d3cfd5e656fce71c5f50a872447c22523758cd921283f53a234484f2b708eeb6"),
+    (1, {}, 41, "41c612984aecafe46c20132a9488da9b25138eb7b6eddcb20dafb1db93651690"),
+    (7, {}, 19, "3f550ad4b4470cad5cd9324b29edfc9994665c992f08031a101abf8e787dc48a"),
+    (42, {}, 19, "18ff5f5081470825a04a668383ae339e33e91c6fd9c36a7088f426056567cd96"),
+    (23, dict(max_investors=12, max_assets=6, max_events=200), 151,
+     "31369071c0dcd32533b25dedda1590c5f4461c4af52bdf6667bc8aa2c3aca185"),
+]
+
+
+def _checked_sha256(txs):
+    """The sha256 of the serialized log, after checking its columns and round trip."""
+    assert isinstance(txs, TransactionColumns) and txs.seq == range(len(txs))
+    assert [c.typecode for c in (txs.side, txs.quantity, txs.price, txs.timestamp)] == ["b", "q", "d", "q"]
+    assert txs.tz is None
+    buf = io.StringIO()
+    serialize_transactions(txs, buf)
+    assert parse_transactions(io.StringIO(buf.getvalue())) == txs  # seq included
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n_investors, profile, n_events, sha256", POPULATION_SHA256)
+def test_generated_population_is_the_known_log(n_investors, profile, n_events, sha256):
+    txs, _ = generate_population(n_investors, BehaviorProfile(**profile))
+    assert len(txs) == n_events
+    assert _checked_sha256(txs) == sha256
+
+
+@pytest.mark.parametrize("seed, sizes, n_events, sha256", STREAM_SHA256)
+def test_random_stream_is_the_known_log(seed, sizes, n_events, sha256):
+    txs = random_stream(seed, **sizes)
+    assert len(txs) == n_events
+    assert _checked_sha256(txs) == sha256
