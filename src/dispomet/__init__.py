@@ -12,13 +12,22 @@ object-at-a-time reference semantics and their brute-force replay oracle
 (synth), provides ground truth for validation.
 
 The names below are the library surface the README uses; everything else
-is imported from its module (``dispomet.synth.oracle_replay``, ...).
+is imported from its module (``dispomet.synth.oracle_replay``, ...).  The
+synth and stats names resolve on first use, so ``import dispomet`` loads
+neither module until a caller asks for one of them.
 """
+import importlib
 
 from .ingest import parse_transactions, serialize_transactions
 from .metrics import Framing, Level, Method, aggregate, run_engine
-from .stats import mann_whitney
-from .synth import BehaviorProfile, generate_population, random_stream
+
+#: Exported names imported from their module on first access.
+_LAZY = {
+    "BehaviorProfile": "synth",
+    "generate_population": "synth",
+    "random_stream": "synth",
+    "mann_whitney": "stats",
+}
 
 __version__ = "0.1.0"
 
@@ -35,3 +44,11 @@ __all__ = [
     "run_engine",
     "serialize_transactions",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
+import os
 import sys
 from itertools import combinations, repeat
 from pathlib import Path
@@ -16,7 +18,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from . import ingest, metrics, stats, synth
+from . import ingest, metrics
 from .ingest import (
     DuplicateAsset, IngestError, Instrument, MalformedRow, SchemaError, TransactionColumns, ZeroLeverage,
 )
@@ -43,6 +45,14 @@ _FRAMING_LEVEL_DEFAULTS = {
 
 class UsageError(Exception):
     """A flag value the parser's own checks cannot reject."""
+
+
+class EmptyGroup(Exception):
+    """A comparison sample that selects no defined values."""
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+        super().__init__(f"group filter {label!r} selected no defined values")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -250,6 +260,8 @@ _COMPARE_SPECS = {
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import stats
+
     transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     registry = _load_registry(args.registry)
     framing, row_header = _COMPARE_SPECS[args.spec]
@@ -290,7 +302,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 for leverage, context, group in samples:
                     values = sample(method, leverage, context)
                     if not values:
-                        raise stats.EmptyGroup(group)
+                        raise EmptyGroup(group)
                     pair.append(values)
                 results.append(stats.mann_whitney(*pair))
             tested.append((label, results))
@@ -309,6 +321,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     try:
         leverages = tuple(float(l) for l in args.leverages.split(","))
     except ValueError:
@@ -421,19 +435,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Exit code per error type; an error takes the code of the nearest class in its MRO.
-_EXIT_CODES: dict[type[Exception], int] = {
-    SchemaError: EXIT_SCHEMA,
-    MalformedRow: EXIT_MALFORMED,
-    DuplicateAsset: EXIT_MALFORMED,
-    ZeroLeverage: EXIT_MALFORMED,
-    stats.EmptyGroup: EXIT_EMPTY_GROUP,
-    OSError: EXIT_IO,
-    IngestError: EXIT_ERROR,
-    metrics.InvalidBinWidth: EXIT_ERROR,
-    synth.InvalidProfile: EXIT_ERROR,
-    UsageError: EXIT_ERROR,
-}
+def _exit_codes() -> dict[type[Exception], int]:
+    """Exit code per error type; an error takes the code of the nearest class in its MRO.
+
+    Built only when an error propagates, so synth is imported for
+    InvalidProfile by a failed run alone.
+    """
+    from .synth import InvalidProfile
+
+    return {
+        SchemaError: EXIT_SCHEMA,
+        MalformedRow: EXIT_MALFORMED,
+        DuplicateAsset: EXIT_MALFORMED,
+        ZeroLeverage: EXIT_MALFORMED,
+        EmptyGroup: EXIT_EMPTY_GROUP,
+        OSError: EXIT_IO,
+        IngestError: EXIT_ERROR,
+        metrics.InvalidBinWidth: EXIT_ERROR,
+        InvalidProfile: EXIT_ERROR,
+        UsageError: EXIT_ERROR,
+    }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -445,12 +466,40 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise UsageError(f"--decimals must be >= 0, got {args.decimals}")
         if "decimals" in args and args.decimals > MAX_DECIMALS:
             raise UsageError(f"--decimals must be <= {MAX_DECIMALS}, got {args.decimals}")
-        return args.func(args)
-    except tuple(_EXIT_CODES) as err:
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started without a stdout
+            sys.stdout.flush()  # a write that fails here is an I/O error, not one at exit
+        return code
+    except Exception as err:
+        codes = _exit_codes()
+        code = next((codes[cls] for cls in type(err).__mro__ if cls in codes), None)
+        if code is None:
+            raise
         name = "IOError" if isinstance(err, OSError) else type(err).__name__
         _diag(f"{name}: {err}")
-        return next(_EXIT_CODES[cls] for cls in type(err).__mro__ if cls in _EXIT_CODES)
+        return code
+
+
+def run() -> None:
+    """The ``dispomet`` console script and ``python -m dispomet.cli``: main() in its own process.
+
+    The modules are loaded by now and their objects live until exit, so
+    gc.freeze() leaves them out of every later collection, the ones at
+    interpreter shutdown included.  The few that are garbage (a class that
+    dataclass(slots=True) replaced) are frozen too, rather than paid for
+    with a full collection.  Text that stdout could not take, which main
+    has reported, goes to the null device, so the exit flush cannot fail
+    again.
+    """
+    gc.freeze()
+    code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

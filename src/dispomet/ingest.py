@@ -21,7 +21,6 @@ whichever the source; the synth generators build it directly.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import operator
 import re
@@ -32,12 +31,9 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from statistics import median
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 TRANSACTION_COLUMNS = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp")
 REGISTRY_COLUMNS = ("asset_id", "underlying_id", "leverage")
@@ -147,6 +143,13 @@ def first_out_of_order(timestamp: array, seq: range | array) -> int | None:
     return int(lower.argmax()) + 1 if lower.any() else None
 
 
+def _values(column: Sequence) -> np.ndarray:
+    """A numeric column or seq as a numpy array, without copying an ``array``'s buffer."""
+    if isinstance(column, range):
+        return np.arange(column.start, column.stop, column.step)
+    return np.asarray(column)
+
+
 class TransactionColumns(Sequence[Transaction]):
     """Read-only Transactions held as columns; a Transaction is built on access.
 
@@ -160,7 +163,7 @@ class TransactionColumns(Sequence[Transaction]):
     utcoffset().  Each column holds the Transaction field of its name.  An
     integer index gives one Transaction, a slice a TransactionColumns over
     the selected rows.  It equals any sequence of equal Transactions, field
-    by field, in order.
+    by field, in order; two TransactionColumns compare their columns.
     """
 
     __slots__ = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq", "tz")
@@ -247,9 +250,30 @@ class TransactionColumns(Sequence[Transaction]):
             yield Transaction(inv, asset, _SIDE_OF_SIGN[side], qty, price, ts, seq)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, TransactionColumns):
+            return self._same_rows(other)
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def _same_rows(self, other: "TransactionColumns") -> bool:
+        """Whether the rows are equal as Transactions, read from the columns without building any.
+
+        Aware timestamps are equal when their instants are, whatever their
+        zones, and never equal naive ones; a NaN price equals nothing.
+        """
+        if len(self) != len(other):
+            return False
+        if self and (self.tz is None) != (other.tz is None):
+            return False
+        return (
+            all(map(operator.eq, self.investor_id, other.investor_id))
+            and all(map(operator.eq, self.asset_id, other.asset_id))
+            and all(
+                np.array_equal(_values(a), _values(b))
+                for a, b in zip(self._columns()[2:], other._columns()[2:])
+            )
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -455,6 +479,9 @@ def parse_transactions_report(
     except (UnicodeDecodeError, csv.Error) as err:
         raise _unreadable(reader, err) from None
     if rejects:
+        import logging  # loaded only by a parse that has rejects to report
+
+        log = logging.getLogger(__name__)
         log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
     columns = [investor_ids, asset_ids, sides, quantities, prices, timestamps]
     tz = tzs if first_aware else None
@@ -544,6 +571,8 @@ def _spans(keys: Iterable, timestamps: Sequence[int]) -> dict:
 
 def summarize(transactions: Sequence[Transaction]) -> DatasetSummary:
     """Descriptive summary: medians over per-investor and per-asset groups."""
+    from statistics import median
+
     txs = TransactionColumns.of(transactions)
     if not txs:
         raise EmptyDataset("summarize requires at least one transaction")

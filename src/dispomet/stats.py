@@ -25,12 +25,6 @@ class EmptySample(Exception):
     pass
 
 
-class EmptyGroup(Exception):
-    def __init__(self, label: str) -> None:
-        self.label = label
-        super().__init__(f"group filter {label!r} selected no defined values")
-
-
 @dataclass(frozen=True, slots=True)
 class TestResult:
     median_first: float

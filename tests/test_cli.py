@@ -1,8 +1,13 @@
 import contextlib
 import csv
+import errno
 import io
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -174,6 +179,86 @@ def test_compare_empty_group(tmp_path, capsys):
     )
     assert code == EXIT_EMPTY_GROUP
     assert "EmptyGroup" in capsys.readouterr().err
+
+
+class _FullDevice(io.RawIOBase):
+    """A writer that fails every write as a full disk does."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_that_cannot_be_written_is_one_io_error(clean_file):
+    stdout, stderr = io.TextIOWrapper(_FullDevice(), encoding="utf-8"), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["validate", "--transactions", clean_file])
+    finally:
+        stdout.close()
+    assert code == EXIT_IO
+    (line,) = stderr.getvalue().splitlines()
+    assert line == f"dispomet: error: IOError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+# Prints, as JSON on stderr, the dispomet modules a fresh process loaded: for
+# a command run through cli.run at exit, with whether the heap was frozen; for
+# a bare import before dispomet.random_stream is first read.
+_FRESH_PROCESS = """
+import atexit, gc, json, sys
+
+def report(**extra):
+    names = sorted(name for name in sys.modules if name.startswith("dispomet."))
+    print(json.dumps({"modules": names, **extra}), file=sys.stderr)
+
+if sys.argv[1:]:
+    atexit.register(lambda: report(frozen=gc.get_freeze_count() > 0))
+    sys.argv[0] = "dispomet"
+    from dispomet.cli import run
+    run()
+else:
+    import dispomet
+    report()
+    assert callable(dispomet.random_stream)
+"""
+
+
+@pytest.fixture(scope="module")
+def synth_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("log")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(out), "--investors", "60", "--seed", "3"]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "all"], set()),
+        (["validate", "--transactions", "{tx}", "--registry", "{reg}"], set()),
+        (["report", "--transactions", "{tx}"], set()),
+        (["compare", "--transactions", "{tx}", "--registry", "{reg}", "--spec", "volatility-long"],
+         {"dispomet.stats"}),
+        (["synth", "--out", "{out}", "--investors", "3"], {"dispomet.synth"}),
+        ([], set()),  # a bare import dispomet
+    ],
+    ids=["compute", "validate", "report", "compare", "synth", "import"],
+)
+def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, synth_log, tmp_path):
+    paths = {"tx": synth_log / "transactions.csv", "reg": synth_log / "instruments.csv", "out": tmp_path / "out"}
+    src = str(Path(dispomet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, *(arg.format(**paths) for arg in argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    report = json.loads(done.stderr.splitlines()[-1])
+    assert {"dispomet.synth", "dispomet.stats"} & set(report["modules"]) == loads
+    if argv:
+        assert report["frozen"]
 
 
 def test_report_prints_summary_and_histogram(clean_file, capsys):

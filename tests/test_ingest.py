@@ -303,7 +303,7 @@ def test_transaction_columns_equal_the_list_of_their_transactions():
         ("seq", lambda v: v + 1),
     ],
 )
-def test_transaction_columns_differ_when_one_field_of_one_row_differs(field, change):
+def test_transaction_columns_differ_when_one_field_of_one_row_differs(field, change, monkeypatch):
     txs = _population()
     cols = parse(_text(txs))
     i = len(txs) // 2
@@ -311,6 +311,40 @@ def test_transaction_columns_differ_when_one_field_of_one_row_differs(field, cha
     changed[i] = dataclasses.replace(txs[i], **{field: change(getattr(txs[i], field))})
     assert cols != changed and not cols == changed
     assert changed != cols
+    # Columns against columns: the parsed seq is a range, the built one an array('q').
+    pairs = [(cols, TransactionColumns.of(changed)), (cols, TransactionColumns.of(txs)), (cols, cols)]
+    expected = [list(a) == list(b) for a, b in pairs]
+    assert expected == [False, True, True]
+    monkeypatch.setattr(Transaction, "__init__", _no_transaction)
+    assert [a == b for a, b in pairs] == expected
+    assert [a != b for a, b in pairs] == [not e for e in expected]
+
+
+def _no_transaction(self, *args, **kwargs):
+    raise AssertionError("a Transaction was built")
+
+
+def test_transaction_columns_compare_like_their_transactions(monkeypatch):
+    rows = ("I1,A,B,1,10.0,2015-01-05 {}:00:00{}\n", "I1,A,S,1,11.0,2015-01-05 {}:00:00{}\n")
+
+    def log(offset, hours=("09", "10")):
+        return parse(HEADER + "".join(row.format(h, offset) for row, h in zip(rows, hours)))
+
+    naive, utc, shifted = log(""), log("+00:00"), log("+01:00", hours=("10", "11"))
+    array_seq = TransactionColumns(*naive._columns()[:6], array("q", naive.seq))
+    nan_price = TransactionColumns(*naive._columns()[:4], array("d", [math.nan, 11.0]), *naive._columns()[5:])
+    pairs = [
+        (utc, shifted),  # the same instants in different zones
+        (naive, utc),  # naive against aware
+        (naive[:0], utc[:0]),  # no rows
+        (naive, array_seq),  # a range seq against an array('q') of the same values
+        (nan_price, nan_price),
+        (naive, naive[::-1]),
+    ]
+    expected = [list(a) == list(b) for a, b in pairs]
+    assert expected == [True, False, True, True, False, False]
+    monkeypatch.setattr(Transaction, "__init__", _no_transaction)
+    assert [a == b for a, b in pairs] == expected
 
 
 def test_transaction_columns_index_and_slice_like_a_list():
