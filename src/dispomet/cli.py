@@ -112,28 +112,28 @@ def _field_texts(values: Sequence[str]) -> np.ndarray:
     return np.array([row[:-1] for row in rows], object)
 
 
-def _write_records(records: DeRecords, stream: TextIO) -> None:
+def _write_records(records: DeRecords, stream: TextIO, investor_text: np.ndarray, asset_text: np.ndarray) -> None:
     """Write records as CSV rows, _WRITE_CHUNK rows per writelines call.
 
-    The text of each investor and asset id is made once per call, and a row
-    is the str sum of object-array lookups.  This is the one place ``de`` is
-    formatted: as repr(np.float64(de)), which no CSV reader parses as a
-    number; writing repr(de) instead changes the bytes of every records
-    file, so it waits for a change that also re-records the known-answer
-    hashes in perfbench/expected.json.  A record is undefined exactly where
-    its ``de`` is NaN, and then the field is empty.
+    A row is the str sum of object-array lookups: the _field_texts of
+    ``records.investor_ids`` and ``records.asset_ids``, and the text of
+    each distinct ``de``, made once.  This is the one place ``de`` is
+    formatted, as repr(np.float64(de)), which no CSV reader parses; repr(de)
+    waits for a change that also re-records the known-answer hashes in
+    perfbench/expected.json.  A NaN ``de`` (an undefined record) is an
+    empty field.
     """
     stream.write("investor_id,asset_id,context,method,de,defined\n")
-    investor_text = _field_texts(records.investor_ids)
-    asset_text = _field_texts(records.asset_ids)
     label = records.context * len(RECORD_METHODS) + records.method
+    # Keyed by bits, so -0.0 and 0.0 keep their own text.
+    values, value_of = np.unique(records.de.view(np.int64), return_inverse=True)
+    de_text = np.array(  # x != x: NaN, an undefined record
+        [",false\n" if x != x else f"np.float64({x!r}),true\n" for x in values.view(np.float64).tolist()], object
+    )
     for start in range(0, len(records), _WRITE_CHUNK):
         part = slice(start, start + _WRITE_CHUNK)
-        de_text = np.array(  # x != x: NaN, an undefined record
-            [",false\n" if x != x else f"np.float64({x!r}),true\n" for x in records.de[part].tolist()], object
-        )
         rows = investor_text[records.investor[part]] + asset_text[records.asset[part]] + _LABEL_TEXT[label[part]]
-        stream.writelines((rows + de_text).tolist())
+        stream.writelines((rows + de_text[value_of[part]]).tolist())
 
 
 def _write_histogram(bins: Sequence[tuple[float, int]], stream: TextIO) -> None:
@@ -175,22 +175,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _write_framing(store: metrics.TallyStore, framing: Framing, args: argparse.Namespace, out_dir: Path) -> int:
     """Write one framing's records_* and hist_* files; returns its record count.
 
-    The records are freed on return, before the next framing is aggregated.
+    Each method is aggregated on its own, and its records are freed once its
+    files are written, before the next method is aggregated.
     """
     level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
-    records = metrics.aggregate(store, level, framing, methods=args.methods, zero_policy=args.zero_denominator)
+    id_texts = None
+    n_records = 0
     for method in args.methods:
-        selected = records[records.method == RECORD_METHODS.index(method)]
+        records = metrics.aggregate(store, level, framing, methods=[method], zero_policy=args.zero_denominator)
+        id_texts = id_texts or (_field_texts(records.investor_ids), _field_texts(records.asset_ids))
         with open(out_dir / f"records_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
-            _write_records(selected, fh)
-        bins = metrics.histogram(selected.de[selected.defined], args.bins)
+            _write_records(records, fh, *id_texts)
+        bins = metrics.histogram(records.de[records.defined], args.bins)
         with open(out_dir / f"hist_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
             _write_histogram(bins, fh)
-    return len(records)
+        n_records += len(records)
+        del records
+    return n_records
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    metrics.histogram((), args.bins)  # rejects a bad width before any file is written
     transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -462,6 +466,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if "method" in args:
             args.methods = _parse_methods(args.method)
+        if "bins" in args:
+            metrics.histogram((), args.bins)  # rejects a bad width before any input is read
         if "decimals" in args and args.decimals < 0:
             raise UsageError(f"--decimals must be >= 0, got {args.decimals}")
         if "decimals" in args and args.decimals > MAX_DECIMALS:
@@ -487,17 +493,25 @@ def run() -> None:
     gc.freeze() leaves them out of every later collection, the ones at
     interpreter shutdown included.  The few that are garbage (a class that
     dataclass(slots=True) replaced) are frozen too, rather than paid for
-    with a full collection.  Text that stdout could not take, which main
-    has reported, goes to the null device, so the exit flush cannot fail
-    again.
+    with a full collection.  Text that stdout could not take, argparse's
+    help included, is one I/O error; it goes to the null device, so the
+    exit flush cannot fail again.
     """
     gc.freeze()
-    code = main()
+    try:
+        code = main()
+    except SystemExit as stop:  # argparse's help and usage errors
+        code = stop.code
     if sys.stdout is not None:
         try:
             sys.stdout.flush()
-        except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError as err:
+            if code != EXIT_IO:  # not yet reported by main
+                _diag(f"IOError: {err}")
+                code = EXIT_IO
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
     sys.exit(code)
 
 

@@ -25,7 +25,9 @@ dense tally array with each pair's investor and asset and no event column.
 ``aggregate`` reads its public fields and returns its records as a sequence
 of DeRecords backed by columns (investor and asset indices, context and
 method codes, ``de`` and ``defined``), ordered by (investor_id, asset_id,
-context, method) as text.
+context, method) as text.  It computes only the requested methods, one at a
+time, over the groups with a nonzero tally, and builds the records in that
+order rather than sorting them.
 
 The same semantics, one object at a time, are the reference in synth
 (``classify_context``, ``accrue_event``, ``compute_de``, ``oracle_replay``).
@@ -221,25 +223,29 @@ def run_engine(
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _de_columns(tallies: np.ndarray, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
-    """synth.compute_de over the last axis of ``tallies`` (rg, rl, pg, pl)."""
-    rg, rl, pg, pl = np.moveaxis(tallies, -1, 0)
+def _de(component, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """synth.compute_de over groups whose rg, rl, pg, pl are the new arrays ``component(0..3)``.
+
+    The ratios are taken in place, so no more than four group-sized floats are alive at once.
+    """
+    sides = []
     # A sum past the double range is inf, and the record undefined.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gd = rg + pg
-        ld = rl + pl
-        g = rg / gd
-        l = rl / ld
+        for realized, paper in ((0, 2), (1, 3)):  # the gain side, then the loss side
+            ratio, total = component(realized), component(paper)
+            total += ratio
+            ratio /= total
+            if zero_policy == "zero":  # a side without a denominator counts as 0
+                ratio[~(total > 0.0)] = 0.0
+            sides.append((ratio, total != 0.0))
+            del total
+        (g, g_ok), (l, l_ok) = sides
+        g -= l
+    defined = np.isfinite(g)
     if zero_policy == "exclude":
-        de = g - l
-        defined = (gd != 0.0) & (ld != 0.0)
-    elif zero_policy == "zero":
-        de = np.where(gd > 0.0, g, 0.0) - np.where(ld > 0.0, l, 0.0)
-        defined = np.ones(de.shape, bool)
-    else:
-        raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
-    defined &= np.isfinite(de)
-    return np.where(defined, de, np.nan), defined
+        defined &= g_ok & l_ok
+    g[~defined] = np.nan
+    return g, defined
 
 
 def aggregate(
@@ -258,79 +264,93 @@ def aggregate(
     before the ratio; INVESTOR_MEAN_OF_ASSETS averages the defined
     per-asset values.  A record exists only for a (pair, context) group
     with a nonzero tally, or an investor with at least one such group.
-    The records come back as columns, ordered by (investor_id, asset_id,
-    context, method) as text.
+
+    Only the requested methods are computed, one at a time, and only over
+    the groups that exist, whose components are gathered from
+    ``store.array``.  The records come out in their order, (investor_id,
+    asset_id, context, method) as text, because investors and assets are
+    visited by name and contexts and methods by code; they are never sorted.
     """
+    if level not in tuple(Level):
+        raise ValueError(f"unknown aggregation level {level!r}")
+    if zero_policy not in ("exclude", "zero"):
+        raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
     tal = store.array
-    if framing is Framing.NARROW:
-        contexts: tuple[Context | None, ...] = (None,)
-        # Adds the contexts in order, as the reference does.  Tallies are
-        # non-negative, so a zero sum means all three contexts are zero; a
-        # sum past the double range is inf, which _de_columns makes undefined.
-        with np.errstate(over="ignore"):
-            groups = tal.sum(axis=1, keepdims=True)
-    else:
-        contexts = (Context.POSITIVE, Context.NEGATIVE)  # tally contexts 0 and 1
-        groups = tal[:, :2]
-    present = (groups != 0.0).any(axis=2)
-    context_codes = np.array([RECORD_CONTEXTS.index(c) for c in contexts], np.int8)
-    # (pair, context, method, component), a view for wide and integrated
-    # framing; unrequested methods are dropped from emit, not copied out.
-    groups = groups.reshape(*groups.shape[:2], 3, 4)
-    requested = np.zeros(3, bool)
-    requested[[_METHOD_INDEX[m] for m in methods]] = True
     owner = np.asarray(store.pair_investor, np.int64)
-    n_investors = len(store.investors)
-    # np.add.at adds pairs one after another in pair order, the summation
-    # order of the reference implementations.
-    if level is Level.PER_ASSET:
-        asset_ids = store.assets
-        row_investor = owner
-        row_asset = np.asarray(store.pair_asset, np.int64)
-        de, defined = _de_columns(groups, zero_policy)
-        emit = present[:, :, None] & requested
+    by_name = np.array(sorted(range(len(store.investors)), key=store.investors.__getitem__), np.int64)
+    if framing is Framing.NARROW:
+        # One group per pair, whose tally is positive plus negative, then
+        # plus neutral, as the reference adds them.  Tallies are
+        # non-negative, so that sum is nonzero where any context's tally is.
+        first_code, n_ctx, offsets = 0, 1, (0, 12, 24)
+        present, view = tal.any(axis=(1, 2)), tal.reshape(len(tal), 36)
     else:
-        asset_ids = [POOLED_ASSET]
-        row_investor = np.arange(n_investors)
-        row_asset = np.zeros(n_investors, np.int64)
+        # Groups (pair, negative) and (pair, positive): tally contexts 1
+        # and 0, in the order of their record codes.
+        first_code, n_ctx, offsets = 1, 2, (0,)
+        present, view = tal[:, 1::-1].any(axis=2).ravel(), tal.reshape(-1, 12)
+    # Group pair * n_ctx + c is the pair's c-th context, and cell
+    # investor * n_ctx + c the investor's.  A record's key is its group or
+    # its cell; keys run in record order.
+    if level is Level.PER_ASSET:
+        rank = np.empty_like(by_name)
+        rank[by_name] = np.arange(len(by_name))
+        # Assets are numbered in asset_id order, so an asset index is its
+        # rank, and no two pairs have the same key.
+        pairs = np.argsort(rank[owner] * len(store.assets) + np.asarray(store.pair_asset, np.int64))
+        groups = (pairs[:, None] * n_ctx + np.arange(n_ctx)).ravel()
+        groups = keys = groups[present[groups]]
+        del pairs
+    else:
+        groups = np.flatnonzero(present)  # in pair order, the order the reference sums pairs in
+        cell = owner[groups // n_ctx] * n_ctx + groups % n_ctx
+        n_cells = len(by_name) * n_ctx
+        keys = (by_name[:, None] * n_ctx + np.arange(n_ctx)).ravel()
         if level is Level.INVESTOR_POOLED:
-            pooled = np.zeros((n_investors, *groups.shape[1:]))
-            with np.errstate(over="ignore"):  # an inf sum is undefined, as above
-                np.add.at(pooled, owner, groups)
-            de, defined = _de_columns(pooled, zero_policy)
-            pooled_present = np.zeros((n_investors, len(context_codes)), bool)
-            np.logical_or.at(pooled_present, owner, present)
-            emit = pooled_present[:, :, None] & requested
-        elif level is Level.INVESTOR_MEAN_OF_ASSETS:
-            per_asset, per_asset_defined = _de_columns(groups, zero_policy)
-            per_asset_defined &= present[:, :, None]
-            sums = np.zeros((n_investors, *per_asset.shape[1:]))
-            np.add.at(sums, owner, np.where(per_asset_defined, per_asset, 0.0))
-            counts = np.zeros(sums.shape, np.int64)
-            np.add.at(counts, owner, per_asset_defined)
-            defined = counts > 0
-            emit = defined & requested
-            with np.errstate(invalid="ignore"):
-                de = sums / counts
+            keys = keys[np.bincount(cell, minlength=n_cells)[keys] > 0]
+    rows = groups if n_ctx == 1 else groups // 2 * 3 + 1 - groups % 2  # each group's row of view
+
+    def component(mi: int, j: int) -> np.ndarray:
+        """Component j (rg, rl, pg, pl) of method mi's tally, per group."""
+        out = view[rows, 4 * mi + j]
+        with np.errstate(over="ignore"):  # an inf sum is undefined, as in _de
+            for offset in offsets[1:]:
+                out += view[rows, offset + 4 * mi + j]
+        return out
+
+    requested = sorted({_METHOD_INDEX[m] for m in methods})
+    de = np.empty((len(keys), len(requested)))
+    defined = np.empty(de.shape, bool)
+    for k, mi in enumerate(requested):
+        if level is Level.PER_ASSET:
+            de[:, k], defined[:, k] = _de(lambda j: component(mi, j), zero_policy)
+        elif level is Level.INVESTOR_POOLED:
+            # np.bincount adds the groups one after another, in pair order;
+            # it counts in int64 when there are none.
+            de[:, k], defined[:, k] = _de(
+                lambda j: np.bincount(cell, component(mi, j), n_cells)[keys].astype(float), zero_policy
+            )
         else:
-            raise ValueError(f"unknown aggregation level {level!r}")
-    del groups  # a narrow context sum is a third the size of the tallies
-    rows, ctxs, meths = np.nonzero(emit)
-    investor = row_investor[rows]
-    asset = row_asset[rows]
-    context = context_codes[ctxs]
-    method = meths.astype(np.int8)  # a method's code is its index in the tally layout
-    # Sort keys are name ranks: investors are numbered in order of first
-    # appearance, assets in asset_id order (so an asset index is its rank),
-    # and the context and method codes are the ranks of their text.
-    investor_rank = np.empty(n_investors, np.int64)
-    investor_rank[sorted(range(n_investors), key=store.investors.__getitem__)] = np.arange(n_investors)
-    order = np.lexsort((method, context, asset, investor_rank[investor]))
-    return DeRecords(
-        store.investors, asset_ids,
-        investor[order], asset[order], context[order], method[order],
-        de[emit][order], defined[emit][order],
+            per_asset, ok = _de(lambda j: component(mi, j), zero_policy)
+            counts = np.bincount(cell[ok], minlength=n_cells)[keys]
+            with np.errstate(invalid="ignore"):
+                de[:, k] = np.bincount(cell[ok], per_asset[ok], n_cells)[keys] / counts
+            defined[:, k] = counts > 0
+    del rows
+    index = keys // n_ctx  # the pair or the investor
+    if level is Level.PER_ASSET:
+        investor, asset, asset_ids = owner[index], np.asarray(store.pair_asset, np.int64)[index], store.assets
+    else:
+        investor, asset, asset_ids = index, np.zeros(len(keys), np.int64), [POOLED_ASSET]
+    context = (keys % n_ctx + first_code).astype(np.int8)
+    del index
+    n = len(requested)
+    records = DeRecords(
+        store.investors, asset_ids, *(c if n == 1 else np.repeat(c, n) for c in (investor, asset, context)),
+        np.tile(np.array(requested, np.int8), len(keys)), de.ravel(), defined.ravel(),
     )
+    # Each (key, method) is a record, except a mean of no defined value.
+    return records[records.defined] if level is Level.INVESTOR_MEAN_OF_ASSETS else records
 
 
 def histogram(values: Iterable[float], bin_width: float) -> list[tuple[float, int]]:

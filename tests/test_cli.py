@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dispomet
-from dispomet import metrics
+from dispomet import cli, metrics
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
     EXIT_ERROR,
@@ -91,22 +92,24 @@ def test_compute_outputs_per_framing_and_method(clean_file, tmp_path):
 
 
 def test_compute_writes_each_framing_before_aggregating_the_next(clean_file, tmp_path, monkeypatch):
+    # Stronger than the name: each method is aggregated on its own, and its
+    # files are written before the next aggregate call.
     out = tmp_path / "out"
-    written_before = []
+    calls = []
     aggregate = metrics.aggregate
 
     def recording_aggregate(store, level, framing, **kwargs):
-        written_before.append(sorted(p.name for p in out.iterdir()))
+        calls.append((framing.value, [m.value for m in kwargs["methods"]], sorted(p.name for p in out.iterdir())))
         return aggregate(store, level, framing, **kwargs)
 
     monkeypatch.setattr(metrics, "aggregate", recording_aggregate)
     assert main(["compute", "--transactions", clean_file, "--out", str(out), "--framing", "all"]) == EXIT_OK
-    methods = ("count", "total", "value")
-    files = [
-        sorted(f"{kind}_{framing}_{method}.csv" for kind in ("hist", "records") for method in methods)
-        for framing in ("narrow", "wide")
-    ]
-    assert written_before == [[], files[0], sorted(files[0] + files[1])]
+    want, written = [], []
+    for framing in ("narrow", "wide", "integrated"):
+        for method in ("count", "total", "value"):
+            want.append((framing, [method], sorted(written)))
+            written += [f"hist_{framing}_{method}.csv", f"records_{framing}_{method}.csv"]
+    assert calls == want
 
 
 def test_compute_single_method_subset(clean_file, tmp_path):
@@ -203,6 +206,40 @@ def test_stdout_that_cannot_be_written_is_one_io_error(clean_file):
     assert line == f"dispomet: error: IOError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 
 
+def _run_console_script(monkeypatch, argv, stdout):
+    """cli.run as the console script runs it, in-process; returns its exit code and stderr."""
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "argv", ["dispomet", *argv])
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # keep this process's heap collectable
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as done:
+        cli.run()
+    return done.value.code, stderr.getvalue()
+
+
+def test_help_that_stdout_cannot_take_is_one_io_error(monkeypatch):
+    null = os.open(os.devnull, os.O_WRONLY)
+
+    class FullStdout(_FullDevice):
+        def fileno(self):  # run points the stdout descriptor at the null device
+            return null
+
+    stdout = io.TextIOWrapper(FullStdout(), encoding="utf-8")
+    try:
+        code, err = _run_console_script(monkeypatch, ["--help"], stdout)
+    finally:
+        stdout.close()
+        os.close(null)
+    assert code == EXIT_IO
+    (line,) = err.splitlines()
+    assert line == f"dispomet: error: IOError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+def test_help_to_a_writable_stdout_exits_0(monkeypatch):
+    stdout = io.StringIO()
+    assert _run_console_script(monkeypatch, ["--help"], stdout) == (EXIT_OK, "")
+    assert stdout.getvalue().startswith("usage: dispomet")
+
+
 # Prints, as JSON on stderr, the dispomet modules a fresh process loaded: for
 # a command run through cli.run at exit, with whether the heap was frozen; for
 # a bare import before dispomet.random_stream is first read.
@@ -266,6 +303,15 @@ def test_report_prints_summary_and_histogram(clean_file, capsys):
     out = capsys.readouterr().out
     assert "Descriptive Summary of Investors" in out
     assert "Histogram" in out
+
+
+@pytest.mark.parametrize("width", ["0", "2.5"])
+def test_report_rejects_a_bad_bin_width_before_reading_input(clean_file, capsys, width):
+    assert main(["report", "--transactions", clean_file, "--bins", width]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("dispomet: error: InvalidBinWidth: bin width must be in (0, 2]")
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -12,6 +13,7 @@ from dispomet.metrics import (
     Level,
     Method,
     Tally,
+    TallyStore,
     aggregate,
     histogram,
     run_engine,
@@ -425,6 +427,40 @@ def test_aggregate_matches_naive_reference_on_random_streams():
 def test_aggregate_matches_naive_reference_on_population():
     txs, _ = generate_population(12, BehaviorProfile(0.6, 0.3, n_assets=6, horizon_events=30, seed=5))
     _assert_matches_naive(run_engine(txs))
+
+
+def _many_pair_store(n_investors=1250, per_investor=8, n_assets=40, seed=0):
+    """A TallyStore of 10,000 pairs in shuffled first-appearance order; a tenth of the groups are zero."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, int(a)) for i in range(n_investors) for a in rng.choice(n_assets, per_investor, replace=False)]
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    tallies = rng.random((len(pairs), 3, 12)) * (rng.random((len(pairs), 3, 1)) < 0.9)
+    return TallyStore(
+        investors=[f"inv-{k}" for k in rng.permutation(n_investors)],
+        assets=[f"A{a:02d}" for a in range(n_assets)],
+        pair_investor=[i for i, _ in pairs],
+        pair_asset=[a for _, a in pairs],
+        array=tallies,
+    )
+
+
+def test_one_method_aggregate_peaks_below_six_tenths_of_the_tallies():
+    store = _many_pair_store()
+    assert len(store.array) >= 10_000
+    tracemalloc.start()
+    try:
+        for framing in Framing:
+            for level in Level:
+                for method in Method:
+                    tracemalloc.reset_peak()
+                    baseline = tracemalloc.get_traced_memory()[0]
+                    records = aggregate(store, level, framing, methods=[method])
+                    peak = tracemalloc.get_traced_memory()[1] - baseline
+                    assert len(records) > 0
+                    del records
+                    assert peak <= 0.6 * store.array.nbytes, (framing, level, method, peak / store.array.nbytes)
+    finally:
+        tracemalloc.stop()
 
 
 def test_encode_rejects_quantity_beyond_int64():

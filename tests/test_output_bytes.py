@@ -18,7 +18,7 @@ import pytest
 
 from dispomet import cli, ingest
 from dispomet.cli import EXIT_OK, main
-from dispomet.metrics import Framing, Level, Method, aggregate, histogram, run_engine
+from dispomet.metrics import DeRecords, Framing, Level, Method, aggregate, histogram, run_engine
 from dispomet.synth import random_stream
 
 
@@ -188,3 +188,23 @@ def test_ids_that_need_quoting_survive_every_level_and_chunk_size(tmp_path, monk
     for chunk in (1, 7):
         monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
         assert _assert_records_match_reference(path, tmp_path / f"out{chunk}", level) == files
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_deduplicating_records_writer_matches_the_per_record_reference(monkeypatch, chunk):
+    # 0.0 and -0.0 compare equal but are written differently; 1/3 repeats,
+    # and a NaN is an undefined record.
+    values = [0.0, -0.0, 1 / 3, math.nan, 1 / 3, -0.0, 0.0, 1 / 3, -0.25, math.nan, 1.0, -1.0]
+    n = len(values)
+    records = DeRecords(
+        list(QUOTED_INVESTORS), list(QUOTED_ASSETS),
+        np.arange(n) % len(QUOTED_INVESTORS), np.arange(n)[::-1] % len(QUOTED_ASSETS),
+        np.arange(n, dtype=np.int8) % 3, np.arange(n, dtype=np.int8) // 4,
+        np.array(values), ~np.isnan(values),
+    )
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+    buf = io.StringIO()
+    cli._write_records(records, buf, cli._field_texts(records.investor_ids), cli._field_texts(records.asset_ids))
+    assert buf.getvalue() == _reference_records_csv(records)
+    assert buf.getvalue().count("np.float64(-0.0),true") == 2
+    assert buf.getvalue().count("np.float64(0.0),true") == 2
