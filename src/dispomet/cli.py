@@ -117,23 +117,23 @@ def _write_records(records: DeRecords, stream: TextIO, investor_text: np.ndarray
 
     A row is the str sum of object-array lookups: the _field_texts of
     ``records.investor_ids`` and ``records.asset_ids``, and the text of
-    each distinct ``de``, made once.  This is the one place ``de`` is
-    formatted, as repr(np.float64(de)), which no CSV reader parses; repr(de)
-    waits for a change that also re-records the known-answer hashes in
-    perfbench/expected.json.  A NaN ``de`` (an undefined record) is an
-    empty field.
+    each distinct ``de`` of the chunk, made once.  This is the one place
+    ``de`` is formatted, as repr(np.float64(de)), which no CSV reader
+    parses; repr(de) waits for a change that also re-records the
+    known-answer hashes in perfbench/expected.json.  A NaN ``de`` (an
+    undefined record) is an empty field.
     """
     stream.write("investor_id,asset_id,context,method,de,defined\n")
     label = records.context * len(RECORD_METHODS) + records.method
-    # Keyed by bits, so -0.0 and 0.0 keep their own text.
-    values, value_of = np.unique(records.de.view(np.int64), return_inverse=True)
-    de_text = np.array(  # x != x: NaN, an undefined record
-        [",false\n" if x != x else f"np.float64({x!r}),true\n" for x in values.view(np.float64).tolist()], object
-    )
     for start in range(0, len(records), _WRITE_CHUNK):
         part = slice(start, start + _WRITE_CHUNK)
+        # Keyed by bits, so -0.0 and 0.0 keep their own text.
+        values, value_of = np.unique(records.de[part].view(np.int64), return_inverse=True)
+        de_text = np.array(  # x != x: NaN, an undefined record
+            [",false\n" if x != x else f"np.float64({x!r}),true\n" for x in values.view(np.float64).tolist()], object
+        )
         rows = investor_text[records.investor[part]] + asset_text[records.asset[part]] + _LABEL_TEXT[label[part]]
-        stream.writelines((rows + de_text[value_of[part]]).tolist())
+        stream.writelines((rows + de_text[value_of]).tolist())
 
 
 def _write_histogram(bins: Sequence[tuple[float, int]], stream: TextIO) -> None:

@@ -223,29 +223,23 @@ def run_engine(
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _de(component, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
-    """synth.compute_de over groups whose rg, rl, pg, pl are the new arrays ``component(0..3)``.
-
-    The ratios are taken in place, so no more than four group-sized floats are alive at once.
-    """
-    sides = []
+def _de(rg, rl, pg, pl, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """synth.compute_de over groups, in place: returns rg, now the DE, and where it is defined."""
     # A sum past the double range is inf, and the record undefined.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for realized, paper in ((0, 2), (1, 3)):  # the gain side, then the loss side
-            ratio, total = component(realized), component(paper)
-            total += ratio
-            ratio /= total
-            if zero_policy == "zero":  # a side without a denominator counts as 0
-                ratio[~(total > 0.0)] = 0.0
-            sides.append((ratio, total != 0.0))
-            del total
-        (g, g_ok), (l, l_ok) = sides
-        g -= l
-    defined = np.isfinite(g)
+        pg += rg  # the denominators
+        pl += rl
+        rg /= pg
+        rl /= pl
+        if zero_policy == "zero":  # a side without a denominator counts as 0
+            rg[~(pg > 0.0)] = 0.0
+            rl[~(pl > 0.0)] = 0.0
+        rg -= rl
+    defined = np.isfinite(rg)
     if zero_policy == "exclude":
-        defined &= g_ok & l_ok
-    g[~defined] = np.nan
-    return g, defined
+        defined &= (pg != 0.0) & (pl != 0.0)
+    rg[~defined] = np.nan
+    return rg, defined
 
 
 def aggregate(
@@ -278,26 +272,31 @@ def aggregate(
     tal = store.array
     owner = np.asarray(store.pair_investor, np.int64)
     by_name = np.array(sorted(range(len(store.investors)), key=store.investors.__getitem__), np.int64)
+    # A method's four nonzero flags read as one uint32, ORed over the
+    # methods: nonzero where the (pair, context) tally is.
+    nonzero = (tal != 0).view(np.uint32)
+    nonzero = nonzero[..., 0] | nonzero[..., 1] | nonzero[..., 2]
     if framing is Framing.NARROW:
         # One group per pair, whose tally is positive plus negative, then
         # plus neutral, as the reference adds them.  Tallies are
         # non-negative, so that sum is nonzero where any context's tally is.
         first_code, n_ctx, offsets = 0, 1, (0, 12, 24)
-        present, view = tal.any(axis=(1, 2)), tal.reshape(len(tal), 36)
+        present, view = (nonzero[:, 0] | nonzero[:, 1] | nonzero[:, 2]) != 0, tal.reshape(len(tal), 36)
     else:
         # Groups (pair, negative) and (pair, positive): tally contexts 1
         # and 0, in the order of their record codes.
         first_code, n_ctx, offsets = 1, 2, (0,)
-        present, view = tal[:, 1::-1].any(axis=2).ravel(), tal.reshape(-1, 12)
+        present, view = nonzero[:, 1::-1].ravel() != 0, tal.reshape(-1, 12)
+    del nonzero
     # Group pair * n_ctx + c is the pair's c-th context, and cell
     # investor * n_ctx + c the investor's.  A record's key is its group or
     # its cell; keys run in record order.
     if level is Level.PER_ASSET:
-        rank = np.empty_like(by_name)
-        rank[by_name] = np.arange(len(by_name))
+        rank = np.argsort(by_name)  # each investor's place in name order
+        asset = np.asarray(store.pair_asset, np.int64)
         # Assets are numbered in asset_id order, so an asset index is its
         # rank, and no two pairs have the same key.
-        pairs = np.argsort(rank[owner] * len(store.assets) + np.asarray(store.pair_asset, np.int64))
+        pairs = np.argsort(rank[owner] * len(store.assets) + asset)
         groups = (pairs[:, None] * n_ctx + np.arange(n_ctx)).ravel()
         groups = keys = groups[present[groups]]
         del pairs
@@ -309,37 +308,33 @@ def aggregate(
         if level is Level.INVESTOR_POOLED:
             keys = keys[np.bincount(cell, minlength=n_cells)[keys] > 0]
     rows = groups if n_ctx == 1 else groups // 2 * 3 + 1 - groups % 2  # each group's row of view
-
-    def component(mi: int, j: int) -> np.ndarray:
-        """Component j (rg, rl, pg, pl) of method mi's tally, per group."""
-        out = view[rows, 4 * mi + j]
-        with np.errstate(over="ignore"):  # an inf sum is undefined, as in _de
-            for offset in offsets[1:]:
-                out += view[rows, offset + 4 * mi + j]
-        return out
-
     requested = sorted({_METHOD_INDEX[m] for m in methods})
     de = np.empty((len(keys), len(requested)))
     defined = np.empty(de.shape, bool)
     for k, mi in enumerate(requested):
-        if level is Level.PER_ASSET:
-            de[:, k], defined[:, k] = _de(lambda j: component(mi, j), zero_policy)
-        elif level is Level.INVESTOR_POOLED:
-            # np.bincount adds the groups one after another, in pair order;
-            # it counts in int64 when there are none.
-            de[:, k], defined[:, k] = _de(
-                lambda j: np.bincount(cell, component(mi, j), n_cells)[keys].astype(float), zero_policy
-            )
-        else:
-            per_asset, ok = _de(lambda j: component(mi, j), zero_policy)
+        tally = []  # rg, rl, pg, pl per group, or per cell when pooled
+        for column in range(4 * mi, 4 * mi + 4):
+            part = view[rows, column]
+            with np.errstate(over="ignore"):  # an inf sum is undefined, as in _de
+                for offset in offsets[1:]:
+                    part += view[rows, offset + column]
+            if level is Level.INVESTOR_POOLED:
+                # np.bincount adds the groups one after another, in pair
+                # order; it counts in int64 when there are none.
+                part = np.bincount(cell, part, n_cells)[keys].astype(float)
+            tally.append(part)
+        values, ok = _de(*tally, zero_policy)
+        del tally
+        if level is Level.INVESTOR_MEAN_OF_ASSETS:
             counts = np.bincount(cell[ok], minlength=n_cells)[keys]
             with np.errstate(invalid="ignore"):
-                de[:, k] = np.bincount(cell[ok], per_asset[ok], n_cells)[keys] / counts
-            defined[:, k] = counts > 0
+                values = np.bincount(cell[ok], values[ok], n_cells)[keys] / counts
+            ok = counts > 0
+        de[:, k], defined[:, k] = values, ok
     del rows
     index = keys // n_ctx  # the pair or the investor
     if level is Level.PER_ASSET:
-        investor, asset, asset_ids = owner[index], np.asarray(store.pair_asset, np.int64)[index], store.assets
+        investor, asset, asset_ids = owner[index], asset[index], store.assets
     else:
         investor, asset, asset_ids = index, np.zeros(len(keys), np.int64), [POOLED_ASSET]
     context = (keys % n_ctx + first_code).astype(np.int8)

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,3 +209,29 @@ def test_deduplicating_records_writer_matches_the_per_record_reference(monkeypat
     assert buf.getvalue() == _reference_records_csv(records)
     assert buf.getvalue().count("np.float64(-0.0),true") == 2
     assert buf.getvalue().count("np.float64(0.0),true") == 2
+
+
+def _writer_peak(n_records: int) -> int:
+    """tracemalloc peak of _write_records over n distinct de values, to a sink that keeps nothing."""
+    records = DeRecords(
+        ["i0", "i1"], ["A0"], np.arange(n_records) % 2, np.zeros(n_records, np.int64),
+        np.zeros(n_records, np.int8), np.zeros(n_records, np.int8), np.arange(n_records) / 7.0,
+        np.ones(n_records, bool),
+    )
+    texts = cli._field_texts(records.investor_ids), cli._field_texts(records.asset_ids)
+    sink = type("Sink", (), {"write": lambda self, text: None, "writelines": lambda self, lines: None})()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        cli._write_records(records, sink, *texts)
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+
+
+def test_records_writer_memory_does_not_grow_with_the_file():
+    # Distinct values, as Total and Value records mostly are: a writer that
+    # formats each distinct value of the whole file at once holds every
+    # value's text, about 90 bytes a record.
+    small, large = _writer_peak(2 * cli._WRITE_CHUNK), _writer_peak(12 * cli._WRITE_CHUNK)
+    assert large <= 1.5 * small, (small, large)
