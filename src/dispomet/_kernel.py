@@ -2,14 +2,14 @@
 
 ``encode`` reads an ingest.TransactionColumns, the one layout the parser
 and TransactionColumns.of both build, the latter from a list of
-Transactions.  In one numpy pass over views of its columns it checks the
-(timestamp, seq) order, that quantities are positive and that prices are
-positive and finite.  It interns the (investor_id, asset_id) column pair
+Transactions.  It checks the (timestamp, seq) order, that quantities are
+positive and that prices are positive and finite, each in one pass of plain
+Python over its column.  It interns the (investor_id, asset_id) column pair
 into pair indices, numbering assets in asset_id order, and passes the side,
 quantity and price arrays on without a copy.  ``stream`` then makes one
 sequential pass over those columns in plain Python, keeping per-pair
-positions in lists and the tallies in an ``array('d')`` buffer that is
-returned without a copy through ``np.frombuffer``.
+positions in lists and the tallies in an ``array('d')`` buffer, which it
+returns.  Neither loads numpy.
 
 Each investor's open positions are kept in one list of pair ids, ordered by
 asset: a position that opens is inserted with ``bisect.insort`` and one that
@@ -25,8 +25,6 @@ from array import array
 from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .ingest import Transaction, TransactionColumns, first_out_of_order
 
@@ -62,16 +60,14 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
             f"event {i}: (timestamp, seq) ({tx.timestamp}, {tx.seq}) is lower than "
             f"event {i - 1}'s ({before.timestamp}, {before.seq})"
         )
-    qty_ok = np.frombuffer(txs.quantity, np.int64) > 0
-    if not qty_ok.all():
-        i = int(qty_ok.argmin())
+    if txs and min(txs.quantity) <= 0:
+        i = next(i for i, q in enumerate(txs.quantity) if q <= 0)
         raise ValueError(f"event {i}: quantity {txs.quantity[i]} is not positive")
-    # NaN fails both comparisons, so it is rejected too.
-    prices = np.frombuffer(txs.price, np.float64)
-    price_ok = (prices > 0.0) & (prices < math.inf)
-    if not price_ok.all():
-        i = int(price_ok.argmin())
-        raise ValueError(f"event {i}: price {txs.price[i]} is not a positive finite number")
+    inf = math.inf
+    for price in txs.price:
+        if not 0.0 < price < inf:  # NaN fails both comparisons, so it is rejected too
+            i = next(i for i, p in enumerate(txs.price) if not 0.0 < p < inf)
+            raise ValueError(f"event {i}: price {txs.price[i]} is not a positive finite number")
     # Pairs and investors are numbered in order of first appearance.
     pair_index: dict[tuple[str, str], int] = {}
     ev_pair = [pair_index.setdefault(key, len(pair_index)) for key in zip(txs.investor_id, txs.asset_id)]
@@ -92,8 +88,8 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     )
 
 
-def stream(enc: EncodedStream, sells_only: bool, include_traded: bool):
-    """Run the accrual loop; returns the tally array, shape (n_pairs, 3, 12)."""
+def stream(enc: EncodedStream, sells_only: bool, include_traded: bool) -> array:
+    """Run the accrual loop; returns the tallies, an ``array('d')`` laid out as (n_pairs, 3, 12)."""
     pair_asset = enc.pair_asset
     n_pairs = len(pair_asset)
     pair_qty = [0] * n_pairs
@@ -181,4 +177,4 @@ def stream(enc: EncodedStream, sells_only: bool, include_traded: bool):
             tal[j] += 1.0
             tal[j + 4] += abs(qn)
             tal[j + 8] += abs(ret)
-    return np.frombuffer(tal, np.float64).reshape(n_pairs, 3, 12)
+    return tal

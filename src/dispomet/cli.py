@@ -16,8 +16,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence, TextIO
 
-import numpy as np
-
 from . import ingest, metrics
 from .ingest import (
     DuplicateAsset, IngestError, Instrument, MalformedRow, SchemaError, TransactionColumns, ZeroLeverage,
@@ -92,9 +90,7 @@ def _load_registry(path: str) -> dict[str, Instrument]:
 # The context and method fields of a record, each followed by its
 # delimiter, at index context * len(RECORD_METHODS) + method; merged
 # contexts read "all".
-_LABEL_TEXT = np.array(
-    [f"{'all' if c is None else c.value},{m.value}," for c in RECORD_CONTEXTS for m in RECORD_METHODS], object
-)
+_LABEL_TEXT = [f"{'all' if c is None else c.value},{m.value}," for c in RECORD_CONTEXTS for m in RECORD_METHODS]
 
 #: Rows per writelines call of _write_records, so no file's whole text is held at once.
 _WRITE_CHUNK = 4096
@@ -107,6 +103,8 @@ def _field_texts(values: Sequence[str]) -> np.ndarray:
     newline is quoted exactly as in a whole records row.  The empty second
     field keeps csv.writer from quoting a lone empty value.
     """
+    import numpy as np
+
     rows: list[str] = []
     csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n").writerows(zip(values, repeat("")))
     return np.array([row[:-1] for row in rows], object)
@@ -123,7 +121,10 @@ def _write_records(records: DeRecords, stream: TextIO, investor_text: np.ndarray
     known-answer hashes in perfbench/expected.json.  A NaN ``de`` (an
     undefined record) is an empty field.
     """
+    import numpy as np
+
     stream.write("investor_id,asset_id,context,method,de,defined\n")
+    label_text = np.array(_LABEL_TEXT, object)
     label = records.context * len(RECORD_METHODS) + records.method
     for start in range(0, len(records), _WRITE_CHUNK):
         part = slice(start, start + _WRITE_CHUNK)
@@ -132,7 +133,7 @@ def _write_records(records: DeRecords, stream: TextIO, investor_text: np.ndarray
         de_text = np.array(  # x != x: NaN, an undefined record
             [",false\n" if x != x else f"np.float64({x!r}),true\n" for x in values.view(np.float64).tolist()], object
         )
-        rows = investor_text[records.investor[part]] + asset_text[records.asset[part]] + _LABEL_TEXT[label[part]]
+        rows = investor_text[records.investor[part]] + asset_text[records.asset[part]] + label_text[label[part]]
         stream.writelines((rows + de_text[value_of]).tolist())
 
 
@@ -195,11 +196,11 @@ def _write_framing(store: metrics.TallyStore, framing: Framing, args: argparse.N
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
+    transactions = _load_transactions(args.transactions, lenient=args.lenient)[0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store = _run_engine(transactions, args)
-    del transactions  # the columns are not needed to write, so the writes reuse their memory
+    del transactions  # the columns are not needed to write, so numpy and the writes reuse their memory
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     n_records = sum(_write_framing(store, framing, args, out_dir) for framing in framings)
     print(f"wrote {n_records} records to {out_dir}")
@@ -266,12 +267,15 @@ _COMPARE_SPECS = {
 def cmd_compare(args: argparse.Namespace) -> int:
     from . import stats
 
-    transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
+    transactions = _load_transactions(args.transactions, lenient=args.lenient)[0]
     registry = _load_registry(args.registry)
     framing, row_header = _COMPARE_SPECS[args.spec]
     store = _run_engine(transactions, args)
-    records = metrics.aggregate(store, Level.PER_ASSET, framing, zero_policy=args.zero_denominator)
+    del transactions
     methods = args.methods
+    records = metrics.aggregate(store, Level.PER_ASSET, framing, methods=methods, zero_policy=args.zero_denominator)
+    import numpy as np  # loaded by aggregate
+
     # Each record's leverage, NaN (selected by no sample) where the registry
     # lacks the asset.
     asset_leverage = np.array([registry[a].leverage if a in registry else math.nan for a in records.asset_ids])
@@ -351,13 +355,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    transactions, _ = _load_transactions(args.transactions, lenient=args.lenient)
+    transactions = _load_transactions(args.transactions, lenient=args.lenient)[0]
     if not transactions:
         raise ingest.EmptyDataset("no transactions")
     print("Descriptive Summary of Investors")
     _print_summary(transactions)
     print()
     store = _run_engine(transactions, args)
+    del transactions
     records = metrics.aggregate(
         store,
         Level.INVESTOR_POOLED,
@@ -467,7 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if "method" in args:
             args.methods = _parse_methods(args.method)
         if "bins" in args:
-            metrics.histogram((), args.bins)  # rejects a bad width before any input is read
+            metrics.bin_count(args.bins)  # rejects a bad width before any input is read
         if "decimals" in args and args.decimals < 0:
             raise UsageError(f"--decimals must be >= 0, got {args.decimals}")
         if "decimals" in args and args.decimals > MAX_DECIMALS:
@@ -493,9 +498,10 @@ def run() -> None:
     gc.freeze() leaves them out of every later collection, the ones at
     interpreter shutdown included.  The few that are garbage (a class that
     dataclass(slots=True) replaced) are frozen too, rather than paid for
-    with a full collection.  Text that stdout could not take, argparse's
-    help included, is one I/O error; it goes to the null device, so the
-    exit flush cannot fail again.
+    with a full collection.  numpy loads later, so what main() leaves is
+    frozen once more before exit.  Text that stdout could not take,
+    argparse's help included, is one I/O error; it goes to the null
+    device, so the exit flush cannot fail again.
     """
     gc.freeze()
     try:
@@ -512,6 +518,7 @@ def run() -> None:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
+    gc.freeze()
     sys.exit(code)
 
 

@@ -33,8 +33,6 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, TextIO
 
-import numpy as np
-
 TRANSACTION_COLUMNS = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp")
 REGISTRY_COLUMNS = ("asset_id", "underlying_id", "leverage")
 
@@ -97,6 +95,7 @@ INT64_MAX = 2**63 - 1  # the largest quantity: the int64 range of exported trade
 
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
+_ORDER_CHUNK = 1 << 16  # keys per sorted() call of first_out_of_order, which holds them as Python objects
 
 
 def _instant(ts: datetime) -> tuple[int, timezone | None]:
@@ -128,23 +127,23 @@ def _datetime(micros: int, tz: timezone | None) -> datetime:
 def first_out_of_order(timestamp: array, seq: range | array) -> int | None:
     """Index of the first event whose (timestamp, seq) is lower than its predecessor's.
 
-    ``timestamp`` and an ``array('q')`` seq are read through numpy views.
     An equal (timestamp, seq) pair is in order; a ``range`` seq is ordered
     like its step, so a descending one puts every equal timestamp out of order.
+    Each chunk of keys is in order if sorted(), one pass in C, leaves it as is.
     """
-    ts = np.frombuffer(timestamp, np.int64)
-    lower = ts[1:] < ts[:-1]
-    if isinstance(seq, range):
-        if seq.step < 0:
-            lower |= ts[1:] == ts[:-1]
-    else:
-        sq = np.frombuffer(seq, np.int64)
-        lower |= (ts[1:] == ts[:-1]) & (sq[1:] < sq[:-1])
-    return int(lower.argmax()) + 1 if lower.any() else None
+    ascending = isinstance(seq, range) and seq.step > 0
+    for start in range(0, len(timestamp), _ORDER_CHUNK):
+        part = slice(start, start + _ORDER_CHUNK + 1)  # and the next chunk's first key
+        keys = timestamp[part].tolist() if ascending else list(zip(timestamp[part], seq[part]))
+        if keys != sorted(keys):
+            return start + next(i for i in range(1, len(keys)) if keys[i] < keys[i - 1])
+    return None
 
 
-def _values(column: Sequence) -> np.ndarray:
+def _values(column: Sequence):
     """A numeric column or seq as a numpy array, without copying an ``array``'s buffer."""
+    import numpy as np
+
     if isinstance(column, range):
         return np.arange(column.start, column.stop, column.step)
     return np.asarray(column)
@@ -270,7 +269,7 @@ class TransactionColumns(Sequence[Transaction]):
             all(map(operator.eq, self.investor_id, other.investor_id))
             and all(map(operator.eq, self.asset_id, other.asset_id))
             and all(
-                np.array_equal(_values(a), _values(b))
+                (_values(a) == _values(b)).all()
                 for a, b in zip(self._columns()[2:], other._columns()[2:])
             )
         )
@@ -466,7 +465,8 @@ def parse_transactions_report(
             except MalformedRow as err:
                 if not lenient:
                     raise
-                rejects.append(err)
+                err.__context__ = None  # a kept reject holds neither the error it was raised from nor frames
+                rejects.append(err.with_traceback(None))
                 continue
             investor_ids.append(ids.setdefault(investor_id, investor_id))
             asset_ids.append(ids.setdefault(asset_id, asset_id))

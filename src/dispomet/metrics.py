@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from . import _kernel
 from .ingest import Transaction
 
@@ -145,7 +143,7 @@ class DeRecords(Sequence[DeRecord]):
         return len(self.de)
 
     def __getitem__(self, index):
-        if isinstance(index, (slice, np.ndarray)):
+        if isinstance(index, slice) or getattr(index, "ndim", 0):  # a slice, an index or a boolean array
             return DeRecords(self.investor_ids, self.asset_ids, *(col[index] for col in self._columns()))
         i = operator.index(index)
         return DeRecord(
@@ -167,22 +165,26 @@ class DeRecords(Sequence[DeRecord]):
 # Streaming engine
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class TallyStore:
     """Dense tally storage produced by the streaming engine.
 
     ``array`` has shape (pair, context, method*4 + component) with
-    components rg, rl, pg, pl and contexts positive, negative, neutral.
+    components rg, rl, pg, pl and contexts positive, negative, neutral; it
+    is a float64 view, made on read, of the buffer the store was built from.
     Pair p belongs to ``investors[pair_investor[p]]`` and
     ``assets[pair_asset[p]]``; investors are numbered in order of first
     appearance, assets in asset_id order.
     """
 
-    investors: list[str]
-    assets: list[str]
-    pair_investor: list[int]
-    pair_asset: list[int]
-    array: np.ndarray
+    def __init__(self, investors, assets, pair_investor, pair_asset, array) -> None:
+        self.investors, self.assets, self.pair_investor, self.pair_asset = investors, assets, pair_investor, pair_asset
+        self._tallies = array
+
+    @property
+    def array(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self._tallies, np.float64).reshape(len(self.pair_investor), 3, 12)
 
     def to_dict(self) -> dict[TallyKey, Tally]:
         """Sparse view in oracle_replay's layout: only tallies with a nonzero component."""
@@ -225,6 +227,8 @@ def run_engine(
 
 def _de(rg, rl, pg, pl, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
     """synth.compute_de over groups, in place: returns rg, now the DE, and where it is defined."""
+    import numpy as np
+
     # A sum past the double range is inf, and the record undefined.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pg += rg  # the denominators
@@ -265,6 +269,8 @@ def aggregate(
     asset_id, context, method) as text, because investors and assets are
     visited by name and contexts and methods by code; they are never sorted.
     """
+    import numpy as np
+
     if level not in tuple(Level):
         raise ValueError(f"unknown aggregation level {level!r}")
     if zero_policy not in ("exclude", "zero"):
@@ -348,13 +354,9 @@ def aggregate(
     return records[records.defined] if level is Level.INVESTOR_MEAN_OF_ASSETS else records
 
 
-def histogram(values: Iterable[float], bin_width: float) -> list[tuple[float, int]]:
-    """Counts per half-open bin [edge, edge + width) tiling [-1, 1].
+def bin_count(bin_width: float) -> int:
+    """The number of bins of width ``bin_width`` that tile [-1, 1].
 
-    A value v falls in bin int((v + 1) / width), the quotient clipped to the
-    first and the last bin before the cast: values below -1 (and -inf) count
-    in the first bin, values at or above 1 (and +inf) in the last, so the
-    top bin is closed at 1.  NaN inputs (undefined records) are ignored.
     Raises InvalidBinWidth for a width outside (0, 2] or one that gives more
     than MAX_BINS bins.
     """
@@ -362,7 +364,21 @@ def histogram(values: Iterable[float], bin_width: float) -> list[tuple[float, in
         raise InvalidBinWidth(f"bin width must be in (0, 2], got {bin_width}")
     if 2.0 / bin_width > MAX_BINS:
         raise InvalidBinWidth(f"bin width {bin_width} gives more than {MAX_BINS} bins")
-    n_bins = math.ceil(2.0 / bin_width - 1e-9)
+    return math.ceil(2.0 / bin_width - 1e-9)
+
+
+def histogram(values: Iterable[float], bin_width: float) -> list[tuple[float, int]]:
+    """Counts per half-open bin [edge, edge + width) tiling [-1, 1].
+
+    A value v falls in bin int((v + 1) / width), the quotient clipped to the
+    first and the last bin before the cast: values below -1 (and -inf) count
+    in the first bin, values at or above 1 (and +inf) in the last, so the
+    top bin is closed at 1.  NaN inputs (undefined records) are ignored.
+    Raises InvalidBinWidth as bin_count does.
+    """
+    n_bins = bin_count(bin_width)
+    import numpy as np
+
     if isinstance(values, np.ndarray):
         values = np.asarray(values, np.float64)
     else:

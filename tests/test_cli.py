@@ -184,6 +184,29 @@ def test_compare_empty_group(tmp_path, capsys):
     assert "EmptyGroup" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", [None, "count", "value", "total,value"])
+def test_compare_aggregates_only_the_requested_methods(synth_log, monkeypatch, capsys, method):
+    argv = ["compare", "--transactions", str(synth_log / "transactions.csv"),
+            "--registry", str(synth_log / "instruments.csv"), "--spec", "volatility-long"]
+    argv += [] if method is None else ["--method", method]
+    aggregate, received = metrics.aggregate, []
+
+    def every_method(store, level, framing, *, methods, zero_policy):
+        return aggregate(store, level, framing, zero_policy=zero_policy)
+
+    def recorded(store, level, framing, *, methods, zero_policy):
+        received.append(list(methods))
+        return aggregate(store, level, framing, methods=methods, zero_policy=zero_policy)
+
+    monkeypatch.setattr(metrics, "aggregate", every_method)
+    assert main(argv) == EXIT_OK
+    table = capsys.readouterr().out  # the table from records of all three methods
+    monkeypatch.setattr(metrics, "aggregate", recorded)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == table
+    assert received == [[metrics.Method(name) for name in (method or "count,total,value").split(",")]]
+
+
 class _FullDevice(io.RawIOBase):
     """A writer that fails every write as a full disk does."""
 
@@ -246,10 +269,19 @@ def test_help_to_a_writable_stdout_exits_0(monkeypatch):
 _FRESH_PROCESS = """
 import atexit, gc, json, sys
 
+columns_at_numpy = []  # the TransactionColumns alive when numpy is first imported
+
+def audit(event, args):
+    if event == "import" and args[0] == "numpy":
+        from dispomet.ingest import TransactionColumns
+        columns_at_numpy.append(sum(isinstance(o, TransactionColumns) for o in gc.get_objects()))
+
 def report(**extra):
     names = sorted(name for name in sys.modules if name.startswith("dispomet."))
+    extra.update(numpy="numpy" in sys.modules, columns_at_numpy=columns_at_numpy)
     print(json.dumps({"modules": names, **extra}), file=sys.stderr)
 
+sys.addaudithook(audit)
 if sys.argv[1:]:
     atexit.register(lambda: report(frozen=gc.get_freeze_count() > 0))
     sys.argv[0] = "dispomet"
@@ -257,6 +289,10 @@ if sys.argv[1:]:
     run()
 else:
     import dispomet
+    from datetime import datetime
+    from dispomet.ingest import Side, Transaction
+    dispomet.run_engine([Transaction("I1", "A", side, 1, 10.0, datetime(2015, 1, 5, 9, m), m)
+                         for m, side in enumerate((Side.BUY, Side.SELL))])
     report()
     assert callable(dispomet.random_stream)
 """
@@ -271,19 +307,20 @@ def synth_log(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, loads",
+    "argv, loads, numpy",
     [
-        (["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "all"], set()),
-        (["validate", "--transactions", "{tx}", "--registry", "{reg}"], set()),
-        (["report", "--transactions", "{tx}"], set()),
+        (["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "all"], set(), True),
+        (["validate", "--transactions", "{tx}", "--registry", "{reg}"], set(), False),
+        (["report", "--transactions", "{tx}"], set(), True),
         (["compare", "--transactions", "{tx}", "--registry", "{reg}", "--spec", "volatility-long"],
-         {"dispomet.stats"}),
-        (["synth", "--out", "{out}", "--investors", "3"], {"dispomet.synth"}),
-        ([], set()),  # a bare import dispomet
+         {"dispomet.stats"}, True),
+        (["synth", "--out", "{out}", "--investors", "3"], {"dispomet.synth"}, True),
+        ([], set(), False),  # a bare import dispomet, then run_engine over a list
+        (["--help"], set(), False),
     ],
-    ids=["compute", "validate", "report", "compare", "synth", "import"],
+    ids=["compute", "validate", "report", "compare", "synth", "import", "help"],
 )
-def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, synth_log, tmp_path):
+def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, numpy, synth_log, tmp_path):
     paths = {"tx": synth_log / "transactions.csv", "reg": synth_log / "instruments.csv", "out": tmp_path / "out"}
     src = str(Path(dispomet.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -294,6 +331,9 @@ def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, synth_log, tm
     assert done.returncode == EXIT_OK, done.stderr
     report = json.loads(done.stderr.splitlines()[-1])
     assert {"dispomet.synth", "dispomet.stats"} & set(report["modules"]) == loads
+    assert report["numpy"] is numpy
+    if numpy and argv[0] != "synth":  # parse, encode and stream run without numpy, which loads once they are freed
+        assert report["columns_at_numpy"] == [0]
     if argv:
         assert report["frozen"]
 

@@ -444,6 +444,32 @@ def test_parse_retains_at_most_48_bytes_per_row(tmp_path):
     assert retained / len(cols) <= 48, f"{retained / len(cols):.0f} bytes per row"
 
 
+# One bad row per reject reason a field can give, each made from a valid row.
+_BAD_ROWS = (
+    "I1,A1,B,1,10.0", "I1,A1,X,1,10.0,2015-01-05 09:00:00", "I1,A1,B,1.5,10.0,2015-01-05 09:00:00",
+    "I1,A1,B,0,10.0,2015-01-05 09:00:00", "I1,A1,B,99999999999999999999,10.0,2015-01-05 09:00:00",
+    "I1,A1,B,1,n/a,2015-01-05 09:00:00", "I1,A1,B,1,-1.0,2015-01-05 09:00:00", "I1,A1,B,1,inf,2015-01-05 09:00:00",
+    "I1,A1,B,1,10.0,not-a-time", ",A1,B,1,10.0,2015-01-05 09:00:00", "I1,A1,B,1,10.0,2015-01-05T09:00:00+01:00",
+)
+
+
+def test_lenient_parse_keeps_at_most_600_bytes_per_reject(caplog):
+    # A reject kept its traceback, and the error it was raised from with
+    # that one's: the frames and the row they held, about 1.3 kB a reject.
+    rows = [_BAD_ROWS[i % len(_BAD_ROWS)] for i in range(11_000)]
+    text = HEADER + "I1,A1,B,1,10.0,2015-01-05 09:00:00\n" + "".join(row + "\n" for row in rows)
+    with caplog.at_level(logging.ERROR):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            txs, rejects = parse_transactions_report(io.StringIO(text), lenient=True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert len(txs) == 1 and len(rejects) == len(rows)
+    assert kept / len(rejects) <= 600, f"{kept / len(rejects):.0f} bytes per reject"
+
+
 NAIVE_TIMES = [
     "2015-01-05 09:00:00", "2015-01-05T09:00:00.000001", "2015-01-05 09:00", "1970-01-01",
     "1969-12-31 23:59:59.999999", "0001-01-01 00:00:00", "9999-12-31 23:59:59.999999",

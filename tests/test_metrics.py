@@ -1,11 +1,15 @@
 import math
 import tracemalloc
+from array import array
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dispomet.ingest import Side, Transaction
+from dispomet import ingest
+from dispomet.ingest import INT64_MAX, Side, Transaction, TransactionColumns
 from dispomet.metrics import (
     Context,
     Framing,
@@ -576,3 +580,64 @@ def test_encode_rejects_price_that_is_not_positive_and_finite(price):
     for sells_only in (False, True):
         with pytest.raises(ValueError, match=f"event 4: price {price} is not a positive finite number"):
             run_engine(txs, sells_only=sells_only)
+
+
+# Prices and quantities on both sides of encode's checks, the valid ones
+# drawn more often, so that whole streams pass as well as fail.
+_BAD_PRICES = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+_CHECK_PRICES = (10.0, 12.5, 5e-324, 1e-300, 1.5e308) * 8 + _BAD_PRICES
+_CHECK_QUANTITIES = (1, 2, INT64_MAX) * 4 + (0, -1)
+_checked_events = st.lists(
+    st.tuples(
+        st.sampled_from(("I1", "I2")), st.sampled_from(("A", "B", "C")), st.sampled_from(tuple(Side)),
+        st.sampled_from(_CHECK_QUANTITIES), st.sampled_from(_CHECK_PRICES),
+        st.sampled_from((0, 1) * 6 + (-1,)),  # minutes after the previous event: equal instants are common
+        st.sampled_from((True,) * 12 + (False,)),  # seq is the event's index, or 0 instead
+    ),
+    max_size=8,
+)
+
+
+def _checked_stream(events):
+    """The Transactions of _checked_events' tuples."""
+    minutes = [sum(e[5] for e in events[: i + 1]) + 10 for i in range(len(events))]
+    return [tx(inv, asset, side, qty, price, minute, i if keep else 0)
+            for i, ((inv, asset, side, qty, price, _, keep), minute) in enumerate(zip(events, minutes))]
+
+
+def _first_rejected(txs):
+    """encode's ValueError text for ``txs``, found one event at a time; None when every event passes."""
+    for i in range(1, len(txs)):
+        tx, before = txs[i], txs[i - 1]
+        if (tx.timestamp, tx.seq) < (before.timestamp, before.seq):
+            return (f"event {i}: (timestamp, seq) ({tx.timestamp}, {tx.seq}) is lower than "
+                    f"event {i - 1}'s ({before.timestamp}, {before.seq})")
+    for i, tx in enumerate(txs):
+        if tx.quantity <= 0:
+            return f"event {i}: quantity {tx.quantity} is not positive"
+    for i, tx in enumerate(txs):
+        if not (tx.price > 0.0 and tx.price < math.inf):
+            return f"event {i}: price {tx.price} is not a positive finite number"
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(events=_checked_events, seq_is_range=st.booleans(), chunk=st.sampled_from((1, 2, 3, 1 << 16)))
+def test_encode_checks_name_the_first_rejected_event(events, seq_is_range, chunk):
+    # chunk moves the borders of first_out_of_order's sorted() chunks.
+    listed = _checked_stream(events)
+    columns = TransactionColumns.of(listed)
+    built = TransactionColumns(
+        columns.investor_id, columns.asset_id, columns.side, columns.quantity, columns.price, columns.timestamp,
+        range(len(listed)) if seq_is_range else columns.seq,
+    )
+    with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
+        for txs in (listed, built):
+            message = _first_rejected(list(txs))
+            if message is None:
+                got = {key: repr(t) for key, t in run_engine(txs).to_dict().items()}  # repr: NaN equals NaN
+                assert got == {key: repr(t) for key, t in oracle_replay(txs).items()}
+            else:
+                with pytest.raises(ValueError) as err:
+                    run_engine(txs)
+                assert str(err.value) == message
