@@ -14,8 +14,9 @@ object-at-a-time reference semantics and their brute-force replay oracle
 The names below are the library surface the README uses; everything else
 is imported from its module (``dispomet.synth.oracle_replay``, ...).  The
 synth and stats names resolve on first use, so ``import dispomet`` loads
-neither module until a caller asks for one of them; numpy waits for the
-first ``aggregate``, ``histogram`` or synth call.
+neither module until a caller asks for one of them.  Parsing, the kernel,
+``aggregate`` and ``histogram`` are plain Python: numpy loads only with
+synth, or for the ``TallyStore.array`` view.
 """
 import importlib
 

@@ -2,9 +2,9 @@
 
 ``encode`` reads an ingest.TransactionColumns, the one layout the parser
 and TransactionColumns.of both build, the latter from a list of
-Transactions.  It checks the (timestamp, seq) order, that quantities are
-positive and that prices are positive and finite, each in one pass of plain
-Python over its column.  It interns the (investor_id, asset_id) column pair
+Transactions.  It checks the (timestamp, seq) order, unless the parser
+already has, that quantities are positive and that prices are positive and
+finite, each in one pass of plain Python over its column.  It interns the (investor_id, asset_id) column pair
 into pair indices, numbering assets in asset_id order, and passes the side,
 quantity and price arrays on without a copy.  ``stream`` then makes one
 sequential pass over those columns in plain Python, keeping per-pair
@@ -50,10 +50,11 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
     than its predecessor's, whose quantity is not positive or whose price is
     not a positive finite number, or, for a list, whose quantity lies
     outside int64 or whose timestamp is naive where event 0's is aware or
-    the other way round.
+    the other way round.  The parser's own columns are in order already, so
+    their order is not checked again.
     """
     txs = TransactionColumns.of(transactions)
-    i = first_out_of_order(txs.timestamp, txs.seq)
+    i = None if txs._in_order else first_out_of_order(txs.timestamp, txs.seq)
     if i is not None:
         tx, before = txs[i], txs[i - 1]
         raise ValueError(

@@ -92,49 +92,56 @@ def _load_registry(path: str) -> dict[str, Instrument]:
 # contexts read "all".
 _LABEL_TEXT = [f"{'all' if c is None else c.value},{m.value}," for c in RECORD_CONTEXTS for m in RECORD_METHODS]
 
-#: Rows per writelines call of _write_records, so no file's whole text is held at once.
+#: The text of a zero ``de`` in a records row, +0.0 first.
+_ZERO_TEXT = ("np.float64(0.0),true\n", "np.float64(-0.0),true\n")
+
+#: Rows per write call of _write_records, so no file's whole text is held at once.
 _WRITE_CHUNK = 4096
 
 
-def _field_texts(values: Sequence[str]) -> np.ndarray:
+def _field_texts(values: Sequence[str]) -> list[str]:
     """Each value as csv.writer writes it in a row, followed by the delimiter.
 
     Every value is its own row, so one holding a delimiter, a quote or a
     newline is quoted exactly as in a whole records row.  The empty second
     field keeps csv.writer from quoting a lone empty value.
     """
-    import numpy as np
-
     rows: list[str] = []
     csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n").writerows(zip(values, repeat("")))
-    return np.array([row[:-1] for row in rows], object)
+    return [row[:-1] for row in rows]
 
 
-def _write_records(records: DeRecords, stream: TextIO, investor_text: np.ndarray, asset_text: np.ndarray) -> None:
-    """Write records as CSV rows, _WRITE_CHUNK rows per writelines call.
+def _write_records(records: DeRecords, stream: TextIO, investor_text: list[str], asset_text: list[str]) -> None:
+    """Write records as CSV rows, _WRITE_CHUNK rows per write call.
 
-    A row is the str sum of object-array lookups: the _field_texts of
-    ``records.investor_ids`` and ``records.asset_ids``, and the text of
-    each distinct ``de`` of the chunk, made once.  This is the one place
-    ``de`` is formatted, as repr(np.float64(de)), which no CSV reader
-    parses; repr(de) waits for a change that also re-records the
-    known-answer hashes in perfbench/expected.json.  A NaN ``de`` (an
-    undefined record) is an empty field.
+    A row joins the _field_texts of its ``records.investor_ids`` and
+    ``records.asset_ids`` entries, its context and method text and the text
+    of its ``de``, made once per distinct nonzero value of the chunk.  -0.0
+    and 0.0 keep their own text, and a NaN ``de`` (an undefined record) is
+    an empty field.  This is the one place ``de`` is formatted, as
+    repr(np.float64(de)) reads, which no CSV reader parses; repr(de) waits
+    for a change that also re-records the known-answer hashes in
+    perfbench/expected.json.
     """
-    import numpy as np
-
     stream.write("investor_id,asset_id,context,method,de,defined\n")
-    label_text = np.array(_LABEL_TEXT, object)
-    label = records.context * len(RECORD_METHODS) + records.method
+    n_methods = len(RECORD_METHODS)
     for start in range(0, len(records), _WRITE_CHUNK):
         part = slice(start, start + _WRITE_CHUNK)
-        # Keyed by bits, so -0.0 and 0.0 keep their own text.
-        values, value_of = np.unique(records.de[part].view(np.int64), return_inverse=True)
-        de_text = np.array(  # x != x: NaN, an undefined record
-            [",false\n" if x != x else f"np.float64({x!r}),true\n" for x in values.view(np.float64).tolist()], object
-        )
-        rows = investor_text[records.investor[part]] + asset_text[records.asset[part]] + label_text[label[part]]
-        stream.writelines((rows + de_text[value_of]).tolist())
+        de_text: dict[float, str] = {}  # keyed by value, so never by a zero or a NaN
+        rows = []
+        for inv, asset, ctx, method, de in zip(
+            records.investor[part], records.asset[part], records.context[part], records.method[part], records.de[part]
+        ):
+            if de != de:  # NaN
+                text = ",false\n"
+            elif de:
+                text = de_text.get(de)
+                if text is None:
+                    text = de_text[de] = f"np.float64({de!r}),true\n"
+            else:
+                text = _ZERO_TEXT[math.copysign(1.0, de) < 0.0]
+            rows.append(f"{investor_text[inv]}{asset_text[asset]}{_LABEL_TEXT[ctx * n_methods + method]}{text}")
+        stream.write("".join(rows))
 
 
 def _write_histogram(bins: Sequence[tuple[float, int]], stream: TextIO) -> None:
@@ -176,23 +183,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _write_framing(store: metrics.TallyStore, framing: Framing, args: argparse.Namespace, out_dir: Path) -> int:
     """Write one framing's records_* and hist_* files; returns its record count.
 
-    Each method is aggregated on its own, and its records are freed once its
-    files are written, before the next method is aggregated.
+    The framing is aggregated once, for every method, and each method's
+    records_* and hist_* files are written from its share of the records.
     """
     level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
-    id_texts = None
-    n_records = 0
+    records = metrics.aggregate(store, level, framing, methods=args.methods, zero_policy=args.zero_denominator)
+    id_texts = _field_texts(records.investor_ids), _field_texts(records.asset_ids)
     for method in args.methods:
-        records = metrics.aggregate(store, level, framing, methods=[method], zero_policy=args.zero_denominator)
-        id_texts = id_texts or (_field_texts(records.investor_ids), _field_texts(records.asset_ids))
+        own = records.of_method(method)
         with open(out_dir / f"records_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
-            _write_records(records, fh, *id_texts)
-        bins = metrics.histogram(records.de[records.defined], args.bins)
+            _write_records(own, fh, *id_texts)
+        bins = metrics.histogram(own.de, args.bins)  # NaN, an undefined record, is not counted
         with open(out_dir / f"hist_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
             _write_histogram(bins, fh)
-        n_records += len(records)
-        del records
-    return n_records
+    return len(records)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -200,7 +204,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store = _run_engine(transactions, args)
-    del transactions  # the columns are not needed to write, so numpy and the writes reuse their memory
+    del transactions  # the columns are not needed to write, so the records and the writes reuse their memory
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     n_records = sum(_write_framing(store, framing, args, out_dir) for framing in framings)
     print(f"wrote {n_records} records to {out_dir}")
@@ -274,22 +278,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     del transactions
     methods = args.methods
     records = metrics.aggregate(store, Level.PER_ASSET, framing, methods=methods, zero_policy=args.zero_denominator)
-    import numpy as np  # loaded by aggregate
-
-    # Each record's leverage, NaN (selected by no sample) where the registry
-    # lacks the asset.
-    asset_leverage = np.array([registry[a].leverage if a in registry else math.nan for a in records.asset_ids])
-    record_leverage = asset_leverage[records.asset]
+    # The defined values of each (method, leverage, context) code group, in
+    # record order; an asset the registry lacks is in no sample.
+    asset_leverage = [registry[a].leverage if a in registry else None for a in records.asset_ids]
+    defined_values: dict[tuple[int, float | None, int], list[float]] = {}
+    for asset, ctx, method, de in zip(records.asset, records.context, records.method, records.de):
+        if de == de:  # not NaN: a defined record
+            defined_values.setdefault((method, asset_leverage[asset], ctx), []).append(de)
 
     def sample(method: Method, leverage: float, context: Context | None) -> list[float]:
         """The defined values of one (method, leverage, context) group, in record order."""
-        keep = (
-            records.defined
-            & (record_leverage == leverage)
-            & (records.context == RECORD_CONTEXTS.index(context))
-            & (records.method == RECORD_METHODS.index(method))
-        )
-        return records.de[keep].tolist()
+        return defined_values.get((RECORD_METHODS.index(method), leverage, RECORD_CONTEXTS.index(context)), [])
 
     leverages = sorted({inst.leverage for inst in registry.values()})
     if args.spec == "volatility-long":
@@ -370,7 +369,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         methods=[Method.COUNT],
         zero_policy=args.zero_denominator,
     )
-    bins = metrics.histogram(records.de[records.defined], args.bins)
+    bins = metrics.histogram(records.de, args.bins)  # NaN, an undefined record, is not counted
     print("Histogram of the investor-level disposition effect (method Count)")
     peak = max((c for _, c in bins), default=0)
     for edge, count in bins:
@@ -498,8 +497,8 @@ def run() -> None:
     gc.freeze() leaves them out of every later collection, the ones at
     interpreter shutdown included.  The few that are garbage (a class that
     dataclass(slots=True) replaced) are frozen too, rather than paid for
-    with a full collection.  numpy loads later, so what main() leaves is
-    frozen once more before exit.  Text that stdout could not take,
+    with a full collection.  What main() loads later (stats, or synth and
+    numpy) is frozen once more before exit.  Text that stdout could not take,
     argparse's help included, is one I/O error; it goes to the null
     device, so the exit flush cannot fail again.
     """

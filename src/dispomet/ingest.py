@@ -163,9 +163,13 @@ class TransactionColumns(Sequence[Transaction]):
     integer index gives one Transaction, a slice a TransactionColumns over
     the selected rows.  It equals any sequence of equal Transactions, field
     by field, in order; two TransactionColumns compare their columns.
+    ``_in_order`` is true only on the columns parse_transactions_report
+    returns, whose (timestamp, seq) order it has checked, so _kernel.encode
+    does not check it again; columns built any other way, slices included,
+    are checked there.
     """
 
-    __slots__ = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq", "tz")
+    __slots__ = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq", "tz", "_in_order")
 
     def __init__(
         self,
@@ -181,6 +185,7 @@ class TransactionColumns(Sequence[Transaction]):
         self.investor_id, self.asset_id, self.side = investor_id, asset_id, side
         self.quantity, self.price, self.timestamp, self.seq = quantity, price, timestamp, seq
         self.tz = tz
+        self._in_order = False
         lengths = {len(column) for column in self._columns()}
         if len(lengths) > 1 or (tz is not None and len(tz) not in lengths):
             raise ValueError("transaction columns differ in length")
@@ -491,7 +496,9 @@ def parse_transactions_report(
         tz = None if tz is None else _take(tz, order)
     else:
         columns.append(range(len(timestamps)))
-    return TransactionColumns(*columns, tz=tz), rejects
+    txs = TransactionColumns(*columns, tz=tz)
+    txs._in_order = True  # checked, or sorted, above
+    return txs, rejects
 
 
 def _timestamp_texts(timestamp: array, tz: Sequence[timezone] | None) -> Iterator[str]:

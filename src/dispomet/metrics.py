@@ -21,13 +21,15 @@ contexts before the ratio; wide framing pools tallies at the investor level
 per context; integrated framing keeps per-asset, per-context tallies.
 
 ``run_engine`` streams the events through _kernel into a TallyStore, the
-dense tally array with each pair's investor and asset and no event column.
-``aggregate`` reads its public fields and returns its records as a sequence
-of DeRecords backed by columns (investor and asset indices, context and
-method codes, ``de`` and ``defined``), ordered by (investor_id, asset_id,
-context, method) as text.  It computes only the requested methods, one at a
-time, over the groups with a nonzero tally, and builds the records in that
-order rather than sorting them.
+kernel's dense ``array('d')`` of tallies with each pair's investor and
+asset and no event column.  ``aggregate`` reads that buffer in plain
+Python and returns its records as a sequence of DeRecords backed by stdlib
+``array`` columns (investor and asset indices, context and method codes and
+``de``), ordered by (investor_id, asset_id, context, method) as text.  It
+reads each group with a nonzero tally once, computes every requested method
+from it, and builds the records in that order rather than sorting them.
+``histogram`` is plain Python too, so nothing here loads numpy but the
+``TallyStore.array`` view.
 
 The same semantics, one object at a time, are the reference in synth
 (``classify_context``, ``accrue_event``, ``compute_de``, ``oracle_replay``).
@@ -36,8 +38,11 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, filterfalse
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernel
@@ -89,6 +94,13 @@ class InvalidBinWidth(Exception):
 
 MAX_BINS = 10**6  # bounds the count list and each hist_*.csv to a million rows
 
+_NAN = math.nan  # the de of an undefined record
+
+# A pair's 36 tallies, or one context's 12, from a byte offset into a
+# store's buffer, as a tuple of floats.
+_unpack_pair = struct.Struct("36d").unpack_from
+_unpack_context = struct.Struct("12d").unpack_from
+
 
 @dataclass(slots=True)
 class Tally:
@@ -118,47 +130,78 @@ class DeRecord:
 class DeRecords(Sequence[DeRecord]):
     """Read-only DeRecords held as columns; a DeRecord is built on access.
 
-    ``investor`` and ``asset`` index ``investor_ids`` and ``asset_ids``,
-    ``context`` and ``method`` are codes into RECORD_CONTEXTS and
-    RECORD_METHODS, and ``de`` is NaN exactly where ``defined`` is false,
-    under either zero-denominator policy.  An integer index gives one
-    DeRecord; a slice or an index or boolean array gives the selected
-    records as DeRecords.
+    ``investor`` and ``asset`` are ``array('q')`` indices into
+    ``investor_ids`` and ``asset_ids``, ``context`` and ``method`` are
+    ``array('b')`` codes into RECORD_CONTEXTS and RECORD_METHODS, and ``de``
+    is an ``array('d')`` that is NaN exactly where a record is undefined,
+    under either zero-denominator policy; ``defined`` is read off it.  An
+    integer index gives one DeRecord, a slice the selected records as
+    DeRecords.
     """
 
-    __slots__ = ("investor_ids", "asset_ids", "investor", "asset", "context", "method", "de", "defined")
+    __slots__ = ("investor_ids", "asset_ids", "investor", "asset", "context", "method", "de")
 
-    def __init__(self, investor_ids, asset_ids, investor, asset, context, method, de, defined) -> None:
+    def __init__(self, investor_ids, asset_ids, investor, asset, context, method, de) -> None:
         self.investor_ids: Sequence[str] = investor_ids
         self.asset_ids: Sequence[str] = asset_ids
-        self.investor, self.asset, self.context = investor, asset, context
-        self.method, self.de, self.defined = method, de, defined
-        for column in self._columns():
-            column.flags.writeable = False
+        self.investor: array = investor
+        self.asset: array = asset
+        self.context: array = context
+        self.method: array = method
+        self.de: array = de
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.investor, self.asset, self.context, self.method, self.de, self.defined
+    def _columns(self) -> tuple[array, ...]:
+        return self.investor, self.asset, self.context, self.method, self.de
+
+    @property
+    def defined(self) -> array:
+        """An ``array('b')``: 1 where a record is defined, 0 where its ``de`` is NaN."""
+        return array("b", map(float.__eq__, self.de, self.de))
 
     def __len__(self) -> int:
         return len(self.de)
 
     def __getitem__(self, index):
-        if isinstance(index, slice) or getattr(index, "ndim", 0):  # a slice, an index or a boolean array
+        if isinstance(index, slice):
             return DeRecords(self.investor_ids, self.asset_ids, *(col[index] for col in self._columns()))
         i = operator.index(index)
+        de = self.de[i]
         return DeRecord(
             self.investor_ids[self.investor[i]],
             self.asset_ids[self.asset[i]],
             RECORD_CONTEXTS[self.context[i]],
             RECORD_METHODS[self.method[i]],
-            float(self.de[i]),
-            bool(self.defined[i]),
+            de,
+            de == de,
         )
 
     def __iter__(self) -> Iterator[DeRecord]:
         investor_ids, asset_ids = self.investor_ids, self.asset_ids
-        for inv, asset, ctx, method, de, ok in zip(*(col.tolist() for col in self._columns())):
-            yield DeRecord(investor_ids[inv], asset_ids[asset], RECORD_CONTEXTS[ctx], RECORD_METHODS[method], de, ok)
+        for inv, asset, ctx, method, de in zip(*self._columns()):
+            yield DeRecord(investor_ids[inv], asset_ids[asset], RECORD_CONTEXTS[ctx], RECORD_METHODS[method], de, de == de)
+
+    def of_method(self, method: Method) -> "DeRecords":
+        """The records of ``method``, in order.
+
+        A key's records are consecutive, one per method in code order.
+        Where every key has the same n methods, as at every level but
+        investor-mean-of-assets, a method's records are every n-th record,
+        a slice; otherwise they are picked one by one.
+        """
+        code = RECORD_METHODS.index(method)
+        n = 1
+        while n < len(self) and self.method[n] > self.method[n - 1]:
+            n += 1
+        first = self.method[:n]
+        if code in first and self.method == first * (len(self) // n):
+            return self[first.index(code)::n]
+        return self._compress(list(map(code.__eq__, self.method)))
+
+    def _compress(self, selectors: Sequence) -> "DeRecords":
+        """The records whose selector is true, in order."""
+        return DeRecords(
+            self.investor_ids, self.asset_ids, *(array(col.typecode, compress(col, selectors)) for col in self._columns())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +211,13 @@ class DeRecords(Sequence[DeRecord]):
 class TallyStore:
     """Dense tally storage produced by the streaming engine.
 
-    ``array`` has shape (pair, context, method*4 + component) with
-    components rg, rl, pg, pl and contexts positive, negative, neutral; it
-    is a float64 view, made on read, of the buffer the store was built from.
-    Pair p belongs to ``investors[pair_investor[p]]`` and
-    ``assets[pair_asset[p]]``; investors are numbered in order of first
-    appearance, assets in asset_id order.
+    The store keeps the kernel's ``array('d')`` of tallies, laid out flat as
+    (pair, context, method*4 + component) with components rg, rl, pg, pl
+    and contexts positive, negative, neutral; ``aggregate`` and ``to_dict``
+    read it as it is.  ``array`` is a float64 ndarray view of it with that
+    shape, made on read, which loads numpy.  Pair p belongs to
+    ``investors[pair_investor[p]]`` and ``assets[pair_asset[p]]``; investors
+    are numbered in order of first appearance, assets in asset_id order.
     """
 
     def __init__(self, investors, assets, pair_investor, pair_asset, array) -> None:
@@ -189,17 +233,15 @@ class TallyStore:
     def to_dict(self) -> dict[TallyKey, Tally]:
         """Sparse view in oracle_replay's layout: only tallies with a nonzero component."""
         out: dict[TallyKey, Tally] = {}
-        tallies = self.array.tolist()  # Python floats, as Tally's fields are
         for pid, (ii, ai) in enumerate(zip(self.pair_investor, self.pair_asset)):
             inv, asset = self.investors[ii], self.assets[ai]
+            row = _unpack_pair(self._tallies, 288 * pid)
             for ctx, ci in _CTX_INDEX.items():
-                row = tallies[pid][ci]
                 for method, mi in _METHOD_INDEX.items():
-                    m = mi * 4
-                    if row[m] or row[m + 1] or row[m + 2] or row[m + 3]:
-                        out[(inv, asset, ctx, method)] = Tally(
-                            row[m], row[m + 1], row[m + 2], row[m + 3]
-                        )
+                    j = ci * 12 + mi * 4
+                    tally = row[j : j + 4]
+                    if any(tally):
+                        out[(inv, asset, ctx, method)] = Tally(*tally)
         return out
 
 
@@ -225,25 +267,54 @@ def run_engine(
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _de(rg, rl, pg, pl, zero_policy: str) -> tuple[np.ndarray, np.ndarray]:
-    """synth.compute_de over groups, in place: returns rg, now the DE, and where it is defined."""
-    import numpy as np
+def _merge_contexts(r: tuple[float, ...]) -> list[float]:
+    """A pair's 36 tallies as one context's 12: positive + negative, then + neutral."""
+    return [
+        r[0] + r[12] + r[24], r[1] + r[13] + r[25], r[2] + r[14] + r[26], r[3] + r[15] + r[27],
+        r[4] + r[16] + r[28], r[5] + r[17] + r[29], r[6] + r[18] + r[30], r[7] + r[19] + r[31],
+        r[8] + r[20] + r[32], r[9] + r[21] + r[33], r[10] + r[22] + r[34], r[11] + r[23] + r[35],
+    ]
 
-    # A sum past the double range is inf, and the record undefined.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pg += rg  # the denominators
-        pl += rl
-        rg /= pg
-        rl /= pl
-        if zero_policy == "zero":  # a side without a denominator counts as 0
-            rg[~(pg > 0.0)] = 0.0
-            rl[~(pl > 0.0)] = 0.0
-        rg -= rl
-    defined = np.isfinite(rg)
-    if zero_policy == "exclude":
-        defined &= (pg != 0.0) & (pl != 0.0)
-    rg[~defined] = np.nan
-    return rg, defined
+
+def _de_values(tallies: Iterable[Sequence[float]], m: int, zero_policy: str) -> list[float]:
+    """synth.compute_de of each tally's components m..m+3, NaN where undefined.
+
+    Where both denominators are positive the two policies agree; the other
+    tallies, among them the zero denominators Python would raise on, take
+    compute_de's branches.  Adding +0.0 makes a zero DE +0.0, as the
+    reference's sums from +0.0 do; a -0.0 component changes no other value.
+    """
+    zero = zero_policy == "zero"
+    values = []
+    m1, m2, m3 = m + 1, m + 2, m + 3
+    for tally in tallies:
+        rg = tally[m]
+        rl = tally[m1]
+        pg = tally[m2]
+        pl = tally[m3]
+        gd = rg + pg
+        ld = rl + pl
+        if gd > 0.0 < ld:
+            de = rg / gd - rl / ld + 0.0
+        elif zero:
+            de = (rg / gd if gd > 0.0 else 0.0) - (rl / ld if ld > 0.0 else 0.0) + 0.0
+        elif gd == 0.0 or ld == 0.0:
+            values.append(_NAN)
+            continue
+        else:
+            de = rg / gd - rl / ld + 0.0
+        values.append(de if de - de == 0.0 else _NAN)  # inf - inf and NaN - NaN are NaN
+    return values
+
+
+def _interleave(columns: list[array]) -> array:
+    """One array holding element j of ``columns[k]`` at j * len(columns) + k."""
+    if len(columns) == 1:
+        return columns[0]
+    out = columns[0] * len(columns)
+    for k, column in enumerate(columns):
+        out[k :: len(columns)] = column
+    return out
 
 
 def aggregate(
@@ -263,95 +334,90 @@ def aggregate(
     per-asset values.  A record exists only for a (pair, context) group
     with a nonzero tally, or an investor with at least one such group.
 
-    Only the requested methods are computed, one at a time, and only over
-    the groups that exist, whose components are gathered from
-    ``store.array``.  The records come out in their order, (investor_id,
-    asset_id, context, method) as text, because investors and assets are
-    visited by name and contexts and methods by code; they are never sorted.
+    One pass visits investors by name and each investor's pairs, by asset
+    at PER_ASSET and in pair order otherwise, reading the groups that exist
+    from the store's buffer once; each group or investor cell gives a
+    record of every requested method.  So the records come out in their
+    order, (investor_id, asset_id, context, method) as text, and are never
+    sorted.  Every sum adds in the reference's order: a narrow group's
+    positive, negative and neutral tallies, an investor's groups and its
+    defined per-asset values in pair order.
     """
-    import numpy as np
-
     if level not in tuple(Level):
         raise ValueError(f"unknown aggregation level {level!r}")
     if zero_policy not in ("exclude", "zero"):
         raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
-    tal = store.array
-    owner = np.asarray(store.pair_investor, np.int64)
-    by_name = np.array(sorted(range(len(store.investors)), key=store.investors.__getitem__), np.int64)
-    # A method's four nonzero flags read as one uint32, ORed over the
-    # methods: nonzero where the (pair, context) tally is.
-    nonzero = (tal != 0).view(np.uint32)
-    nonzero = nonzero[..., 0] | nonzero[..., 1] | nonzero[..., 2]
-    if framing is Framing.NARROW:
-        # One group per pair, whose tally is positive plus negative, then
-        # plus neutral, as the reference adds them.  Tallies are
-        # non-negative, so that sum is nonzero where any context's tally is.
-        first_code, n_ctx, offsets = 0, 1, (0, 12, 24)
-        present, view = (nonzero[:, 0] | nonzero[:, 1] | nonzero[:, 2]) != 0, tal.reshape(len(tal), 36)
-    else:
-        # Groups (pair, negative) and (pair, positive): tally contexts 1
-        # and 0, in the order of their record codes.
-        first_code, n_ctx, offsets = 1, 2, (0,)
-        present, view = nonzero[:, 1::-1].ravel() != 0, tal.reshape(-1, 12)
-    del nonzero
-    # Group pair * n_ctx + c is the pair's c-th context, and cell
-    # investor * n_ctx + c the investor's.  A record's key is its group or
-    # its cell; keys run in record order.
-    if level is Level.PER_ASSET:
-        rank = np.argsort(by_name)  # each investor's place in name order
-        asset = np.asarray(store.pair_asset, np.int64)
-        # Assets are numbered in asset_id order, so an asset index is its
-        # rank, and no two pairs have the same key.
-        pairs = np.argsort(rank[owner] * len(store.assets) + asset)
-        groups = (pairs[:, None] * n_ctx + np.arange(n_ctx)).ravel()
-        groups = keys = groups[present[groups]]
-        del pairs
-    else:
-        groups = np.flatnonzero(present)  # in pair order, the order the reference sums pairs in
-        cell = owner[groups // n_ctx] * n_ctx + groups % n_ctx
-        n_cells = len(by_name) * n_ctx
-        keys = (by_name[:, None] * n_ctx + np.arange(n_ctx)).ravel()
-        if level is Level.INVESTOR_POOLED:
-            keys = keys[np.bincount(cell, minlength=n_cells)[keys] > 0]
-    rows = groups if n_ctx == 1 else groups // 2 * 3 + 1 - groups % 2  # each group's row of view
-    requested = sorted({_METHOD_INDEX[m] for m in methods})
-    de = np.empty((len(keys), len(requested)))
-    defined = np.empty(de.shape, bool)
-    for k, mi in enumerate(requested):
-        tally = []  # rg, rl, pg, pl per group, or per cell when pooled
-        for column in range(4 * mi, 4 * mi + 4):
-            part = view[rows, column]
-            with np.errstate(over="ignore"):  # an inf sum is undefined, as in _de
-                for offset in offsets[1:]:
-                    part += view[rows, offset + column]
+    offsets = [4 * _METHOD_INDEX[m] for m in sorted(set(methods), key=_METHOD_INDEX.get)]
+    narrow = framing is Framing.NARROW
+    tal, pair_asset = store._tallies, store.pair_asset
+    pairs_of: list[list[int]] = [[] for _ in store.investors]  # each investor's pairs, in pair order
+    for p, i in enumerate(store.pair_investor):
+        pairs_of[i].append(p)
+    investor, asset, context = array("q"), array("q"), array("b")
+    de = [array("d") for _ in offsets]  # per method, a value per key
+    for i in sorted(range(len(pairs_of)), key=store.investors.__getitem__):
+        pairs = pairs_of[i]
+        if level is Level.PER_ASSET:
+            pairs.sort(key=pair_asset.__getitem__)
+        # Each present group's context code, asset and 12 components; the
+        # codes of a pair's groups ascend.
+        codes, group_assets, tallies = [], [], []
+        for p in pairs:
+            offset = 288 * p
+            if narrow:
+                row = _unpack_pair(tal, offset)
+                if any(row):
+                    codes.append(0)
+                    group_assets.append(pair_asset[p])
+                    tallies.append(_merge_contexts(row))
+                continue
+            negative = _unpack_context(tal, offset + 96)
+            if any(negative):
+                codes.append(1)
+                group_assets.append(pair_asset[p])
+                tallies.append(negative)
+            positive = _unpack_context(tal, offset)
+            if any(positive):
+                codes.append(2)
+                group_assets.append(pair_asset[p])
+                tallies.append(positive)
+        if level is Level.PER_ASSET:  # a key per group
+            asset.fromlist(group_assets)
+            for m, column in zip(offsets, de):
+                column.fromlist(_de_values(tallies, m, zero_policy))
+        else:  # a key per context code, or cell, of the investor's groups
+            cells = sorted(set(codes))
             if level is Level.INVESTOR_POOLED:
-                # np.bincount adds the groups one after another, in pair
-                # order; it counts in int64 when there are none.
-                part = np.bincount(cell, part, n_cells)[keys].astype(float)
-            tally.append(part)
-        values, ok = _de(*tally, zero_policy)
-        del tally
-        if level is Level.INVESTOR_MEAN_OF_ASSETS:
-            counts = np.bincount(cell[ok], minlength=n_cells)[keys]
-            with np.errstate(invalid="ignore"):
-                values = np.bincount(cell[ok], values[ok], n_cells)[keys] / counts
-            ok = counts > 0
-        de[:, k], defined[:, k] = values, ok
-    del rows
-    index = keys // n_ctx  # the pair or the investor
-    if level is Level.PER_ASSET:
-        investor, asset, asset_ids = owner[index], asset[index], store.assets
-    else:
-        investor, asset, asset_ids = index, np.zeros(len(keys), np.int64), [POOLED_ASSET]
-    context = (keys % n_ctx + first_code).astype(np.int8)
-    del index
-    n = len(requested)
+                summed = dict.fromkeys(cells)
+                for code, tally in zip(codes, tallies):
+                    total = summed[code]
+                    summed[code] = tally if total is None else list(map(operator.add, total, tally))
+                for m, column in zip(offsets, de):
+                    column.fromlist(_de_values(summed.values(), m, zero_policy))
+            else:
+                for m, column in zip(offsets, de):
+                    values = _de_values(tallies, m, zero_policy)
+                    for cell in cells:
+                        total, count = 0.0, 0
+                        for code, value in zip(codes, values):
+                            if code == cell and value == value:
+                                total += value
+                                count += 1
+                        column.append(total / count if count else _NAN)
+            codes = cells
+            asset.fromlist([0] * len(cells))
+        investor.fromlist([i] * len(codes))
+        context.fromlist(codes)
+    n = len(offsets)
     records = DeRecords(
-        store.investors, asset_ids, *(c if n == 1 else np.repeat(c, n) for c in (investor, asset, context)),
-        np.tile(np.array(requested, np.int8), len(keys)), de.ravel(), defined.ravel(),
+        store.investors,
+        store.assets if level is Level.PER_ASSET else [POOLED_ASSET],
+        *(_interleave([column] * n) for column in (investor, asset, context)),
+        array("b", [m // 4 for m in offsets]) * len(investor),
+        _interleave(de),
     )
     # Each (key, method) is a record, except a mean of no defined value.
-    return records[records.defined] if level is Level.INVESTOR_MEAN_OF_ASSETS else records
+    return records._compress(records.defined) if level is Level.INVESTOR_MEAN_OF_ASSETS else records
 
 
 def bin_count(bin_width: float) -> int:
@@ -374,18 +440,16 @@ def histogram(values: Iterable[float], bin_width: float) -> list[tuple[float, in
     first and the last bin before the cast: values below -1 (and -inf) count
     in the first bin, values at or above 1 (and +inf) in the last, so the
     top bin is closed at 1.  NaN inputs (undefined records) are ignored.
-    Raises InvalidBinWidth as bin_count does.
+    Each value is read as a Python float, numpy scalars included.  Raises
+    InvalidBinWidth as bin_count does.
     """
     n_bins = bin_count(bin_width)
-    import numpy as np
-
-    if isinstance(values, np.ndarray):
-        values = np.asarray(values, np.float64)
-    else:
-        values = np.fromiter(values, np.float64)
-    values = values[~np.isnan(values)]
-    with np.errstate(over="ignore"):
-        quotient = (values + 1.0) / bin_width
-    index = np.clip(quotient, 0.0, n_bins - 1).astype(np.int64)
-    counts = np.bincount(index, minlength=n_bins).tolist()
+    counts = [0] * n_bins
+    top = n_bins - 1
+    for v in filterfalse(math.isnan, values):
+        quotient = (float(v) + 1.0) / bin_width
+        if quotient > 0.0:
+            counts[int(quotient) if quotient < top else top] += 1
+        else:
+            counts[0] += 1
     return [(-1.0 + i * bin_width, counts[i]) for i in range(n_bins)]

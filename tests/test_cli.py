@@ -92,8 +92,8 @@ def test_compute_outputs_per_framing_and_method(clean_file, tmp_path):
 
 
 def test_compute_writes_each_framing_before_aggregating_the_next(clean_file, tmp_path, monkeypatch):
-    # Stronger than the name: each method is aggregated on its own, and its
-    # files are written before the next aggregate call.
+    # Each framing is aggregated once, for every method, and all of its
+    # files are written before the next framing's aggregate call.
     out = tmp_path / "out"
     calls = []
     aggregate = metrics.aggregate
@@ -106,10 +106,10 @@ def test_compute_writes_each_framing_before_aggregating_the_next(clean_file, tmp
     assert main(["compute", "--transactions", clean_file, "--out", str(out), "--framing", "all"]) == EXIT_OK
     want, written = [], []
     for framing in ("narrow", "wide", "integrated"):
-        for method in ("count", "total", "value"):
-            want.append((framing, [method], sorted(written)))
-            written += [f"hist_{framing}_{method}.csv", f"records_{framing}_{method}.csv"]
+        want.append((framing, ["count", "total", "value"], sorted(written)))
+        written += [f"{kind}_{framing}_{method}.csv" for method in ("count", "total", "value") for kind in ("hist", "records")]
     assert calls == want
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
 
 def test_compute_single_method_subset(clean_file, tmp_path):
@@ -263,25 +263,17 @@ def test_help_to_a_writable_stdout_exits_0(monkeypatch):
     assert stdout.getvalue().startswith("usage: dispomet")
 
 
-# Prints, as JSON on stderr, the dispomet modules a fresh process loaded: for
-# a command run through cli.run at exit, with whether the heap was frozen; for
-# a bare import before dispomet.random_stream is first read.
+# Prints, as JSON on stderr, the dispomet modules a fresh process loaded and
+# whether it loaded numpy: for a command run through cli.run at exit, with
+# whether the heap was frozen; for a bare import before
+# dispomet.random_stream is first read.
 _FRESH_PROCESS = """
 import atexit, gc, json, sys
 
-columns_at_numpy = []  # the TransactionColumns alive when numpy is first imported
-
-def audit(event, args):
-    if event == "import" and args[0] == "numpy":
-        from dispomet.ingest import TransactionColumns
-        columns_at_numpy.append(sum(isinstance(o, TransactionColumns) for o in gc.get_objects()))
-
 def report(**extra):
     names = sorted(name for name in sys.modules if name.startswith("dispomet."))
-    extra.update(numpy="numpy" in sys.modules, columns_at_numpy=columns_at_numpy)
-    print(json.dumps({"modules": names, **extra}), file=sys.stderr)
+    print(json.dumps({"modules": names, "numpy": "numpy" in sys.modules, **extra}), file=sys.stderr)
 
-sys.addaudithook(audit)
 if sys.argv[1:]:
     atexit.register(lambda: report(frozen=gc.get_freeze_count() > 0))
     sys.argv[0] = "dispomet"
@@ -309,11 +301,11 @@ def synth_log(tmp_path_factory):
 @pytest.mark.parametrize(
     "argv, loads, numpy",
     [
-        (["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "all"], set(), True),
+        (["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "all"], set(), False),
         (["validate", "--transactions", "{tx}", "--registry", "{reg}"], set(), False),
-        (["report", "--transactions", "{tx}"], set(), True),
+        (["report", "--transactions", "{tx}"], set(), False),
         (["compare", "--transactions", "{tx}", "--registry", "{reg}", "--spec", "volatility-long"],
-         {"dispomet.stats"}, True),
+         {"dispomet.stats"}, False),
         (["synth", "--out", "{out}", "--investors", "3"], {"dispomet.synth"}, True),
         ([], set(), False),  # a bare import dispomet, then run_engine over a list
         (["--help"], set(), False),
@@ -331,9 +323,7 @@ def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, numpy, synth_
     assert done.returncode == EXIT_OK, done.stderr
     report = json.loads(done.stderr.splitlines()[-1])
     assert {"dispomet.synth", "dispomet.stats"} & set(report["modules"]) == loads
-    assert report["numpy"] is numpy
-    if numpy and argv[0] != "synth":  # parse, encode and stream run without numpy, which loads once they are freed
-        assert report["columns_at_numpy"] == [0]
+    assert report["numpy"] is numpy  # only synth, of the commands, needs numpy
     if argv:
         assert report["frozen"]
 

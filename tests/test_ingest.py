@@ -579,3 +579,42 @@ def test_columns_of_a_list_keep_any_tzinfo_as_its_fixed_offset():
     (tx,) = TransactionColumns.of([Transaction("I1", "A1", Side.BUY, 1, 10.0, ts, 0)])
     assert tx.timestamp == ts and _exactly(tx.timestamp) == _exactly(ts)
     assert tx.timestamp.tzinfo == timezone(timedelta(minutes=90))
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "out-of-order"])
+def test_a_parsed_log_is_order_checked_once(shuffled, monkeypatch):
+    from dispomet import _kernel, ingest
+
+    rows = [f"I{i % 3},A{i % 2},{'BS'[i % 2]},1,10.0,2015-01-05 09:{i:02d}:00\n" for i in range(8)]
+    calls = []
+    check = ingest.first_out_of_order
+
+    def counted(timestamp, seq):
+        calls.append(len(timestamp))
+        return check(timestamp, seq)
+
+    monkeypatch.setattr(ingest, "first_out_of_order", counted)
+    monkeypatch.setattr(_kernel, "first_out_of_order", counted)
+    txs = parse(HEADER + "".join(rows[::-1] if shuffled else rows))
+    assert calls == [8]  # the parser's, which sorts a log out of order
+    store = run_engine(txs)
+    assert calls == [8]  # encode does not check the parser's columns again
+    assert run_engine(txs[2:]).to_dict() == run_engine(list(txs[2:])).to_dict()
+    assert calls == [8, 6, 6]  # a slice, and a list, are checked
+    assert store.to_dict() == run_engine(list(txs)).to_dict()
+
+
+def test_hand_built_columns_out_of_order_still_raise():
+    ordered = parse(HEADER + "I1,A,B,1,10.0,2015-01-05 09:00:00\nI1,A,S,1,11.0,2015-01-05 09:01:00\n")
+    columns = TransactionColumns(
+        ordered.investor_id, ordered.asset_id, ordered.side, ordered.quantity, ordered.price,
+        array("q", ordered.timestamp[::-1]), ordered.seq,
+    )
+    message = (
+        r"event 1: \(timestamp, seq\) \(2015-01-05 09:00:00, 1\) is lower than "
+        r"event 0's \(2015-01-05 09:01:00, 0\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        run_engine(columns)
+    with pytest.raises(ValueError, match=message):
+        run_engine(list(columns))

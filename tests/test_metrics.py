@@ -1,7 +1,12 @@
+import itertools
 import math
+import random
+import struct
 import tracemalloc
 from array import array
 from datetime import datetime, timedelta, timezone
+from functools import reduce
+from operator import add
 from unittest import mock
 
 import numpy as np
@@ -356,7 +361,8 @@ def _naive_aggregate(store, level, framing, methods, zero_policy):
                 value, defined = de(per_method, m)
                 if defined:
                     values.setdefault((inv, ctx, m), []).append(value)
-        rows = [(inv, "*", ctx, m, sum(v) / len(v), True) for (inv, ctx, m), v in values.items()]
+        # Added one after another from +0.0, in pair order: sum() compensates from Python 3.12 on.
+        rows = [(inv, "*", ctx, m, reduce(add, v, 0.0) / len(v), True) for (inv, ctx, m), v in values.items()]
     rows.sort(key=lambda r: (r[0], r[1], r[2].value if r[2] else "", r[3].value))
     return rows
 
@@ -418,7 +424,69 @@ def test_de_that_is_not_finite_is_undefined():
             for framing in Framing:
                 for level in Level:
                     records = aggregate(store, level, framing, zero_policy=zero_policy)
-                    assert np.isfinite(records.de[records.defined]).all(), (framing, level, zero_policy)
+                    assert all(math.isfinite(r.de) for r in records if r.defined), (framing, level, zero_policy)
+
+
+#: Tally components that stress the DE's arithmetic: signed zeros,
+#: subnormals, sums that overflow, infinite tallies (inf/inf) and values
+#: whose sums round differently in another order.
+ADVERSARIAL_COMPONENTS = (
+    0.0, -0.0, 5e-324, 1e-310, 0.1, 0.2, 0.3, 1.0, 3.0, 2.0**53, 1e300, 1.5e308, math.inf,
+)
+
+
+def _adversarial_store(rng):
+    """A hand-made TallyStore: some tallies all zero (+0.0 or -0.0), the rest drawn from ADVERSARIAL_COMPONENTS."""
+    n_investors, n_assets = rng.randint(1, 3), rng.randint(1, 3)
+    pairs = [(i, a) for i in range(n_investors) for a in range(n_assets) if rng.random() < 0.8] or [(0, 0)]
+    rng.shuffle(pairs)
+    investors = sorted({p[0] for p in pairs}, key=[p[0] for p in pairs].index)  # numbered by first appearance
+    pairs = [(investors.index(i), a) for i, a in pairs]
+    tallies = array("d")
+    for _ in range(len(pairs) * 9):  # (context, method) tallies of each pair
+        kind = rng.random()
+        if kind < 0.35:
+            tallies.extend([0.0] * 4)  # a group without it, or a present group whose method is all zero
+        elif kind < 0.45:
+            tallies.extend(rng.choice((0.0, -0.0)) for _ in range(4))
+        else:
+            tallies.extend(rng.choice(ADVERSARIAL_COMPONENTS) for _ in range(4))
+    return TallyStore(
+        investors=[f"inv-{k}" for k in rng.sample(range(10), len(investors))],  # name order is not number order
+        assets=[f"A{a}" for a in range(n_assets)],
+        pair_investor=[i for i, _ in pairs],
+        pair_asset=[a for _, a in pairs],
+        array=tallies,
+    )
+
+
+def _bitwise(record):
+    """A DeRecord's fields with its de as bits, so NaN equals NaN and -0.0 differs from 0.0."""
+    return (record.investor_id, record.asset_id, record.context, record.method, struct.pack("<d", record.de), record.defined)
+
+
+def test_aggregate_is_bit_identical_to_naive_reference_on_adversarial_tallies():
+    rng = random.Random(18)
+    method_sets = (list(Method), [Method.VALUE], [Method.TOTAL, Method.COUNT], [Method.COUNT, Method.VALUE])
+    # Random fractions in every context of four assets: their sums round
+    # differently in any other order than the reference's.
+    in_order = _store({
+        (investor, asset, ctx, method): Tally(*(rng.random() for _ in range(4)))
+        for investor in ("I1", "I2") for asset in "ABCD" for ctx in Context for method in Method
+    })
+    for store in [in_order, *(_adversarial_store(rng) for _ in range(60))]:
+        for framing, level, zero_policy, methods in itertools.product(Framing, Level, ("exclude", "zero"), method_sets):
+            got = aggregate(store, level, framing, methods=methods, zero_policy=zero_policy)
+            want = _naive_aggregate(store, level, framing, methods, zero_policy)
+            where = (framing, level, zero_policy, methods, store.to_dict())
+            assert [(r.investor_id, r.asset_id, r.context, r.method, r.defined) for r in got] == [
+                (inv, asset, ctx, m, defined) for inv, asset, ctx, m, _, defined in want
+            ], where
+            assert [struct.pack("<d", r.de) for r in got] == [struct.pack("<d", w[4]) for w in want], where
+            for method in methods:
+                assert [_bitwise(r) for r in got.of_method(method)] == [
+                    _bitwise(r) for r in got if r.method is method
+                ], where
 
 
 def test_aggregate_matches_naive_reference_on_random_streams():

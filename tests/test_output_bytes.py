@@ -12,7 +12,9 @@ import dataclasses
 import io
 import itertools
 import math
+import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -125,6 +127,23 @@ def test_histogram_counts_match_loop_on_and_next_to_edges(width):
     ]
 
 
+@pytest.mark.parametrize("width", [0.1, 0.3, 0.25, 2 / 3, 0.07, 2.0, 1e-3])
+def test_histogram_matches_loop_on_adversarial_values(width):
+    rng = random.Random(18)
+    n_bins = math.ceil(2.0 / width - 1e-9)
+    edges = [-1.0 + i * width for i in range(n_bins + 1)]
+    values = [
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, -1.0, 1.0, -1.5, 1.5, -1e300, 1e300, math.nan, -math.nan,
+        *edges, *(math.nextafter(edge, -2.0) for edge in edges), *(math.nextafter(edge, 2.0) for edge in edges),
+        *(rng.uniform(-1.2, 1.2) for _ in range(500)), *(rng.choice(edges) for _ in range(50)),
+    ]
+    rng.shuffle(values)
+    want = _reference_histogram(values, width)
+    assert histogram(values, width) == want
+    assert histogram(array("d", values), width) == want
+    assert histogram(np.array(values), width) == want
+
+
 def _assert_records_match_reference(path, out, level):
     """compute --framing all at ``level``; every records file equals the reference writer's."""
     argv = ["compute", "--transactions", str(path), "--out", str(out), "--framing", "all", "--level", level.value]
@@ -199,9 +218,10 @@ def test_deduplicating_records_writer_matches_the_per_record_reference(monkeypat
     n = len(values)
     records = DeRecords(
         list(QUOTED_INVESTORS), list(QUOTED_ASSETS),
-        np.arange(n) % len(QUOTED_INVESTORS), np.arange(n)[::-1] % len(QUOTED_ASSETS),
-        np.arange(n, dtype=np.int8) % 3, np.arange(n, dtype=np.int8) // 4,
-        np.array(values), ~np.isnan(values),
+        array("q", [k % len(QUOTED_INVESTORS) for k in range(n)]),
+        array("q", [(n - 1 - k) % len(QUOTED_ASSETS) for k in range(n)]),
+        array("b", [k % 3 for k in range(n)]), array("b", [k // 4 for k in range(n)]),
+        array("d", values),
     )
     monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
     buf = io.StringIO()
@@ -214,9 +234,8 @@ def test_deduplicating_records_writer_matches_the_per_record_reference(monkeypat
 def _writer_peak(n_records: int) -> int:
     """tracemalloc peak of _write_records over n distinct de values, to a sink that keeps nothing."""
     records = DeRecords(
-        ["i0", "i1"], ["A0"], np.arange(n_records) % 2, np.zeros(n_records, np.int64),
-        np.zeros(n_records, np.int8), np.zeros(n_records, np.int8), np.arange(n_records) / 7.0,
-        np.ones(n_records, bool),
+        ["i0", "i1"], ["A0"], array("q", [k % 2 for k in range(n_records)]), array("q", [0]) * n_records,
+        array("b", [0]) * n_records, array("b", [0]) * n_records, array("d", [k / 7.0 for k in range(n_records)]),
     )
     texts = cli._field_texts(records.investor_ids), cli._field_texts(records.asset_ids)
     sink = type("Sink", (), {"write": lambda self, text: None, "writelines": lambda self, lines: None})()
