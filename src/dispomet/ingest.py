@@ -14,6 +14,10 @@ in a timezone-aware one, which also keeps a ``tz`` column of each row's
 fixed-offset zone.  The parser converts each timestamp once, as it reads the
 row, and sorts, checks order and measures spans on those integers.  A
 Transaction, and its ``datetime``, is built only when an element is read.
+No row-scale step holds a whole column as Python objects: the order check
+and the sort of a log out of time order box one chunk of keys at a time,
+and a column is reordered straight into a new column, its source released
+as soon as it is taken.
 TransactionColumns.of builds the same columns from a list of Transactions,
 so the engine, summarize and serialize_transactions read one layout
 whichever the source; the synth generators build it directly.
@@ -46,12 +50,20 @@ class SchemaError(IngestError):
 
 
 class MalformedRow(IngestError):
-    """A data row could not be parsed into a valid record."""
+    """A data row could not be parsed into a valid record.
+
+    A lenient parse keeps one per rejected row, so it holds its two fields
+    in slots and formats its message only when it is printed.
+    """
+
+    __slots__ = ("line", "reason")
 
     def __init__(self, line: int, reason: str) -> None:
         self.line = line
         self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.reason}"
 
 
 class DuplicateAsset(IngestError):
@@ -95,7 +107,11 @@ INT64_MAX = 2**63 - 1  # the largest quantity: the int64 range of exported trade
 
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
-_ORDER_CHUNK = 1 << 16  # keys per sorted() call of first_out_of_order, which holds them as Python objects
+# Keys per sorted() call of first_out_of_order and of _stable_order.  Each
+# call holds its keys as Python objects, so this bounds what the order check
+# adds to a parse however long the log: about 0.35 MB for a chunk of
+# timestamps, 1.1 MB for one of (timestamp, seq) tuples (tracemalloc).
+_ORDER_CHUNK = 1 << 12
 
 
 def _instant(ts: datetime) -> tuple[int, timezone | None]:
@@ -130,6 +146,10 @@ def first_out_of_order(timestamp: array, seq: range | array) -> int | None:
     An equal (timestamp, seq) pair is in order; a ``range`` seq is ordered
     like its step, so a descending one puts every equal timestamp out of order.
     Each chunk of keys is in order if sorted(), one pass in C, leaves it as is.
+    A chunk is _ORDER_CHUNK keys and the next chunk's first: the timestamps
+    alone for an ascending ``range`` seq, else (timestamp, seq) tuples.  So
+    the check never holds more than one chunk of keys as Python objects,
+    whatever the length of the columns.
     """
     ascending = isinstance(seq, range) and seq.step > 0
     for start in range(0, len(timestamp), _ORDER_CHUNK):
@@ -400,9 +420,41 @@ def parse_transactions(stream: TextIO, lenient: bool = False) -> TransactionColu
     return txs
 
 
-def _take(column: Sequence, order: list[int]) -> Sequence:
-    taken = list(map(column.__getitem__, order))
-    return array(column.typecode, taken) if isinstance(column, array) else taken
+def _stable_order(timestamp: array) -> array:
+    """The indices of ``timestamp`` in stable sorted order, as an ``array('q')``.
+
+    Each chunk of _ORDER_CHUNK indices is sorted on its own into an
+    ``array('q')`` run, so no more than one chunk is held as Python objects.
+    heapq.merge then merges the runs; it puts equal keys from an earlier run
+    first, so equal timestamps keep their index order.
+    """
+    import heapq  # loaded only by a log out of time order
+
+    key = timestamp.__getitem__
+    n = len(timestamp)
+    chunks = (range(start, min(start + _ORDER_CHUNK, n)) for start in range(0, n, _ORDER_CHUNK))
+    runs = [array("q", sorted(chunk, key=key)) for chunk in chunks]
+    return array("q", heapq.merge(*runs, key=key))
+
+
+def _take(column: Sequence, order: array) -> Sequence:
+    """``column``'s elements at ``order``: an ``array`` of its typecode, else a list of the same objects.
+
+    The elements are read one at a time into the new column, so none but
+    the one being copied is held as a Python object.
+    """
+    taken = map(column.__getitem__, order)
+    return array(column.typecode, taken) if isinstance(column, array) else list(taken)
+
+
+def _take_each(columns: list, order: array) -> None:
+    """Replace each column of ``columns`` but None by its _take, releasing each as soon as it is taken.
+
+    ``columns`` must hold the last reference to each column for it to be released.
+    """
+    for i, column in enumerate(columns):
+        if column is not None:
+            columns[i] = _take(column, order)
 
 
 def parse_transactions_report(
@@ -488,15 +540,14 @@ def parse_transactions_report(
 
         log = logging.getLogger(__name__)
         log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
-    columns = [investor_ids, asset_ids, sides, quantities, prices, timestamps]
-    tz = tzs if first_aware else None
-    if first_out_of_order(timestamps, range(len(timestamps))) is not None:
-        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)  # stable: seq breaks ties
-        columns = [*(_take(c, order) for c in columns), array("q", order)]
-        tz = None if tz is None else _take(tz, order)
-    else:
-        columns.append(range(len(timestamps)))
-    txs = TransactionColumns(*columns, tz=tz)
+    seq = range(len(timestamps))
+    columns = [investor_ids, asset_ids, sides, quantities, prices, timestamps, tzs if first_aware else None]
+    if first_out_of_order(timestamps, seq) is not None:
+        seq = _stable_order(timestamps)  # stable: the input position breaks ties
+        del investor_ids, asset_ids, sides, quantities, prices, timestamps, tzs  # columns holds the last references
+        _take_each(columns, seq)
+    *columns, tz = columns
+    txs = TransactionColumns(*columns, seq, tz=tz)
     txs._in_order = True  # checked, or sorted, above
     return txs, rejects
 

@@ -30,7 +30,7 @@ from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
 
-from .ingest import Instrument, Side, Transaction, TransactionColumns, _instant, _take
+from .ingest import Instrument, Side, Transaction, TransactionColumns, _instant, _take_each
 from .metrics import Context, Method, Tally, TallyKey
 
 _MARKET_STREAM = 0xFFFFFFFF  # per-investor streams use the investor index
@@ -109,9 +109,8 @@ def generate_population(
     asset_ids = list(registry)
     prices = _price_grid(profile).tolist()  # the floats float(grid[t, k]) gives
     step_micros = [_BASE_MICROS + t * _MINUTE for t in range(profile.horizon_events)]
-    columns = investor_id, asset_id, side, quantity, price, timestamp = (
-        [], [], array("b"), array("q"), array("d"), array("q")
-    )
+    columns = [[], [], array("b"), array("q"), array("d"), array("q")]
+    investor_id, asset_id, side, quantity, price, timestamp = columns
     for i in range(n_investors):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([profile.seed, i])))
         menu_size = min(profile.n_assets, profile.max_assets_per_investor)
@@ -151,8 +150,12 @@ def generate_population(
             if rng.random() < profile.p_new_position:
                 k = menu[int(rng.integers(len(menu)))]
                 buy(t, k, int(rng.integers(1, profile.max_quantity + 1)))
-    order = np.argsort(np.frombuffer(timestamp, np.int64), kind="stable").tolist()
-    return TransactionColumns(*(_take(c, order) for c in columns), range(len(order))), registry
+    indices = np.argsort(np.frombuffer(timestamp, np.int64), kind="stable").astype(np.int64, copy=False)
+    order = array("q")
+    order.frombytes(memoryview(indices).cast("B"))
+    del indices, investor_id, asset_id, side, quantity, price, timestamp  # columns holds the last references
+    _take_each(columns, order)
+    return TransactionColumns(*columns, range(len(order))), registry
 
 
 def random_stream(

@@ -3,6 +3,7 @@ import csv
 import errno
 import gc
 import io
+import itertools
 import json
 import os
 import re
@@ -295,6 +296,11 @@ def synth_log(tmp_path_factory):
     out = tmp_path_factory.mktemp("log")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--out", str(out), "--investors", "60", "--seed", "3"]) == EXIT_OK
+    # The same rows out of time order: the runs of equal timestamp in reverse
+    # order, each run's rows kept in their order.
+    header, *rows = (out / "transactions.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    runs = [list(run) for _, run in itertools.groupby(rows, key=lambda row: row.rsplit(",", 1)[1])]
+    (out / "reversed.csv").write_text(header + "".join(itertools.chain(*reversed(runs))), encoding="utf-8")
     return out
 
 
@@ -302,6 +308,7 @@ def synth_log(tmp_path_factory):
     "argv, loads, numpy",
     [
         (["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "all"], set(), False),
+        (["compute", "--transactions", "{reversed}", "--out", "{out}", "--framing", "all"], set(), False),
         (["validate", "--transactions", "{tx}", "--registry", "{reg}"], set(), False),
         (["report", "--transactions", "{tx}"], set(), False),
         (["compare", "--transactions", "{tx}", "--registry", "{reg}", "--spec", "volatility-long"],
@@ -310,10 +317,11 @@ def synth_log(tmp_path_factory):
         ([], set(), False),  # a bare import dispomet, then run_engine over a list
         (["--help"], set(), False),
     ],
-    ids=["compute", "validate", "report", "compare", "synth", "import", "help"],
+    ids=["compute", "compute-out-of-order", "validate", "report", "compare", "synth", "import", "help"],
 )
 def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, numpy, synth_log, tmp_path):
-    paths = {"tx": synth_log / "transactions.csv", "reg": synth_log / "instruments.csv", "out": tmp_path / "out"}
+    paths = {"tx": synth_log / "transactions.csv", "reg": synth_log / "instruments.csv", "out": tmp_path / "out",
+             "reversed": synth_log / "reversed.csv"}
     src = str(Path(dispomet.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run(

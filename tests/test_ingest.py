@@ -1,7 +1,9 @@
 import dataclasses
 import io
+import itertools
 import logging
 import math
+import operator
 import random
 import tracemalloc
 from array import array
@@ -444,6 +446,72 @@ def test_parse_retains_at_most_48_bytes_per_row(tmp_path):
     assert retained / len(cols) <= 48, f"{retained / len(cols):.0f} bytes per row"
 
 
+def _traced(build):
+    """build()'s result, and the bytes it retained and its peak above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained - before, peak - before
+
+
+def _group_shuffled(text, seed):
+    """A log's rows shuffled by whole runs of equal timestamp text, each run kept in its order."""
+    header, *rows = text.splitlines(keepends=True)
+    groups = [list(group) for _, group in itertools.groupby(rows, key=lambda row: row.rsplit(",", 1)[1])]
+    random.Random(seed).shuffle(groups)
+    return header + "".join(itertools.chain.from_iterable(groups))
+
+
+def _parse_traced(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        (cols, _), retained, peak = _traced(lambda: parse_transactions_report(fh))
+    return cols, retained, peak
+
+
+def _generated_log():
+    """The text of a generated log of 20,697 rows, in time order."""
+    txs, _ = generate_population(450, BehaviorProfile(0.6, 0.3, n_assets=8, horizon_events=60, seed=3))
+    return _text(txs)
+
+
+def test_order_check_of_a_parse_holds_at_most_24_bytes_per_row(tmp_path):
+    # The order check sorted() 65,537 timestamps at a time, as Python ints:
+    # a parse in time order peaked about 49 bytes per row above what it kept.
+    path = tmp_path / "transactions.csv"
+    path.write_text(_generated_log(), encoding="utf-8")
+    cols, retained, peak = _parse_traced(path)
+    assert isinstance(cols.seq, range) and len(cols) >= 20_000
+    assert (peak - retained) / len(cols) <= 24, f"{(peak - retained) / len(cols):.0f} bytes per row"
+
+
+def test_parse_out_of_time_order_peaks_at_most_1_3_times_the_sorted_parse(tmp_path):
+    # sorted(range(n)) with its keys, and a list per column taken, peaked
+    # about 1.8 times the parse of the same rows in time order.
+    text = _generated_log()
+    peaks = {}
+    for name, log in (("sorted", text), ("shuffled", _group_shuffled(text, 0))):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(log, encoding="utf-8")
+        cols, _, peaks[name] = _parse_traced(path)
+        assert isinstance(cols.seq, range) is (name == "sorted")
+        del cols
+    assert peaks["shuffled"] <= 1.3 * peaks["sorted"], f"{peaks['shuffled'] / peaks['sorted']:.2f} times"
+
+
+def test_generate_population_peaks_at_most_1_5_times_its_columns():
+    # The sort's .tolist() and a list per column taken peaked about 2.5
+    # times the columns it returns.
+    (txs, _), retained, peak = _traced(
+        lambda: generate_population(450, BehaviorProfile(0.6, 0.3, n_assets=8, horizon_events=60, seed=3))
+    )
+    assert len(txs) >= 20_000
+    assert peak <= 1.5 * retained, f"{peak / retained:.2f} times"
+
+
 # One bad row per reject reason a field can give, each made from a valid row.
 _BAD_ROWS = (
     "I1,A1,B,1,10.0", "I1,A1,X,1,10.0,2015-01-05 09:00:00", "I1,A1,B,1.5,10.0,2015-01-05 09:00:00",
@@ -468,6 +536,18 @@ def test_lenient_parse_keeps_at_most_600_bytes_per_reject(caplog):
             tracemalloc.stop()
     assert len(txs) == 1 and len(rejects) == len(rows)
     assert kept / len(rejects) <= 600, f"{kept / len(rejects):.0f} bytes per reject"
+
+
+def test_lenient_parse_keeps_at_most_300_bytes_per_reject(caplog):
+    # A reject kept a __dict__ for its line and reason and, in its args, a
+    # message made from them: about 540 bytes a reject.
+    rows = [_BAD_ROWS[i % len(_BAD_ROWS)] for i in range(11_000)]
+    text = HEADER + "I1,A1,B,1,10.0,2015-01-05 09:00:00\n" + "".join(row + "\n" for row in rows)
+    with caplog.at_level(logging.ERROR):
+        (txs, rejects), kept, _ = _traced(lambda: parse_transactions_report(io.StringIO(text), lenient=True))
+    assert len(txs) == 1 and len(rejects) == len(rows)
+    assert kept / len(rejects) <= 300, f"{kept / len(rejects):.0f} bytes per reject"
+    assert str(rejects[0]) == "line 3: wrong number of fields"
 
 
 NAIVE_TIMES = [
@@ -547,6 +627,40 @@ def test_equal_instants_with_different_offsets_keep_input_order():
     hours = [0, 1, 0, 2]
     assert [tx.timestamp.utcoffset() for tx in txs] == [timedelta(hours=h) for h in hours]
     assert [tx.timestamp.hour for tx in txs] == [8, 10, 9, 11]
+
+
+@pytest.mark.parametrize("aware", [False, True], ids=["naive", "mixed-offsets"])
+def test_equal_timestamps_across_sort_chunks_keep_input_order(aware):
+    # Runs of equal instants, written out of time order, straddle the
+    # parser's sort chunks; an aware log writes each instant in one of
+    # several offsets.  The reference is one stable sorted() over all rows.
+    from dispomet.ingest import _ORDER_CHUNK
+
+    rng = random.Random(11)
+    run, n = 700, 3 * _ORDER_CHUNK + 500
+    minutes = [rng.randrange(6) for _ in range(n // run + 1)]
+    offsets = [timezone(timedelta(minutes=m)) for m in (0, 60, -30, 345)]
+    rows, instants = [], []
+    for i in range(n):
+        stray = i % 13 == 6 and (i + 1) % _ORDER_CHUNK > 1  # never beside a chunk edge
+        instant = datetime(2015, 1, 5, 9, rng.randrange(6) if stray else minutes[i // run])
+        if aware:
+            instant = instant.replace(tzinfo=timezone.utc).astimezone(rng.choice(offsets))
+        instants.append(instant)
+        side = "BS"[rng.randrange(2)]
+        rows.append(f"I{rng.randrange(3)},A{rng.randrange(4)},{side},{rng.randint(1, 9)},{rng.randint(10, 20)},")
+    assert all(instants[edge - 1] == instants[edge] for edge in range(_ORDER_CHUNK, n, _ORDER_CHUNK))
+    parsed = parse(HEADER + "".join(row + ts.isoformat(sep=" ") + "\n" for row, ts in zip(rows, instants)))
+    order = sorted(range(n), key=instants.__getitem__)
+    assert order != list(range(n)) and list(parsed.seq) == order
+    expected = TransactionColumns.of([
+        Transaction(inv, asset, Side(side), int(qty), float(price), instants[i], i)
+        for i in order
+        for inv, asset, side, qty, price, _ in [rows[i].split(",")]
+    ])
+    assert all(map(operator.eq, parsed._columns(), expected._columns()))
+    assert parsed.tz == expected.tz and (parsed.tz is None) is not aware
+    assert run_engine(parsed).to_dict() == run_engine(expected).to_dict()
 
 
 @pytest.mark.parametrize("aware_first", [False, True], ids=["naive-first", "aware-first"])
