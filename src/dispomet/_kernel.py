@@ -4,9 +4,9 @@
 and TransactionColumns.of both build, the latter from a list of
 Transactions.  It checks the (timestamp, seq) order, unless the parser
 already has, that quantities are positive and that prices are positive and
-finite, each in one pass of plain Python over its column.  It interns the (investor_id, asset_id) column pair
-into pair indices, numbering assets in asset_id order, and passes the side,
-quantity and price arrays on without a copy.  ``stream`` then makes one
+finite, each in one pass of plain Python over its column.  The pair codes
+are the kernel's pair indices: a parsed log's columns are returned as they
+are, any other columns renumbered in one pass.  ``stream`` then makes one
 sequential pass over those columns in plain Python, keeping per-pair
 positions in lists and the tallies in an ``array('d')`` buffer, which it
 returns.  Neither loads numpy.
@@ -23,35 +23,22 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import insort
-from dataclasses import dataclass
 from typing import Sequence
 
-from .ingest import Transaction, TransactionColumns, first_out_of_order
+from .ingest import Transaction, TransactionColumns, first_out_of_order, renumbered
 
 njit = None  # the benchmark's env line reads this to name the backend
 
 
-@dataclass(slots=True)
-class EncodedStream:
-    investors: list[str]
-    assets: list[str]
-    pair_investor: list[int]  # (n_pairs,)
-    pair_asset: list[int]  # (n_pairs,)
-    ev_pair: list[int]  # (n,)
-    ev_side: array  # (n,) 'b', +1 buy / -1 sell
-    ev_qty: array  # (n,) 'q', positive
-    ev_price: array  # (n,) 'd', positive and finite
+def encode(transactions: Sequence[Transaction]) -> TransactionColumns:
+    """The events as columns whose tables hold only their rows' ids, pairs numbered by first appearance.
 
-
-def encode(transactions: Sequence[Transaction]) -> EncodedStream:
-    """Intern ids into pair indices and split the events into columns.
-
-    Raises ValueError naming the first event whose (timestamp, seq) is lower
-    than its predecessor's, whose quantity is not positive or whose price is
-    not a positive finite number, or, for a list, whose quantity lies
-    outside int64 or whose timestamp is naive where event 0's is aware or
-    the other way round.  The parser's own columns are in order already, so
-    their order is not checked again.
+    The parser's own columns are so, and in order, already: they are not
+    checked for order again nor renumbered.  Raises ValueError naming the
+    first event whose (timestamp, seq) is lower than its predecessor's,
+    whose quantity is not positive or whose price is not a positive finite
+    number, or, for a list, whose quantity lies outside int64 or whose
+    timestamp is naive where event 0's is aware or the other way round.
     """
     txs = TransactionColumns.of(transactions)
     i = None if txs._in_order else first_out_of_order(txs.timestamp, txs.seq)
@@ -69,27 +56,10 @@ def encode(transactions: Sequence[Transaction]) -> EncodedStream:
         if not 0.0 < price < inf:  # NaN fails both comparisons, so it is rejected too
             i = next(i for i, p in enumerate(txs.price) if not 0.0 < p < inf)
             raise ValueError(f"event {i}: price {txs.price[i]} is not a positive finite number")
-    # Pairs and investors are numbered in order of first appearance.
-    pair_index: dict[tuple[str, str], int] = {}
-    ev_pair = [pair_index.setdefault(key, len(pair_index)) for key in zip(txs.investor_id, txs.asset_id)]
-    inv_idx: dict[str, int] = {}
-    pair_investor = [inv_idx.setdefault(inv, len(inv_idx)) for inv, _ in pair_index]
-    investors = list(inv_idx)
-    assets = sorted({asset for _, asset in pair_index})
-    asset_idx = {asset: ai for ai, asset in enumerate(assets)}
-    return EncodedStream(
-        investors=investors,
-        assets=assets,
-        pair_investor=pair_investor,
-        pair_asset=[asset_idx[asset] for _, asset in pair_index],
-        ev_pair=ev_pair,
-        ev_side=txs.side,
-        ev_qty=txs.quantity,
-        ev_price=txs.price,
-    )
+    return txs if txs._in_order else renumbered(txs)
 
 
-def stream(enc: EncodedStream, sells_only: bool, include_traded: bool) -> array:
+def stream(enc: TransactionColumns, sells_only: bool, include_traded: bool) -> array:
     """Run the accrual loop; returns the tallies, an ``array('d')`` laid out as (n_pairs, 3, 12)."""
     pair_asset = enc.pair_asset
     n_pairs = len(pair_asset)
@@ -106,7 +76,7 @@ def stream(enc: EncodedStream, sells_only: bool, include_traded: bool) -> array:
     tal = array("d", [0.0]) * (n_pairs * 36)
     # encode admits only positive finite prices, so every reference price
     # and market price read below is positive.
-    for pid, side, qty, price in zip(enc.ev_pair, enc.ev_side, enc.ev_qty, enc.ev_price):
+    for pid, side, qty, price in zip(enc.pair, enc.side, enc.quantity, enc.price):
         buy = side > 0
         last_price[pair_asset[pid]] = price
         opened = pair_open[pid]

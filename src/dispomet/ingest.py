@@ -8,19 +8,20 @@ are assigned a ``seq`` index in input order and then stably sorted by
 
 The parser fills columns, not objects: it returns a TransactionColumns, a
 read-only sequence of Transactions over typed columns, whose ``seq`` is
-``range(n)`` when the input was already in time order.  Timestamps are
-microseconds since 1970-01-01: the wall time in a naive log, the UTC instant
-in a timezone-aware one, which also keeps a ``tz`` column of each row's
-fixed-offset zone.  The parser converts each timestamp once, as it reads the
-row, and sorts, checks order and measures spans on those integers.  A
-Transaction, and its ``datetime``, is built only when an element is read.
-No row-scale step holds a whole column as Python objects: the order check
-and the sort of a log out of time order box one chunk of keys at a time,
-and a column is reordered straight into a new column, its source released
-as soon as it is taken.
-TransactionColumns.of builds the same columns from a list of Transactions,
-so the engine, summarize and serialize_transactions read one layout
-whichever the source; the synth generators build it directly.
+``range(n)`` when the input was already in time order.  A row keeps one
+pair code for its (investor_id, asset_id), interned as the row is read.
+Timestamps are microseconds since 1970-01-01: the wall time in a naive log,
+the UTC instant in a timezone-aware one, which also keeps a ``tz`` column
+of each row's fixed-offset zone.  The parser converts each timestamp once,
+as it reads the row, and sorts, checks order and measures spans on those
+integers.  A Transaction, its ids and its ``datetime`` are built only when
+read.  No row-scale step holds a whole column as Python objects: the order
+check and the sort of a log out of time order box one chunk of keys at a
+time, and a column is reordered straight into a new column, its source
+released as soon as it is taken.  TransactionColumns.of builds the same
+columns from a list of Transactions, so the engine, summarize and
+serialize_transactions read one layout whichever the source; the synth
+generators build it directly.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Sequence, TextIO
 
 TRANSACTION_COLUMNS = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp")
 REGISTRY_COLUMNS = ("asset_id", "underlying_id", "leverage")
@@ -160,55 +161,63 @@ def first_out_of_order(timestamp: array, seq: range | array) -> int | None:
     return None
 
 
-def _values(column: Sequence):
-    """A numeric column or seq as a numpy array, without copying an ``array``'s buffer."""
-    import numpy as np
-
-    if isinstance(column, range):
-        return np.arange(column.start, column.stop, column.step)
-    return np.asarray(column)
+def _pair_tables(pairs: Collection[tuple[str, str]]) -> tuple[array, array, list[str], list[str]]:
+    """The tables of the (investor_id, asset_id) ``pairs``: investors by first appearance, assets by asset_id."""
+    investors: dict[str, int] = {}
+    pair_investor = array("i", [investors.setdefault(investor_id, len(investors)) for investor_id, _ in pairs])
+    assets = sorted({asset_id for _, asset_id in pairs})
+    asset_code = {asset_id: code for code, asset_id in enumerate(assets)}
+    pair_asset = array("i", [asset_code[asset_id] for _, asset_id in pairs])
+    return pair_investor, pair_asset, list(investors), assets
 
 
 class TransactionColumns(Sequence[Transaction]):
     """Read-only Transactions held as columns; a Transaction is built on access.
 
-    Whoever builds it, ``side`` is an ``array('b')`` of +1 for a buy and -1
-    for a sell, ``quantity`` an ``array('q')``, ``price`` an ``array('d')``,
-    ``seq`` a ``range`` or an ``array('q')`` and ``timestamp`` an
-    ``array('q')`` of the microseconds since 1970-01-01 of the wall time
-    (naive) or of the UTC instant (aware).  ``tz`` is None for naive
-    timestamps; for aware ones it holds each row's fixed-offset zone, so a
-    row reads back as the datetime it was made from, with the same
-    utcoffset().  Each column holds the Transaction field of its name.  An
-    integer index gives one Transaction, a slice a TransactionColumns over
-    the selected rows.  It equals any sequence of equal Transactions, field
-    by field, in order; two TransactionColumns compare their columns.
-    ``_in_order`` is true only on the columns parse_transactions_report
-    returns, whose (timestamp, seq) order it has checked, so _kernel.encode
-    does not check it again; columns built any other way, slices included,
-    are checked there.
+    Whoever builds it, ``pair`` is an ``array('i')`` of each row's pair
+    code; pair p is ``investors[pair_investor[p]]`` and
+    ``assets[pair_asset[p]]``, each id held once and assets numbered in
+    asset_id order.  ``investor_id`` and ``asset_id`` are built on every
+    read: a new list of the shared strings, 8 bytes a row.  ``side`` is an
+    ``array('b')`` of +1 for a buy and -1 for a sell, ``quantity`` an
+    ``array('q')``, ``price`` an ``array('d')``, ``seq`` a ``range`` or an
+    ``array('q')`` and ``timestamp`` an ``array('q')`` of the microseconds
+    since 1970-01-01 of the wall time (naive) or of the UTC instant (aware).
+    ``tz`` is None for naive timestamps; for aware ones it holds each row's
+    fixed-offset zone, so a row reads back as the datetime it was made
+    from, with the same utcoffset().  An integer index gives one
+    Transaction, a slice a TransactionColumns over the selected rows and
+    the same tables.  It equals any sequence of equal Transactions, field
+    by field, in order; two TransactionColumns compare their columns, ids
+    as text.  ``_in_order`` is true only on the columns
+    parse_transactions_report returns: it has checked their (timestamp,
+    seq) order, and they number pairs and investors by first appearance in
+    it and hold no id their rows lack, as _kernel.encode numbers them.
     """
 
-    __slots__ = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq", "tz", "_in_order")
+    __slots__ = (
+        "pair", "pair_investor", "pair_asset", "investors", "assets",
+        "side", "quantity", "price", "timestamp", "seq", "tz", "_in_order",
+    )
 
-    def __init__(
-        self,
-        investor_id: Sequence[str],
-        asset_id: Sequence[str],
-        side: array,
-        quantity: array,
-        price: array,
-        timestamp: array,
-        seq: range | array,
-        tz: Sequence[timezone] | None = None,
-    ) -> None:
-        self.investor_id, self.asset_id, self.side = investor_id, asset_id, side
-        self.quantity, self.price, self.timestamp, self.seq = quantity, price, timestamp, seq
-        self.tz = tz
+    def __init__(self, tables: tuple, pair: array, *columns: Sequence, tz: Sequence[timezone] | None = None) -> None:
+        """Columns over pair codes, ``tables`` as _pair_tables gives them, then side, quantity, price, timestamp, seq."""
+        self.pair_investor, self.pair_asset, self.investors, self.assets = tables
+        self.pair, self.tz = pair, tz
+        self.side, self.quantity, self.price, self.timestamp, self.seq = columns
         self._in_order = False
-        lengths = {len(column) for column in self._columns()}
+        lengths = {len(column) for column in (pair, *columns)}
         if len(lengths) > 1 or (tz is not None and len(tz) not in lengths):
             raise ValueError("transaction columns differ in length")
+
+    @classmethod
+    def from_ids(cls, investor_id: Sequence[str], asset_id: Sequence[str], *columns, tz=None) -> TransactionColumns:
+        """Columns from string id columns, then side, quantity, price, timestamp and seq; the ids are interned."""
+        if len(investor_id) != len(asset_id):
+            raise ValueError("transaction columns differ in length")
+        codes: dict[tuple[str, str], int] = {}
+        pair = array("i", (codes.setdefault(ids, len(codes)) for ids in zip(investor_id, asset_id)))
+        return cls(_pair_tables(codes), pair, *columns, tz=tz)
 
     @classmethod
     def of(cls, transactions: Sequence[Transaction]) -> "TransactionColumns":
@@ -222,9 +231,10 @@ class TransactionColumns(Sequence[Transaction]):
         """
         if isinstance(transactions, cls):
             return transactions
-        columns = investor_id, asset_id, side, quantity, price, timestamp, seq = (
-            [], [], array("b"), array("q"), array("d"), array("q"), array("q")
+        columns = pair, side, quantity, price, timestamp, seq = (
+            array("i"), array("b"), array("q"), array("d"), array("q"), array("q")
         )
+        codes: dict[tuple[str, str], int] = {}
         tz: list[timezone] = []
         zones: dict[timezone, timezone] = {}  # one object per distinct offset
         aware: bool | None = None
@@ -236,8 +246,7 @@ class TransactionColumns(Sequence[Transaction]):
             elif (zone is not None) != aware:
                 kind = "timezone-aware" if zone is not None else "naive"
                 raise ValueError(f"event {i}: timestamp {tx.timestamp} is {kind}, unlike event 0's")
-            investor_id.append(tx.investor_id)
-            asset_id.append(tx.asset_id)
+            pair.append(codes.setdefault((tx.investor_id, tx.asset_id), len(codes)))
             side.append(1 if tx.side is buy else -1)
             try:
                 quantity.append(tx.quantity)
@@ -249,10 +258,23 @@ class TransactionColumns(Sequence[Transaction]):
             if aware:
                 tz.append(zones.setdefault(zone, zone))
             seq.append(tx.seq)
-        return cls(*columns, tz=tz if aware else None)
+        return cls(_pair_tables(codes), *columns, tz=tz if aware else None)
 
-    def _columns(self) -> tuple[Sequence, ...]:
-        return self.investor_id, self.asset_id, self.side, self.quantity, self.price, self.timestamp, self.seq
+    def _numbers(self) -> tuple[Sequence, ...]:
+        return self.side, self.quantity, self.price, self.timestamp, self.seq
+
+    def _ids(self, field: int) -> Iterator[str]:
+        """Each row's investor_id (``field`` 0) or asset_id (1), looked up through its pair code."""
+        ids, codes = (self.investors, self.pair_investor) if field == 0 else (self.assets, self.pair_asset)
+        return map([ids[code] for code in codes].__getitem__, self.pair)
+
+    @property
+    def investor_id(self) -> list[str]:
+        return list(self._ids(0))
+
+    @property
+    def asset_id(self) -> list[str]:
+        return list(self._ids(1))
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -260,16 +282,20 @@ class TransactionColumns(Sequence[Transaction]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             tz = None if self.tz is None else self.tz[index]
-            return TransactionColumns(*(column[index] for column in self._columns()), tz=tz)
+            columns = (column[index] for column in (self.pair, *self._numbers()))
+            tables = self.pair_investor, self.pair_asset, self.investors, self.assets
+            return TransactionColumns(tables, *columns, tz=tz)
         i = operator.index(index)
+        p = self.pair[i]
         return Transaction(
-            self.investor_id[i], self.asset_id[i], _SIDE_OF_SIGN[self.side[i]], self.quantity[i],
-            self.price[i], _datetime(self.timestamp[i], None if self.tz is None else self.tz[i]), self.seq[i],
+            self.investors[self.pair_investor[p]], self.assets[self.pair_asset[p]], _SIDE_OF_SIGN[self.side[i]],
+            self.quantity[i], self.price[i], _datetime(self.timestamp[i], None if self.tz is None else self.tz[i]),
+            self.seq[i],
         )
 
     def __iter__(self) -> Iterator[Transaction]:
         timestamps = map(_datetime, self.timestamp, repeat(None) if self.tz is None else self.tz)
-        columns = (self.investor_id, self.asset_id, self.side, self.quantity, self.price, timestamps, self.seq)
+        columns = (self._ids(0), self._ids(1), self.side, self.quantity, self.price, timestamps, self.seq)
         for inv, asset, side, qty, price, ts, seq in zip(*columns):
             yield Transaction(inv, asset, _SIDE_OF_SIGN[side], qty, price, ts, seq)
 
@@ -283,21 +309,16 @@ class TransactionColumns(Sequence[Transaction]):
     def _same_rows(self, other: "TransactionColumns") -> bool:
         """Whether the rows are equal as Transactions, read from the columns without building any.
 
-        Aware timestamps are equal when their instants are, whatever their
-        zones, and never equal naive ones; a NaN price equals nothing.
+        Ids compare as text, whatever their codes.  Aware timestamps are
+        equal when their instants are, whatever their zones, and never equal
+        naive ones; a NaN price equals nothing.
         """
         if len(self) != len(other):
             return False
         if self and (self.tz is None) != (other.tz is None):
             return False
-        return (
-            all(map(operator.eq, self.investor_id, other.investor_id))
-            and all(map(operator.eq, self.asset_id, other.asset_id))
-            and all(
-                (_values(a) == _values(b)).all()
-                for a, b in zip(self._columns()[2:], other._columns()[2:])
-            )
-        )
+        columns = zip((self._ids(0), self._ids(1), *self._numbers()), (other._ids(0), other._ids(1), *other._numbers()))
+        return all(all(map(operator.eq, a, b)) for a, b in columns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,10 +442,10 @@ def parse_transactions(stream: TextIO, lenient: bool = False) -> TransactionColu
 
 
 def _stable_order(timestamp: array) -> array:
-    """The indices of ``timestamp`` in stable sorted order, as an ``array('q')``.
+    """The indices of ``timestamp`` in stable sorted order, as an ``array('i')``: like pair codes, they fit in int32.
 
     Each chunk of _ORDER_CHUNK indices is sorted on its own into an
-    ``array('q')`` run, so no more than one chunk is held as Python objects.
+    ``array('i')`` run, so no more than one chunk is held as Python objects.
     heapq.merge then merges the runs; it puts equal keys from an earlier run
     first, so equal timestamps keep their index order.
     """
@@ -433,28 +454,35 @@ def _stable_order(timestamp: array) -> array:
     key = timestamp.__getitem__
     n = len(timestamp)
     chunks = (range(start, min(start + _ORDER_CHUNK, n)) for start in range(0, n, _ORDER_CHUNK))
-    runs = [array("q", sorted(chunk, key=key)) for chunk in chunks]
-    return array("q", heapq.merge(*runs, key=key))
+    runs = [array("i", sorted(chunk, key=key)) for chunk in chunks]
+    return array("i", heapq.merge(*runs, key=key))
 
 
-def _take(column: Sequence, order: array) -> Sequence:
-    """``column``'s elements at ``order``: an ``array`` of its typecode, else a list of the same objects.
+def _take_each(columns: list, order: Sequence[int]) -> None:
+    """Replace each column of ``columns`` but None by its elements at ``order``, freeing it unless held elsewhere.
 
-    The elements are read one at a time into the new column, so none but
-    the one being copied is held as a Python object.
-    """
-    taken = map(column.__getitem__, order)
-    return array(column.typecode, taken) if isinstance(column, array) else list(taken)
-
-
-def _take_each(columns: list, order: array) -> None:
-    """Replace each column of ``columns`` but None by its _take, releasing each as soon as it is taken.
-
-    ``columns`` must hold the last reference to each column for it to be released.
+    A list gives a list of the same objects.  An ``array`` is made at its
+    full size, then filled a chunk at a time: grown by realloc, the taken
+    arrays left holes in the heap, about 6 MB of peak RSS in a parse of a
+    million rows out of order.
     """
     for i, column in enumerate(columns):
-        if column is not None:
-            columns[i] = _take(column, order)
+        if not isinstance(column, array):
+            columns[i] = None if column is None else list(map(column.__getitem__, order))
+            continue
+        taken = array(column.typecode, [0]) * len(order)
+        for start in range(0, len(order), _ORDER_CHUNK):
+            chunk = slice(start, start + _ORDER_CHUNK)
+            taken[chunk] = array(column.typecode, map(column.__getitem__, order[chunk]))
+        columns[i] = taken
+
+
+def renumbered(txs: TransactionColumns) -> TransactionColumns:
+    """``txs`` over the same columns, its pairs renumbered by first appearance and its tables cut to its rows' ids."""
+    new = {old: code for code, old in enumerate(dict.fromkeys(txs.pair))}  # each old code, by first appearance
+    ids = [(txs.investors[txs.pair_investor[p]], txs.assets[txs.pair_asset[p]]) for p in new]
+    pair = array("i", map(new.__getitem__, txs.pair))
+    return TransactionColumns(_pair_tables(ids), pair, *txs._numbers(), tz=txs.tz)
 
 
 def parse_transactions_report(
@@ -475,14 +503,14 @@ def parse_transactions_report(
     raises MalformedRow at that line, lenient or not.
     """
     reader = csv.reader(stream)
-    investor_ids: list[str] = []
-    asset_ids: list[str] = []
+    pair = array("i")
     sides = array("b")
     quantities = array("q")
     prices = array("d")
     timestamps = array("q")
     tzs: list[timezone] = []
-    ids: dict[str, str] = {}  # one str object per distinct id
+    ids: dict[str, str] = {}  # one str object per distinct id, shared by the pair keys
+    codes: dict[tuple[str, str], int] = {}  # each pair's code, in order of first appearance
     zones: dict[timezone, timezone] = {}  # one object per distinct offset
     last_text = timestamp = None  # the previous row's timestamp field and its conversion
     first_aware: bool | None = None
@@ -525,8 +553,8 @@ def parse_transactions_report(
                 err.__context__ = None  # a kept reject holds neither the error it was raised from nor frames
                 rejects.append(err.with_traceback(None))
                 continue
-            investor_ids.append(ids.setdefault(investor_id, investor_id))
-            asset_ids.append(ids.setdefault(asset_id, asset_id))
+            key = ids.setdefault(investor_id, investor_id), ids.setdefault(asset_id, asset_id)
+            pair.append(codes.setdefault(key, len(codes)))
             sides.append(side)
             quantities.append(quantity)
             prices.append(price)
@@ -540,15 +568,19 @@ def parse_transactions_report(
 
         log = logging.getLogger(__name__)
         log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
-    seq = range(len(timestamps))
-    columns = [investor_ids, asset_ids, sides, quantities, prices, timestamps, tzs if first_aware else None]
+    seq, tables = range(len(timestamps)), _pair_tables(codes)
+    del codes  # and its key tuples, before the order check
+    columns = [pair, sides, quantities, prices, timestamps, tzs if first_aware else None]
     if first_out_of_order(timestamps, seq) is not None:
         seq = _stable_order(timestamps)  # stable: the input position breaks ties
-        del investor_ids, asset_ids, sides, quantities, prices, timestamps, tzs  # columns holds the last references
+        del pair, sides, quantities, prices, timestamps, tzs  # columns holds the last references
         _take_each(columns, seq)
+        seq = array("q", seq)  # the int32 order as the int64 input positions
     *columns, tz = columns
-    txs = TransactionColumns(*columns, seq, tz=tz)
-    txs._in_order = True  # checked, or sorted, above
+    txs = TransactionColumns(tables, *columns, seq, tz=tz)
+    if isinstance(seq, array):
+        txs = renumbered(txs)  # the sorted rows' first appearances
+    txs._in_order = True  # checked, or sorted and renumbered, above
     return txs, rejects
 
 
@@ -573,7 +605,7 @@ def serialize_transactions(transactions: Iterable[Transaction], stream: TextIO) 
     writer.writerow(TRANSACTION_COLUMNS)
     sides = map(_SIDE_TEXT.__getitem__, txs.side)
     texts = _timestamp_texts(txs.timestamp, txs.tz)
-    writer.writerows(zip(txs.investor_id, txs.asset_id, sides, txs.quantity, map(repr, txs.price), texts))
+    writer.writerows(zip(txs._ids(0), txs._ids(1), sides, txs.quantity, map(repr, txs.price), texts))
 
 
 def parse_instruments(stream: TextIO) -> dict[str, Instrument]:
@@ -634,17 +666,17 @@ def summarize(transactions: Sequence[Transaction]) -> DatasetSummary:
     txs = TransactionColumns.of(transactions)
     if not txs:
         raise EmptyDataset("summarize requires at least one transaction")
-    per_investor_count = Counter(txs.investor_id)
-    investor_spans = _spans(txs.investor_id, txs.timestamp)
-    pair_spans = _spans(zip(txs.investor_id, txs.asset_id), txs.timestamp)
-    assets_per_investor = Counter(inv for inv, _ in pair_spans)
+    per_investor_count = Counter(txs._ids(0))
+    investor_spans = _spans(txs._ids(0), txs.timestamp)
+    pair_spans = _spans(txs.pair, txs.timestamp)
+    assets_per_investor = Counter(txs.pair_investor[p] for p in pair_spans)
     # A span in microseconds over the int 10**6 is exactly the span's
     # timedelta.total_seconds().
     horizons = [(last - first) / 10**6 / _SECONDS_PER_YEAR for first, last in investor_spans.values()]
     holding_days = [(last - first) / 10**6 / _SECONDS_PER_DAY for first, last in pair_spans.values()]
     return DatasetSummary(
         n_investors=len(per_investor_count),
-        n_assets=len(set(txs.asset_id)),
+        n_assets=len({txs.pair_asset[p] for p in pair_spans}),
         n_transactions=len(txs),
         median_transactions_per_investor=float(median(per_investor_count.values())),
         median_assets_per_investor=float(median(assets_per_investor.values())),

@@ -259,7 +259,7 @@ def run_engine(
     """
     enc = _kernel.encode(transactions)
     tallies = _kernel.stream(enc, sells_only, include_traded)
-    # The event columns go with enc; the store keeps the per-pair ones.
+    # The store keeps the per-pair tables of enc, not its event columns.
     return TallyStore(enc.investors, enc.assets, enc.pair_investor, enc.pair_asset, tallies)
 
 

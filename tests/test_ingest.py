@@ -28,7 +28,7 @@ from dispomet.ingest import (
     summarize,
 )
 from dispomet.metrics import run_engine
-from dispomet.synth import BehaviorProfile, generate_population
+from dispomet.synth import BehaviorProfile, generate_population, oracle_replay
 
 HEADER = "investor_id,asset_id,side,quantity,price,timestamp\n"
 
@@ -333,8 +333,9 @@ def test_transaction_columns_compare_like_their_transactions(monkeypatch):
         return parse(HEADER + "".join(row.format(h, offset) for row, h in zip(rows, hours)))
 
     naive, utc, shifted = log(""), log("+00:00"), log("+01:00", hours=("10", "11"))
-    array_seq = TransactionColumns(*naive._columns()[:6], array("q", naive.seq))
-    nan_price = TransactionColumns(*naive._columns()[:4], array("d", [math.nan, 11.0]), *naive._columns()[5:])
+    ids = naive.investor_id, naive.asset_id
+    array_seq = TransactionColumns.from_ids(*ids, naive.side, naive.quantity, naive.price, naive.timestamp, array("q", naive.seq))
+    nan_price = TransactionColumns.from_ids(*ids, naive.side, naive.quantity, array("d", [math.nan, 11.0]), naive.timestamp, naive.seq)
     pairs = [
         (utc, shifted),  # the same instants in different zones
         (naive, utc),  # naive against aware
@@ -373,10 +374,12 @@ def test_transaction_columns_index_and_slice_like_a_list():
 
 def test_columns_have_one_layout_whoever_built_them():
     txs = _population()
-    parsed, built = parse(_text(txs)), TransactionColumns.of(txs)
-    assert isinstance(parsed.seq, range) and isinstance(built.seq, array)
-    for cols in (parsed, built, parsed[::-1], built[1::2]):
-        assert [c.typecode for c in (cols.side, cols.quantity, cols.price, cols.timestamp)] == ["b", "q", "d", "q"]
+    parsed, built, sorted_back = parse(_text(txs)), TransactionColumns.of(txs), parse(_group_shuffled(_text(txs), 0))
+    assert isinstance(parsed.seq, range) and isinstance(built.seq, array) and isinstance(sorted_back.seq, array)
+    for cols in (parsed, built, parsed[::-1], built[1::2], sorted_back):
+        columns = (cols.pair, cols.side, cols.quantity, cols.price, cols.timestamp)
+        assert [c.typecode for c in columns] == ["i", "b", "q", "d", "q"]
+        assert cols.pair_investor.typecode == cols.pair_asset.typecode == "i"
         assert isinstance(cols.seq, range) or cols.seq.typecode == "q"
 
 
@@ -406,6 +409,50 @@ def test_engine_and_summary_read_columns_like_the_list(shuffled):
             flags = dict(sells_only=sells_only, include_traded=include_traded)
             assert run_engine(cols, **flags).array.tobytes() == run_engine(listed, **flags).array.tobytes()
     assert summarize(cols) == summarize(listed)
+
+
+def _numbered_by_first_appearance(txs):
+    """investors, assets, pair_investor and pair_asset, counted naively over the rows in (timestamp, seq) order."""
+    ids = list(zip(txs.investor_id, txs.asset_id))
+    pairs, investors = [], []
+    for i in sorted(range(len(txs)), key=lambda i: (txs.timestamp[i], txs.seq[i])):
+        if ids[i] not in pairs:
+            pairs.append(ids[i])
+            if ids[i][0] not in investors:
+                investors.append(ids[i][0])
+    assets = sorted({asset for _, asset in pairs})
+    return investors, assets, [investors.index(inv) for inv, _ in pairs], [assets.index(a) for _, a in pairs]
+
+
+def test_engine_numbers_pairs_by_first_appearance_whoever_built_the_columns():
+    generated, _ = generate_population(6, BehaviorProfile(0.6, 0.3, n_assets=6, horizon_events=30, seed=5))
+    text = _text(generated)
+    parsed, shuffled = parse(text), parse(_group_shuffled(text, 1))
+    builds = {
+        "parsed in time order": parsed,
+        "parsed out of time order": shuffled,
+        "generated": generated,
+        "of a list": TransactionColumns.of(list(parsed)),
+        "slice": parsed[5:],
+        "from string ids": TransactionColumns.from_ids(
+            parsed.investor_id, parsed.asset_id, parsed.side, parsed.quantity, parsed.price, parsed.timestamp,
+            parsed.seq,
+        ),
+    }
+    assert isinstance(shuffled.seq, array) and shuffled.pair == parsed.pair  # renumbered after the sort
+    for name, cols in builds.items():
+        store = run_engine(cols)
+        numbering = store.investors, store.assets, list(store.pair_investor), list(store.pair_asset)
+        assert numbering == _numbered_by_first_appearance(cols), name
+        assert store.to_dict() == oracle_replay(cols), name
+    # The generator numbers pairs as it emits them, investor by investor:
+    # other codes for the same rows, which still compare equal.
+    assert generated.pair != parsed.pair
+    assert generated == parsed and parsed == generated and not generated != parsed
+    assert parsed.investor_id == generated.investor_id and parsed.asset_id == generated.asset_id
+    padded = parse(HEADER + " I1 , A1 ,B,1,10.0,2015-01-05 09:00:00\nI1,A1,S,1,11.0,2015-01-05 09:01:00\n")
+    assert padded.investor_id == ["I1", "I1"] and padded.asset_id == ["A1", "A1"]
+    assert padded.pair == array("i", [0, 0]) and padded[0].investor_id == "I1"
 
 
 def test_parse_retains_at_most_160_bytes_per_row(tmp_path):
@@ -444,6 +491,16 @@ def test_parse_retains_at_most_48_bytes_per_row(tmp_path):
             tracemalloc.stop()
     assert cols.tz is None
     assert retained / len(cols) <= 48, f"{retained / len(cols):.0f} bytes per row"
+
+
+def test_parse_retains_at_most_34_bytes_per_row(tmp_path):
+    # A row kept its investor_id and asset_id as two list entries, 16
+    # bytes: about 43 bytes per row.  A pair code in an array('i') is 4.
+    path = tmp_path / "transactions.csv"
+    path.write_text(_generated_log(), encoding="utf-8")
+    cols, retained, _ = _parse_traced(path)
+    assert cols.tz is None and len(cols) >= 20_000
+    assert retained / len(cols) <= 34, f"{retained / len(cols):.1f} bytes per row"
 
 
 def _traced(build):
@@ -658,7 +715,8 @@ def test_equal_timestamps_across_sort_chunks_keep_input_order(aware):
         for i in order
         for inv, asset, side, qty, price, _ in [rows[i].split(",")]
     ])
-    assert all(map(operator.eq, parsed._columns(), expected._columns()))
+    fields = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq")
+    assert all(getattr(parsed, field) == getattr(expected, field) for field in fields)
     assert parsed.tz == expected.tz and (parsed.tz is None) is not aware
     assert run_engine(parsed).to_dict() == run_engine(expected).to_dict()
 
@@ -720,7 +778,7 @@ def test_a_parsed_log_is_order_checked_once(shuffled, monkeypatch):
 
 def test_hand_built_columns_out_of_order_still_raise():
     ordered = parse(HEADER + "I1,A,B,1,10.0,2015-01-05 09:00:00\nI1,A,S,1,11.0,2015-01-05 09:01:00\n")
-    columns = TransactionColumns(
+    columns = TransactionColumns.from_ids(
         ordered.investor_id, ordered.asset_id, ordered.side, ordered.quantity, ordered.price,
         array("q", ordered.timestamp[::-1]), ordered.seq,
     )

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dispomet import ingest
 from dispomet.ingest import INT64_MAX, Side, Transaction, TransactionColumns
@@ -689,13 +689,59 @@ def _first_rejected(txs):
     return None
 
 
+# Valid streams whose arithmetic is extreme: prices from 1e-300 and a
+# subnormal to 1.5e308, quantities up to INT64_MAX, flips through zero, many
+# events at one instant, and pairs whose first appearance is out of
+# investor and asset order.
+_ADVERSARIAL_PRICES = (1e-300, 5e-324, 1.0, 2.0, 1e300, 1.5e308)
+_adversarial_events = st.lists(
+    st.tuples(
+        st.sampled_from(("I2", "I1", "I0")), st.sampled_from(("C", "B", "A")), st.sampled_from(tuple(Side)),
+        st.one_of(st.integers(1, 3), st.sampled_from((2**62, INT64_MAX))), st.sampled_from(_ADVERSARIAL_PRICES),
+        st.sampled_from((0, 0, 0, 1)),  # minutes after the previous event
+    ),
+    max_size=14,
+)
+# I2 holds C long and B short from 1.0; both trade at 2.0, so when I2
+# trades A the other positions' balance is 1.0 - 1.0, exactly 0.0: neutral.
+_CANCELLING = [
+    ("I2", "C", Side.BUY, 1, 1.0, 0), ("I2", "B", Side.SELL, 1, 1.0, 0), ("I1", "C", Side.BUY, 2, 2.0, 1),
+    ("I1", "B", Side.SELL, 3, 2.0, 0), ("I2", "A", Side.BUY, 1, 1.0, 0), ("I2", "C", Side.SELL, 2, 2.0, 1),
+]
+
+
+def _adversarial_stream(events):
+    """The Transactions of _adversarial_events' tuples, seq their index."""
+    minutes = itertools.accumulate(event[5] for event in events)
+    return [tx(*event[:5], minute, i) for i, (event, minute) in enumerate(zip(events, minutes))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(events=_adversarial_events)
+@example(events=_CANCELLING)
+def test_engine_equals_oracle_on_adversarial_numerics(events):
+    txs = _adversarial_stream(events)
+    for sells_only in (False, True):
+        for include_traded in (False, True):
+            flags = dict(sells_only=sells_only, include_traded=include_traded)
+            got = {key: repr(t) for key, t in run_engine(txs, **flags).to_dict().items()}  # repr: NaN equals NaN
+            assert got == {key: repr(t) for key, t in oracle_replay(txs, **flags).items()}, flags
+
+
+def test_a_balance_that_cancels_to_zero_is_neutral():
+    txs = _adversarial_stream(_CANCELLING)
+    key = ("I2", "C", Context.NEUTRAL, Method.COUNT)
+    assert key not in run_engine(txs[:4]).to_dict()
+    assert run_engine(txs[:5]).to_dict()[key] == Tally(pg=1.0)  # C's paper gain, at I2's trade of A
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(events=_checked_events, seq_is_range=st.booleans(), chunk=st.sampled_from((1, 2, 3, 1 << 16)))
 def test_encode_checks_name_the_first_rejected_event(events, seq_is_range, chunk):
     # chunk moves the borders of first_out_of_order's sorted() chunks.
     listed = _checked_stream(events)
     columns = TransactionColumns.of(listed)
-    built = TransactionColumns(
+    built = TransactionColumns.from_ids(
         columns.investor_id, columns.asset_id, columns.side, columns.quantity, columns.price, columns.timestamp,
         range(len(listed)) if seq_is_range else columns.seq,
     )
