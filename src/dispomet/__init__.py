@@ -16,7 +16,7 @@ is imported from its module (``dispomet.synth.oracle_replay``, ...).  The
 synth and stats names resolve on first use, so ``import dispomet`` loads
 neither module until a caller asks for one of them.  Parsing, the kernel,
 ``aggregate`` and ``histogram`` are plain Python: numpy loads only with
-synth, or for the ``TallyStore.array`` view.
+synth.
 """
 import importlib
 

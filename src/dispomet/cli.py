@@ -462,6 +462,7 @@ def _exit_codes() -> dict[type[Exception], int]:
         metrics.InvalidBinWidth: EXIT_ERROR,
         InvalidProfile: EXIT_ERROR,
         UsageError: EXIT_ERROR,
+        MemoryError: EXIT_ERROR,
     }
 
 
@@ -486,7 +487,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if code is None:
             raise
         name = "IOError" if isinstance(err, OSError) else type(err).__name__
-        _diag(f"{name}: {err}")
+        message = str(err)
+        if not message and isinstance(err, MemoryError):
+            message = "out of memory"  # a failed allocation raises MemoryError without text
+        _diag(f"{name}: {message}")
         return code
 
 

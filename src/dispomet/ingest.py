@@ -21,7 +21,8 @@ time, and a column is reordered straight into a new column, its source
 released as soon as it is taken.  TransactionColumns.of builds the same
 columns from a list of Transactions, so the engine, summarize and
 serialize_transactions read one layout whichever the source; the synth
-generators build it directly.
+generators build it directly.  Pair codes and their tables are the one
+form of the ids: no column of id strings is kept or built.
 """
 from __future__ import annotations
 
@@ -177,9 +178,8 @@ class TransactionColumns(Sequence[Transaction]):
     Whoever builds it, ``pair`` is an ``array('i')`` of each row's pair
     code; pair p is ``investors[pair_investor[p]]`` and
     ``assets[pair_asset[p]]``, each id held once and assets numbered in
-    asset_id order.  ``investor_id`` and ``asset_id`` are built on every
-    read: a new list of the shared strings, 8 bytes a row.  ``side`` is an
-    ``array('b')`` of +1 for a buy and -1 for a sell, ``quantity`` an
+    asset_id order; a row's ids are read through its Transaction.  ``side``
+    is an ``array('b')`` of +1 for a buy and -1 for a sell, ``quantity`` an
     ``array('q')``, ``price`` an ``array('d')``, ``seq`` a ``range`` or an
     ``array('q')`` and ``timestamp`` an ``array('q')`` of the microseconds
     since 1970-01-01 of the wall time (naive) or of the UTC instant (aware).
@@ -209,15 +209,6 @@ class TransactionColumns(Sequence[Transaction]):
         lengths = {len(column) for column in (pair, *columns)}
         if len(lengths) > 1 or (tz is not None and len(tz) not in lengths):
             raise ValueError("transaction columns differ in length")
-
-    @classmethod
-    def from_ids(cls, investor_id: Sequence[str], asset_id: Sequence[str], *columns, tz=None) -> TransactionColumns:
-        """Columns from string id columns, then side, quantity, price, timestamp and seq; the ids are interned."""
-        if len(investor_id) != len(asset_id):
-            raise ValueError("transaction columns differ in length")
-        codes: dict[tuple[str, str], int] = {}
-        pair = array("i", (codes.setdefault(ids, len(codes)) for ids in zip(investor_id, asset_id)))
-        return cls(_pair_tables(codes), pair, *columns, tz=tz)
 
     @classmethod
     def of(cls, transactions: Sequence[Transaction]) -> "TransactionColumns":
@@ -267,14 +258,6 @@ class TransactionColumns(Sequence[Transaction]):
         """Each row's investor_id (``field`` 0) or asset_id (1), looked up through its pair code."""
         ids, codes = (self.investors, self.pair_investor) if field == 0 else (self.assets, self.pair_asset)
         return map([ids[code] for code in codes].__getitem__, self.pair)
-
-    @property
-    def investor_id(self) -> list[str]:
-        return list(self._ids(0))
-
-    @property
-    def asset_id(self) -> list[str]:
-        return list(self._ids(1))
 
     def __len__(self) -> int:
         return len(self.seq)

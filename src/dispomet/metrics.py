@@ -20,16 +20,17 @@ other positions or the balance is exactly zero).  Narrow framing merges
 contexts before the ratio; wide framing pools tallies at the investor level
 per context; integrated framing keeps per-asset, per-context tallies.
 
-``run_engine`` streams the events through _kernel into a TallyStore, the
-kernel's dense ``array('d')`` of tallies with each pair's investor and
-asset and no event column.  ``aggregate`` reads that buffer in plain
-Python and returns its records as a sequence of DeRecords backed by stdlib
-``array`` columns (investor and asset indices, context and method codes and
-``de``), ordered by (investor_id, asset_id, context, method) as text.  It
-reads each group with a nonzero tally once, computes every requested method
-from it, and builds the records in that order rather than sorting them.
-``histogram`` is plain Python too, so nothing here loads numpy but the
-``TallyStore.array`` view.
+``run_engine`` streams the events through _kernel into a TallyStore: its
+``tallies`` are the kernel's dense ``array('d')``, laid out in the order of
+Context and Method, with each pair's investor and asset and no event
+column.  ``aggregate`` reads that buffer in plain Python and returns its
+records as a sequence of DeRecords backed by stdlib ``array`` columns
+(``array('i')`` investor and asset indices, as wide as the pair tables,
+context and method codes and ``de``), ordered by (investor_id, asset_id,
+context, method) as text.  It reads each group with a nonzero tally once,
+computes every requested method from it, and builds the records in that
+order rather than sorting them.  ``histogram`` is plain Python too, so
+nothing here loads numpy.
 
 The same semantics, one object at a time, are the reference in synth
 (``classify_context``, ``accrue_event``, ``compute_de``, ``oracle_replay``).
@@ -76,16 +77,13 @@ class Level(Enum):
 #: asset_id marker used on investor-level (pooled or averaged) records.
 POOLED_ASSET = "*"
 
-_CTX_INDEX = {Context.POSITIVE: 0, Context.NEGATIVE: 1, Context.NEUTRAL: 2}
-_METHOD_INDEX = {Method.COUNT: 0, Method.TOTAL: 1, Method.VALUE: 2}
-
 #: Context of a record per context code.  A code is also the rank of the
 #: context's text in record order: "all" (contexts merged, narrow framing)
 #: sorts before "negative" and "positive".
 RECORD_CONTEXTS: tuple[Context | None, ...] = (None, Context.NEGATIVE, Context.POSITIVE)
 #: Method of a record per method code: its index in the tally layout, which
 #: is also the rank of its text.
-RECORD_METHODS: tuple[Method, ...] = tuple(_METHOD_INDEX)
+RECORD_METHODS: tuple[Method, ...] = tuple(Method)
 
 
 class InvalidBinWidth(Exception):
@@ -130,7 +128,7 @@ class DeRecord:
 class DeRecords(Sequence[DeRecord]):
     """Read-only DeRecords held as columns; a DeRecord is built on access.
 
-    ``investor`` and ``asset`` are ``array('q')`` indices into
+    ``investor`` and ``asset`` are ``array('i')`` indices into
     ``investor_ids`` and ``asset_ids``, ``context`` and ``method`` are
     ``array('b')`` codes into RECORD_CONTEXTS and RECORD_METHODS, and ``de``
     is an ``array('d')`` that is NaN exactly where a record is undefined,
@@ -211,33 +209,26 @@ class DeRecords(Sequence[DeRecord]):
 class TallyStore:
     """Dense tally storage produced by the streaming engine.
 
-    The store keeps the kernel's ``array('d')`` of tallies, laid out flat as
-    (pair, context, method*4 + component) with components rg, rl, pg, pl
-    and contexts positive, negative, neutral; ``aggregate`` and ``to_dict``
-    read it as it is.  ``array`` is a float64 ndarray view of it with that
-    shape, made on read, which loads numpy.  Pair p belongs to
+    ``tallies`` is the kernel's ``array('d')``, laid out flat as (pair,
+    context, method*4 + component): contexts in Context order, methods in
+    Method order and components rg, rl, pg, pl.  ``aggregate`` and
+    ``to_dict`` read it as it is.  Pair p belongs to
     ``investors[pair_investor[p]]`` and ``assets[pair_asset[p]]``; investors
     are numbered in order of first appearance, assets in asset_id order.
     """
 
-    def __init__(self, investors, assets, pair_investor, pair_asset, array) -> None:
+    def __init__(self, investors, assets, pair_investor, pair_asset, tallies) -> None:
         self.investors, self.assets, self.pair_investor, self.pair_asset = investors, assets, pair_investor, pair_asset
-        self._tallies = array
-
-    @property
-    def array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.frombuffer(self._tallies, np.float64).reshape(len(self.pair_investor), 3, 12)
+        self.tallies: array = tallies
 
     def to_dict(self) -> dict[TallyKey, Tally]:
         """Sparse view in oracle_replay's layout: only tallies with a nonzero component."""
         out: dict[TallyKey, Tally] = {}
         for pid, (ii, ai) in enumerate(zip(self.pair_investor, self.pair_asset)):
             inv, asset = self.investors[ii], self.assets[ai]
-            row = _unpack_pair(self._tallies, 288 * pid)
-            for ctx, ci in _CTX_INDEX.items():
-                for method, mi in _METHOD_INDEX.items():
+            row = _unpack_pair(self.tallies, 288 * pid)
+            for ci, ctx in enumerate(Context):
+                for mi, method in enumerate(Method):
                     j = ci * 12 + mi * 4
                     tally = row[j : j + 4]
                     if any(tally):
@@ -347,13 +338,13 @@ def aggregate(
         raise ValueError(f"unknown aggregation level {level!r}")
     if zero_policy not in ("exclude", "zero"):
         raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
-    offsets = [4 * _METHOD_INDEX[m] for m in sorted(set(methods), key=_METHOD_INDEX.get)]
+    offsets = [4 * code for code, m in enumerate(RECORD_METHODS) if m in methods]
     narrow = framing is Framing.NARROW
-    tal, pair_asset = store._tallies, store.pair_asset
+    tal, pair_asset = store.tallies, store.pair_asset
     pairs_of: list[list[int]] = [[] for _ in store.investors]  # each investor's pairs, in pair order
     for p, i in enumerate(store.pair_investor):
         pairs_of[i].append(p)
-    investor, asset, context = array("q"), array("q"), array("b")
+    investor, asset, context = array("i"), array("i"), array("b")
     de = [array("d") for _ in offsets]  # per method, a value per key
     for i in sorted(range(len(pairs_of)), key=store.investors.__getitem__):
         pairs = pairs_of[i]

@@ -198,9 +198,10 @@ def _unit_quantity_stream(seed):
 def test_criterion_4_count_total_degeneracy():
     for seed in range(200):
         store = run_engine(_unit_quantity_stream(seed))
-        count = store.array[:, :, 0:4]
-        total = store.array[:, :, 4:8]
-        assert np.array_equal(count, total), f"seed {seed}"
+        groups = range(0, len(store.tallies), 12)  # each (pair, context): count's 4 components, then total's
+        count = [store.tallies[g : g + 4] for g in groups]
+        total = [store.tallies[g + 4 : g + 8] for g in groups]
+        assert count == total, f"seed {seed}"
     _report("criterion 4: count/total degeneracy")
 
 

@@ -172,6 +172,18 @@ def test_compare_context_split_sections(tmp_path, capsys):
     assert "Negative vs Positive Portfolio" in out
 
 
+@pytest.mark.parametrize("spec", ["volatility-long", "volatility-short", "long-vs-inverse", "context-split"])
+def test_compare_out_writes_the_table_it_would_print(spec, synth_log, tmp_path, capsys):
+    argv = ["compare", "--transactions", str(synth_log / "transactions.csv"),
+            "--registry", str(synth_log / "instruments.csv"), "--spec", spec]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "tables")]) == EXIT_OK
+    path = tmp_path / "tables" / f"compare_{spec}.txt"
+    assert capsys.readouterr().out == f"wrote comparison table to {path}\n"
+    assert path.read_text(encoding="utf-8") == printed
+
+
 def test_compare_empty_group(tmp_path, capsys):
     # Only long instruments traded: the inverse group is empty.
     path = tmp_path / "transactions.csv"
@@ -389,6 +401,18 @@ def test_mixed_timezone_awareness_is_a_malformed_row(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
     assert main(["validate", "--transactions", str(path), "--lenient"]) == EXIT_OK
     assert "2 rows accepted, 1 rejected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["compute", "report"])
+def test_memory_error_is_one_error_line(command, clean_file, tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()  # as a failed allocation raises it, without text
+
+    monkeypatch.setattr(metrics, "run_engine", out_of_memory)
+    argv = [command, "--transactions", clean_file, *(["--out", str(tmp_path / "out")] if command == "compute" else [])]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == "dispomet: error: MemoryError: out of memory\n"
+    assert not list(tmp_path.rglob("records_*"))
 
 
 def test_compute_bad_bin_width_writes_no_records(clean_file, tmp_path, capsys):

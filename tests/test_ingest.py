@@ -333,9 +333,9 @@ def test_transaction_columns_compare_like_their_transactions(monkeypatch):
         return parse(HEADER + "".join(row.format(h, offset) for row, h in zip(rows, hours)))
 
     naive, utc, shifted = log(""), log("+00:00"), log("+01:00", hours=("10", "11"))
-    ids = naive.investor_id, naive.asset_id
-    array_seq = TransactionColumns.from_ids(*ids, naive.side, naive.quantity, naive.price, naive.timestamp, array("q", naive.seq))
-    nan_price = TransactionColumns.from_ids(*ids, naive.side, naive.quantity, array("d", [math.nan, 11.0]), naive.timestamp, naive.seq)
+    tables = naive.pair_investor, naive.pair_asset, naive.investors, naive.assets
+    array_seq = TransactionColumns(tables, naive.pair, naive.side, naive.quantity, naive.price, naive.timestamp, array("q", naive.seq))
+    nan_price = TransactionColumns(tables, naive.pair, naive.side, naive.quantity, array("d", [math.nan, 11.0]), naive.timestamp, naive.seq)
     pairs = [
         (utc, shifted),  # the same instants in different zones
         (naive, utc),  # naive against aware
@@ -407,13 +407,13 @@ def test_engine_and_summary_read_columns_like_the_list(shuffled):
     for sells_only in (False, True):
         for include_traded in (False, True):
             flags = dict(sells_only=sells_only, include_traded=include_traded)
-            assert run_engine(cols, **flags).array.tobytes() == run_engine(listed, **flags).array.tobytes()
+            assert run_engine(cols, **flags).tallies.tobytes() == run_engine(listed, **flags).tallies.tobytes()
     assert summarize(cols) == summarize(listed)
 
 
 def _numbered_by_first_appearance(txs):
     """investors, assets, pair_investor and pair_asset, counted naively over the rows in (timestamp, seq) order."""
-    ids = list(zip(txs.investor_id, txs.asset_id))
+    ids = [(tx.investor_id, tx.asset_id) for tx in txs]
     pairs, investors = [], []
     for i in sorted(range(len(txs)), key=lambda i: (txs.timestamp[i], txs.seq[i])):
         if ids[i] not in pairs:
@@ -434,10 +434,6 @@ def test_engine_numbers_pairs_by_first_appearance_whoever_built_the_columns():
         "generated": generated,
         "of a list": TransactionColumns.of(list(parsed)),
         "slice": parsed[5:],
-        "from string ids": TransactionColumns.from_ids(
-            parsed.investor_id, parsed.asset_id, parsed.side, parsed.quantity, parsed.price, parsed.timestamp,
-            parsed.seq,
-        ),
     }
     assert isinstance(shuffled.seq, array) and shuffled.pair == parsed.pair  # renumbered after the sort
     for name, cols in builds.items():
@@ -449,9 +445,9 @@ def test_engine_numbers_pairs_by_first_appearance_whoever_built_the_columns():
     # other codes for the same rows, which still compare equal.
     assert generated.pair != parsed.pair
     assert generated == parsed and parsed == generated and not generated != parsed
-    assert parsed.investor_id == generated.investor_id and parsed.asset_id == generated.asset_id
+    assert [(t.investor_id, t.asset_id) for t in parsed] == [(t.investor_id, t.asset_id) for t in generated]
     padded = parse(HEADER + " I1 , A1 ,B,1,10.0,2015-01-05 09:00:00\nI1,A1,S,1,11.0,2015-01-05 09:01:00\n")
-    assert padded.investor_id == ["I1", "I1"] and padded.asset_id == ["A1", "A1"]
+    assert [(t.investor_id, t.asset_id) for t in padded] == [("I1", "A1"), ("I1", "A1")]
     assert padded.pair == array("i", [0, 0]) and padded[0].investor_id == "I1"
 
 
@@ -715,8 +711,9 @@ def test_equal_timestamps_across_sort_chunks_keep_input_order(aware):
         for i in order
         for inv, asset, side, qty, price, _ in [rows[i].split(",")]
     ])
-    fields = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp", "seq")
+    fields = ("side", "quantity", "price", "timestamp", "seq")
     assert all(getattr(parsed, field) == getattr(expected, field) for field in fields)
+    assert [(t.investor_id, t.asset_id) for t in parsed] == [(t.investor_id, t.asset_id) for t in expected]
     assert parsed.tz == expected.tz and (parsed.tz is None) is not aware
     assert run_engine(parsed).to_dict() == run_engine(expected).to_dict()
 
@@ -778,9 +775,9 @@ def test_a_parsed_log_is_order_checked_once(shuffled, monkeypatch):
 
 def test_hand_built_columns_out_of_order_still_raise():
     ordered = parse(HEADER + "I1,A,B,1,10.0,2015-01-05 09:00:00\nI1,A,S,1,11.0,2015-01-05 09:01:00\n")
-    columns = TransactionColumns.from_ids(
-        ordered.investor_id, ordered.asset_id, ordered.side, ordered.quantity, ordered.price,
-        array("q", ordered.timestamp[::-1]), ordered.seq,
+    columns = TransactionColumns(
+        (ordered.pair_investor, ordered.pair_asset, ordered.investors, ordered.assets), ordered.pair,
+        ordered.side, ordered.quantity, ordered.price, array("q", ordered.timestamp[::-1]), ordered.seq,
     )
     message = (
         r"event 1: \(timestamp, seq\) \(2015-01-05 09:00:00, 1\) is lower than "

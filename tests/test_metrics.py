@@ -193,10 +193,10 @@ def _store(tallies):
     pairs = sorted({(inv, asset) for inv, asset, _, _ in tallies})
     store = run_engine([tx(inv, asset, Side.BUY, 1, 10.0, 0, i) for i, (inv, asset) in enumerate(pairs)])
     pid = {pair: p for p, pair in enumerate(pairs)}  # pair ids follow first appearance
-    store.array[:] = 0.0
+    store.tallies = array("d", [0.0]) * len(store.tallies)
     for (inv, asset, ctx, method), t in tallies.items():
-        m = list(Method).index(method) * 4
-        store.array[pid[inv, asset], list(Context).index(ctx), m : m + 4] = (t.rg, t.rl, t.pg, t.pl)
+        start = 36 * pid[inv, asset] + 12 * list(Context).index(ctx) + 4 * list(Method).index(method)
+        store.tallies[start : start + 4] = array("d", (t.rg, t.rl, t.pg, t.pl))
     assert store.to_dict() == tallies
     return store
 
@@ -456,7 +456,7 @@ def _adversarial_store(rng):
         assets=[f"A{a}" for a in range(n_assets)],
         pair_investor=[i for i, _ in pairs],
         pair_asset=[a for _, a in pairs],
-        array=tallies,
+        tallies=tallies,
     )
 
 
@@ -512,13 +512,14 @@ def _many_pair_store(n_investors=1250, per_investor=8, n_assets=40, seed=0):
         assets=[f"A{a:02d}" for a in range(n_assets)],
         pair_investor=[i for i, _ in pairs],
         pair_asset=[a for _, a in pairs],
-        array=tallies,
+        tallies=array("d", tallies.tobytes()),
     )
 
 
 def test_one_method_aggregate_peaks_below_six_tenths_of_the_tallies():
     store = _many_pair_store()
-    assert len(store.array) >= 10_000
+    assert len(store.pair_investor) >= 10_000
+    nbytes = store.tallies.itemsize * len(store.tallies)  # 288 bytes a pair
     tracemalloc.start()
     try:
         for framing in Framing:
@@ -530,7 +531,7 @@ def test_one_method_aggregate_peaks_below_six_tenths_of_the_tallies():
                     peak = tracemalloc.get_traced_memory()[1] - baseline
                     assert len(records) > 0
                     del records
-                    assert peak <= 0.6 * store.array.nbytes, (framing, level, method, peak / store.array.nbytes)
+                    assert peak <= 0.6 * nbytes, (framing, level, method, peak / nbytes)
     finally:
         tracemalloc.stop()
 
@@ -724,8 +725,10 @@ def test_engine_equals_oracle_on_adversarial_numerics(events):
     for sells_only in (False, True):
         for include_traded in (False, True):
             flags = dict(sells_only=sells_only, include_traded=include_traded)
-            got = {key: repr(t) for key, t in run_engine(txs, **flags).to_dict().items()}  # repr: NaN equals NaN
+            store = run_engine(txs, **flags)
+            got = {key: repr(t) for key, t in store.to_dict().items()}  # repr: NaN equals NaN
             assert got == {key: repr(t) for key, t in oracle_replay(txs, **flags).items()}, flags
+            _assert_matches_naive(store)
 
 
 def test_a_balance_that_cancels_to_zero_is_neutral():
@@ -741,9 +744,9 @@ def test_encode_checks_name_the_first_rejected_event(events, seq_is_range, chunk
     # chunk moves the borders of first_out_of_order's sorted() chunks.
     listed = _checked_stream(events)
     columns = TransactionColumns.of(listed)
-    built = TransactionColumns.from_ids(
-        columns.investor_id, columns.asset_id, columns.side, columns.quantity, columns.price, columns.timestamp,
-        range(len(listed)) if seq_is_range else columns.seq,
+    built = TransactionColumns(
+        (columns.pair_investor, columns.pair_asset, columns.investors, columns.assets), columns.pair,
+        columns.side, columns.quantity, columns.price, columns.timestamp, range(len(listed)) if seq_is_range else columns.seq,
     )
     with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
         for txs in (listed, built):

@@ -218,8 +218,8 @@ def test_deduplicating_records_writer_matches_the_per_record_reference(monkeypat
     n = len(values)
     records = DeRecords(
         list(QUOTED_INVESTORS), list(QUOTED_ASSETS),
-        array("q", [k % len(QUOTED_INVESTORS) for k in range(n)]),
-        array("q", [(n - 1 - k) % len(QUOTED_ASSETS) for k in range(n)]),
+        array("i", [k % len(QUOTED_INVESTORS) for k in range(n)]),
+        array("i", [(n - 1 - k) % len(QUOTED_ASSETS) for k in range(n)]),
         array("b", [k % 3 for k in range(n)]), array("b", [k // 4 for k in range(n)]),
         array("d", values),
     )
@@ -234,7 +234,7 @@ def test_deduplicating_records_writer_matches_the_per_record_reference(monkeypat
 def _writer_peak(n_records: int) -> int:
     """tracemalloc peak of _write_records over n distinct de values, to a sink that keeps nothing."""
     records = DeRecords(
-        ["i0", "i1"], ["A0"], array("q", [k % 2 for k in range(n_records)]), array("q", [0]) * n_records,
+        ["i0", "i1"], ["A0"], array("i", [k % 2 for k in range(n_records)]), array("i", [0]) * n_records,
         array("b", [0]) * n_records, array("b", [0]) * n_records, array("d", [k / 7.0 for k in range(n_records)]),
     )
     texts = cli._field_texts(records.investor_ids), cli._field_texts(records.asset_ids)

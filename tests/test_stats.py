@@ -24,6 +24,14 @@ def test_identical_samples():
     assert result.p_value == 1.0
 
 
+@pytest.mark.parametrize("n1, n2", [(3, 3), (1, 2), (7, 11), (30, 30)])
+def test_fully_tied_samples_have_no_rank_variance(n1, n2):
+    # The tie correction cancels the variance exactly: (n**3 - n) / (n * (n - 1)) is n + 1.
+    result = mann_whitney([0.25] * n1, [0.25] * n2)
+    assert result.p_value == 1.0 and result.mode == "normal" and result.stars == ""
+    assert result.median_diff == 0.0
+
+
 def test_fully_separated_samples_exact():
     result = mann_whitney([1, 2, 3, 4], [5, 6, 7, 8])
     assert result.mode == "exact"
