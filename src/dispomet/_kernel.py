@@ -2,14 +2,14 @@
 
 ``encode`` reads an ingest.TransactionColumns, the one layout the parser
 and TransactionColumns.of both build, the latter from a list of
-Transactions.  It checks the (timestamp, seq) order, unless the parser
-already has, that quantities are positive and that prices are positive and
-finite, each in one pass of plain Python over its column.  The pair codes
-are the kernel's pair indices: a parsed log's columns are returned as they
-are, any other columns renumbered in one pass.  ``stream`` then makes one
-sequential pass over those columns in plain Python, keeping per-pair
-positions in lists and the tallies in an ``array('d')`` buffer, which it
-returns.  Neither loads numpy.
+Transactions.  A parsed log's columns are returned as they are: the
+parser has rejected each bad quantity and price, sorted the rows by
+(timestamp, seq) and numbered the pairs by first appearance, the kernel's
+pair indices.  Other columns are checked for that order, positive
+quantities and positive finite prices, then renumbered, each in one pass
+of plain Python.  ``stream`` then makes one sequential pass over the
+columns in plain Python, keeping per-pair positions in lists and the
+tallies in an ``array('d')`` buffer, which it returns.  Neither loads numpy.
 
 Each investor's open positions are kept in one list of pair ids, ordered by
 asset: a position that opens is inserted with ``bisect.insort`` and one that
@@ -33,15 +33,17 @@ njit = None  # the benchmark's env line reads this to name the backend
 def encode(transactions: Sequence[Transaction]) -> TransactionColumns:
     """The events as columns whose tables hold only their rows' ids, pairs numbered by first appearance.
 
-    The parser's own columns are so, and in order, already: they are not
-    checked for order again nor renumbered.  Raises ValueError naming the
-    first event whose (timestamp, seq) is lower than its predecessor's,
-    whose quantity is not positive or whose price is not a positive finite
-    number, or, for a list, whose quantity lies outside int64 or whose
-    timestamp is naive where event 0's is aware or the other way round.
+    The parser's columns are returned unchecked: it has rejected or sorted
+    every row that a check below refuses.  Other columns raise ValueError
+    naming the first event whose (timestamp, seq) is lower than its
+    predecessor's, whose quantity is not positive or whose price is not a
+    positive finite number, or, for a list, whose quantity lies outside
+    int64 or whose timestamp is naive where event 0's is aware or vice versa.
     """
     txs = TransactionColumns.of(transactions)
-    i = None if txs._in_order else first_out_of_order(txs.timestamp, txs.seq)
+    if txs._in_order:
+        return txs
+    i = first_out_of_order(txs.timestamp, txs.seq)
     if i is not None:
         tx, before = txs[i], txs[i - 1]
         raise ValueError(
@@ -56,7 +58,7 @@ def encode(transactions: Sequence[Transaction]) -> TransactionColumns:
         if not 0.0 < price < inf:  # NaN fails both comparisons, so it is rejected too
             i = next(i for i, p in enumerate(txs.price) if not 0.0 < p < inf)
             raise ValueError(f"event {i}: price {txs.price[i]} is not a positive finite number")
-    return txs if txs._in_order else renumbered(txs)
+    return renumbered(txs)
 
 
 def stream(enc: TransactionColumns, sells_only: bool, include_traded: bool) -> array:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import math
 import os
 import sys
 from itertools import combinations, repeat
@@ -92,9 +91,6 @@ def _load_registry(path: str) -> dict[str, Instrument]:
 # contexts read "all".
 _LABEL_TEXT = [f"{'all' if c is None else c.value},{m.value}," for c in RECORD_CONTEXTS for m in RECORD_METHODS]
 
-#: The text of a zero ``de`` in a records row, +0.0 first.
-_ZERO_TEXT = ("np.float64(0.0),true\n", "np.float64(-0.0),true\n")
-
 #: Rows per write call of _write_records, so no file's whole text is held at once.
 _WRITE_CHUNK = 4096
 
@@ -116,9 +112,9 @@ def _write_records(records: DeRecords, stream: TextIO, investor_text: list[str],
 
     A row joins the _field_texts of its ``records.investor_ids`` and
     ``records.asset_ids`` entries, its context and method text and the text
-    of its ``de``, made once per distinct nonzero value of the chunk.  -0.0
-    and 0.0 keep their own text, and a NaN ``de`` (an undefined record) is
-    an empty field.  This is the one place ``de`` is formatted, as
+    of its ``de``, made for each row: few values repeat, so a cache of them
+    would save little.  A NaN ``de`` (an undefined record) is an empty
+    field.  This is the one place ``de`` is formatted, as
     repr(np.float64(de)) reads, which no CSV reader parses; repr(de) waits
     for a change that also re-records the known-answer hashes in
     perfbench/expected.json.
@@ -127,19 +123,11 @@ def _write_records(records: DeRecords, stream: TextIO, investor_text: list[str],
     n_methods = len(RECORD_METHODS)
     for start in range(0, len(records), _WRITE_CHUNK):
         part = slice(start, start + _WRITE_CHUNK)
-        de_text: dict[float, str] = {}  # keyed by value, so never by a zero or a NaN
         rows = []
         for inv, asset, ctx, method, de in zip(
             records.investor[part], records.asset[part], records.context[part], records.method[part], records.de[part]
         ):
-            if de != de:  # NaN
-                text = ",false\n"
-            elif de:
-                text = de_text.get(de)
-                if text is None:
-                    text = de_text[de] = f"np.float64({de!r}),true\n"
-            else:
-                text = _ZERO_TEXT[math.copysign(1.0, de) < 0.0]
+            text = f"np.float64({de!r}),true\n" if de == de else ",false\n"
             rows.append(f"{investor_text[inv]}{asset_text[asset]}{_LABEL_TEXT[ctx * n_methods + method]}{text}")
         stream.write("".join(rows))
 

@@ -276,12 +276,6 @@ class TransactionColumns(Sequence[Transaction]):
             self.seq[i],
         )
 
-    def __iter__(self) -> Iterator[Transaction]:
-        timestamps = map(_datetime, self.timestamp, repeat(None) if self.tz is None else self.tz)
-        columns = (self._ids(0), self._ids(1), self.side, self.quantity, self.price, timestamps, self.seq)
-        for inv, asset, side, qty, price, ts, seq in zip(*columns):
-            yield Transaction(inv, asset, _SIDE_OF_SIGN[side], qty, price, ts, seq)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TransactionColumns):
             return self._same_rows(other)

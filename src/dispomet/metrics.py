@@ -44,7 +44,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, filterfalse
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import _kernel
 from .ingest import Transaction
@@ -172,11 +172,6 @@ class DeRecords(Sequence[DeRecord]):
             de,
             de == de,
         )
-
-    def __iter__(self) -> Iterator[DeRecord]:
-        investor_ids, asset_ids = self.investor_ids, self.asset_ids
-        for inv, asset, ctx, method, de in zip(*self._columns()):
-            yield DeRecord(investor_ids[inv], asset_ids[asset], RECORD_CONTEXTS[ctx], RECORD_METHODS[method], de, de == de)
 
     def of_method(self, method: Method) -> "DeRecords":
         """The records of ``method``, in order.
@@ -338,6 +333,10 @@ def aggregate(
         raise ValueError(f"unknown aggregation level {level!r}")
     if zero_policy not in ("exclude", "zero"):
         raise ValueError(f"unknown zero-denominator policy {zero_policy!r}")
+    if framing not in tuple(Framing):
+        raise ValueError(f"unknown framing {framing!r}")
+    if not methods or any(m not in tuple(Method) for m in methods):
+        raise ValueError(f"methods must be a non-empty sequence of Method, got {methods!r}")
     offsets = [4 * code for code, m in enumerate(RECORD_METHODS) if m in methods]
     narrow = framing is Framing.NARROW
     tal, pair_asset = store.tallies, store.pair_asset

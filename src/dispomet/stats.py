@@ -105,6 +105,8 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> TestResult:
         raise EmptySample("both samples must be non-empty")
     n1, n2 = len(x), len(y)
     combined = list(x) + list(y)
+    if any(v != v for v in combined):
+        raise ValueError("samples must not hold NaN")
     ranks = _midranks(combined)
     r1 = sum(ranks[:n1])
     u1 = r1 - n1 * (n1 + 1) / 2.0

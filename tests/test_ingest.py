@@ -773,6 +773,22 @@ def test_a_parsed_log_is_order_checked_once(shuffled, monkeypatch):
     assert store.to_dict() == run_engine(list(txs)).to_dict()
 
 
+def _unreadable(*_):
+    raise AssertionError("a parsed column was read")
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "out-of-order"])
+def test_encode_returns_parsed_columns_without_reading_their_values(shuffled):
+    from dispomet import _kernel
+
+    rows = [f"I{i % 3},A{i % 2},{'BS'[i % 2]},1,10.0,2015-01-05 09:{i:02d}:00\n" for i in range(8)]
+    txs = parse(HEADER + "".join(rows[::-1] if shuffled else rows))
+    # The parser has checked every price and quantity: encode reads neither.
+    txs.price = txs.quantity = type("Unreadable", (), {"__len__": _unreadable, "__iter__": _unreadable,
+                                                        "__getitem__": _unreadable})()
+    assert _kernel.encode(txs) is txs
+
+
 def test_hand_built_columns_out_of_order_still_raise():
     ordered = parse(HEADER + "I1,A,B,1,10.0,2015-01-05 09:00:00\nI1,A,S,1,11.0,2015-01-05 09:01:00\n")
     columns = TransactionColumns(

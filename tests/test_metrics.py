@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import struct
 import tracemalloc
 from array import array
@@ -250,6 +251,22 @@ def test_aggregate_neutral_excluded_from_context_framings():
     assert [r.context for r in integrated] == [Context.POSITIVE]
     narrow = aggregate(tallies, Level.PER_ASSET, Framing.NARROW, methods=[Method.COUNT])
     assert len(narrow) == 1 and narrow[0].context is None
+
+
+@pytest.mark.parametrize("framing", ["narrow", None, Level.PER_ASSET])
+def test_aggregate_rejects_an_unknown_framing(framing):
+    store = run_engine(random_stream(3))
+    with pytest.raises(ValueError, match=re.escape(f"unknown framing {framing!r}")):
+        aggregate(store, Level.PER_ASSET, framing)
+
+
+@pytest.mark.parametrize(
+    "methods", [[], (), ["count"], [Method.COUNT, "total"]], ids=["empty-list", "empty-tuple", "text", "mixed"]
+)
+def test_aggregate_rejects_an_empty_or_unknown_method_list(methods):
+    store = run_engine(random_stream(3))
+    with pytest.raises(ValueError, match=re.escape(f"got {methods!r}")):
+        aggregate(store, Level.PER_ASSET, Framing.NARROW, methods=methods)
 
 
 def test_histogram_example():

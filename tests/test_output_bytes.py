@@ -13,8 +13,10 @@ import io
 import itertools
 import math
 import random
+import statistics
 import tracemalloc
 from array import array
+from datetime import timedelta, timezone
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ import pytest
 from dispomet import cli, ingest
 from dispomet.cli import EXIT_OK, main
 from dispomet.metrics import DeRecords, Framing, Level, Method, aggregate, histogram, run_engine
-from dispomet.synth import random_stream
+from dispomet.synth import oracle_replay, random_stream
 
 
 def _reference_records_csv(records) -> str:
@@ -254,3 +256,129 @@ def test_records_writer_memory_does_not_grow_with_the_file():
     # value's text, about 90 bytes a record.
     small, large = _writer_peak(2 * cli._WRITE_CHUNK), _writer_peak(12 * cli._WRITE_CHUNK)
     assert large <= 1.5 * small, (small, large)
+
+
+# One bad row per reject reason of a lenient parse: the start of its reason
+# and its fields in TRANSACTION_COLUMNS order, or None for a row of too few
+# fields.  The last timestamp is naive in an aware log and aware in a naive one.
+_BAD_ROWS = (
+    ("wrong number of fields", None),
+    ("side must be B or S", ("I9", "A9", "X", "1", "10.0", "{ts}")),
+    ("quantity must be a whole number", ("I9", "A9", "B", "1.5", "10.0", "{ts}")),
+    ("quantity must be positive", ("I9", "A9", "B", "0", "10.0", "{ts}")),
+    ("quantity must be at most", ("I9", "A9", "S", str(ingest.INT64_MAX + 1), "10.0", "{ts}")),
+    ("unparseable price", ("I9", "A9", "B", "1", "ten", "{ts}")),
+    ("price must be positive", ("I9", "A9", "B", "1", "-1.0", "{ts}")),
+    ("price must be finite", ("I9", "A9", "B", "1", "inf", "{ts}")),
+    ("unparseable timestamp", ("I9", "A9", "B", "1", "10.0", "2015-13-45 25:00:00")),
+    ("investor_id and asset_id must be non-empty", (" ", "A9", "B", "1", "10.0", "{ts}")),
+    ("timestamp '", ("I9", "A9", "B", "1", "10.0", "{other_ts}")),
+)
+_ENGINE_CASES = list(itertools.product(Level, ("exclude", "zero"), ("every-event", "sells-only"),
+                                       ("exclude-traded-asset", "include-traded-asset")))
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _row_text(names: list[str], values: dict[str, str]) -> str:
+    """A row under the header ``names``: the first of its two price columns holds garbage, an unknown one junk."""
+    fields = [values.get(name, "junk") for name in names]
+    fields[names.index("price")] = "garbage"
+    return ",".join(fields)
+
+
+def _adversarial_csv(seed: int, txs: list) -> tuple[bytes, list[int]]:
+    """``txs`` as a BOM-led CRLF CSV with a shuffled header and bad rows interleaved, and each bad row's line.
+
+    The header also holds an unknown column and a first ``price`` column,
+    which the last ``price`` column overrides; ids are quoted.  Every bad row
+    follows the first good one.
+    """
+    rng = random.Random(seed)
+    names = [*ingest.TRANSACTION_COLUMNS, "note"]
+    rng.shuffle(names)
+    names.insert(rng.randrange(names.index("price") + 1), "price")
+    zone = "+01:00" if txs[0].timestamp.tzinfo is not None else ""
+    ts, other_ts = "2015-01-05 09:00:00" + zone, "2015-01-05 09:00:00" + ("" if zone else "+01:00")
+    bad_after = {}  # the bad rows after each good row, keyed by its number among the good rows
+    for k, (_, row) in zip(sorted(rng.choices(range(1, len(txs) + 1), k=len(_BAD_ROWS))), _BAD_ROWS):
+        bad_after.setdefault(k, []).append(row)
+    lines, bad_lines = [",".join(names)], []
+    for k, tx in enumerate(txs, 1):
+        lines.append(_row_text(names, {
+            "investor_id": _quoted(tx.investor_id), "asset_id": _quoted(tx.asset_id), "side": tx.side.value,
+            "quantity": str(tx.quantity), "price": repr(tx.price), "timestamp": tx.timestamp.isoformat(sep=" "),
+        }))
+        for row in bad_after.get(k, ()):
+            if row is None:
+                lines.append(_quoted("I9"))
+            else:
+                values = dict(zip(ingest.TRANSACTION_COLUMNS, row))
+                values["timestamp"] = values["timestamp"].format(ts=ts, other_ts=other_ts)
+                values["investor_id"], values["asset_id"] = _quoted(row[0]), _quoted(row[1])
+                lines.append(_row_text(names, values))
+            bad_lines.append(len(lines))
+    return ("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"), bad_lines
+
+
+def _naive_summary_lines(txs: list) -> list[str]:
+    """validate's summary lines, recounted from the Transactions one at a time."""
+    times_of_investor, times_of_pair = {}, {}
+    for tx in txs:
+        times_of_investor.setdefault(tx.investor_id, []).append(tx.timestamp)
+        times_of_pair.setdefault((tx.investor_id, tx.asset_id), []).append(tx.timestamp)
+    assets_per_investor = [sum(inv == investor for inv, _ in times_of_pair) for investor in times_of_investor]
+
+    def seconds(times):
+        return (max(times) - min(times)).total_seconds()
+
+    rows = ingest.DatasetSummary(
+        n_investors=len(times_of_investor),
+        n_assets=len({asset for _, asset in times_of_pair}),
+        n_transactions=len(txs),
+        median_transactions_per_investor=float(statistics.median(map(len, times_of_investor.values()))),
+        median_assets_per_investor=float(statistics.median(assets_per_investor)),
+        median_account_horizon_years=statistics.median(seconds(t) / (365.25 * 86400.0) for t in times_of_investor.values()),
+        median_holding_days_per_asset=statistics.median(seconds(t) / 86400.0 for t in times_of_pair.values()),
+    ).rows()
+    width = max(len(label) for label, _ in rows)
+    return [f"{label.ljust(width)}  {value}" for label, value in rows]
+
+
+def test_cli_text_path_matches_the_oracle_on_adversarial_csv(tmp_path, capsys):
+    # Each seed runs one combination of level, zero policy, eval scope and
+    # context rule; odd seeds write a timezone-aware log.
+    path, out = tmp_path / "transactions.csv", tmp_path / "out"
+    for seed, (level, zero_policy, scope, rule) in enumerate(_ENGINE_CASES):
+        where = (seed, level, zero_policy, scope, rule)
+        zone = timezone(timedelta(hours=1)) if seed % 2 else None
+        txs = [
+            dataclasses.replace(tx, investor_id=f'{tx.investor_id} "q",', timestamp=tx.timestamp.replace(tzinfo=zone))
+            for tx in random_stream(seed, max_investors=4, max_assets=5, max_events=60)
+        ]
+        data, bad_lines = _adversarial_csv(seed, txs)
+        path.write_bytes(data)
+        argv = [
+            "compute", "--transactions", str(path), "--out", str(out), "--framing", "all", "--lenient",
+            "--level", level.value, "--zero-denominator", zero_policy, "--eval-scope", scope, "--context-rule", rule,
+        ]
+        assert main(argv) == EXIT_OK, where
+        flags = dict(sells_only=scope == "sells-only", include_traded=rule == "include-traded-asset")
+        store = run_engine(txs, **flags)
+        assert store.to_dict() == oracle_replay(txs, **flags), where
+        for framing in Framing:
+            records = aggregate(store, level, framing, zero_policy=zero_policy)
+            for method in Method:
+                name = f"records_{framing.value}_{method.value}.csv"
+                want = _reference_records_csv([r for r in records if r.method is method]).encode()
+                assert (out / name).read_bytes() == want, (where, name)
+        capsys.readouterr()
+        assert main(["validate", "--transactions", str(path), "--lenient"]) == EXIT_OK
+        text = capsys.readouterr().out.splitlines()
+        n_bad = len(_BAD_ROWS)
+        assert text[:2] == [f"{len(txs)} rows accepted, {n_bad} rejected", f"{n_bad} rows skipped"], where
+        starts = [f"  line {n}: {reason}" for n, (reason, _) in zip(bad_lines, _BAD_ROWS)]
+        assert [line[: len(start)] for line, start in zip(text[2 : 2 + n_bad], starts)] == starts, where
+        assert text[2 + n_bad :] == _naive_summary_lines(txs), where

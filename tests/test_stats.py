@@ -53,6 +53,12 @@ def test_empty_sample_raises():
         mann_whitney([], [1.0])
 
 
+@pytest.mark.parametrize("x, y", [([math.nan], [1.0]), ([1.0, 2.0], [3.0, math.nan])], ids=["first", "second"])
+def test_nan_in_either_sample_raises(x, y):
+    with pytest.raises(ValueError, match="NaN"):
+        mann_whitney(x, y)
+
+
 def test_shift_invariance():
     a, b = [0.1, 0.4, 0.9], [0.2, 0.3, 0.8, 1.4]
     r1 = mann_whitney(a, b)
