@@ -7,13 +7,15 @@ parser has rejected each bad quantity and price, sorted the rows by
 (timestamp, seq) and numbered the pairs by first appearance, the kernel's
 pair indices.  Other columns are checked for that order, positive
 quantities and positive finite prices, then renumbered, each in one pass
-of plain Python.  ``stream`` then makes one sequential pass over the
-columns in plain Python, keeping per-pair positions in lists and the
-tallies in an ``array('d')`` buffer, which it returns.  Neither loads numpy.
+of plain Python.  ``stream`` then makes one sequential pass over a chunk of
+columns in plain Python.  Its state, an Accrual of per-pair positions in
+lists and the tallies in an ``array('d')``, outlives the call: run_engine
+feeds a whole log as one chunk, and ``compute`` holds one chunk of 4,096
+rows at a time of a log in time order.  Neither loads numpy.
 
 Each investor's open positions are kept in one list of pair ids, ordered by
-asset: a position that opens is inserted with ``bisect.insort`` and one that
-closes is removed.  An evaluation visits only that list, so the
+asset_id: a position that opens is inserted with ``bisect.insort`` and one
+that closes is removed.  An evaluation visits only that list, so the
 floating-point summation order of the context balance is identical to the
 reference implementations, synth.oracle_replay and the per-object
 semantics beside it.
@@ -23,7 +25,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import insort
-from typing import Sequence
+from collections import defaultdict
+from typing import Iterable, Sequence
 
 from .ingest import Transaction, TransactionColumns, first_out_of_order, renumbered
 
@@ -61,24 +64,55 @@ def encode(transactions: Sequence[Transaction]) -> TransactionColumns:
     return renumbered(txs)
 
 
-def stream(enc: TransactionColumns, sells_only: bool, include_traded: bool) -> array:
-    """Run the accrual loop; returns the tallies, an ``array('d')`` laid out as (n_pairs, 3, 12)."""
-    pair_asset = enc.pair_asset
-    n_pairs = len(pair_asset)
-    pair_qty = [0] * n_pairs
-    pair_ref = [0.0] * n_pairs
-    last_price = [0.0] * len(enc.assets)
-    # Each investor's open pair ids in asset order; pair_open[pid] is the
-    # list of the investor who holds pair pid.
-    open_lists = [[] for _ in enc.investors]
-    pair_open = [open_lists[inv] for inv in enc.pair_investor]
-    # Tally layout, flat: pair*36 + context*12 + method*4 + component
-    # contexts: 0 positive, 1 negative, 2 neutral (ctx_off is context*12)
-    # components: 0 rg, 1 rl, 2 pg, 3 pl; methods: count, total, value
-    tal = array("d", [0.0]) * (n_pairs * 36)
-    # encode admits only positive finite prices, so every reference price
-    # and market price read below is positive.
-    for pid, side, qty, price in zip(enc.pair, enc.side, enc.quantity, enc.price):
+class Accrual:
+    """The kernel's state between chunks of one log: positions, open lists and tallies per pair.
+
+    ``add_pairs`` makes room for pairs before ``stream`` reads their
+    events, each pair numbered on from the last.  The per-pair lists are
+    indexed by pair, ``open_lists`` is keyed by investor_id, and each
+    investor's open pair ids are kept ordered by their asset_id text, the
+    order of TallyStore's asset codes, which are known only once the whole
+    log is read.
+    """
+
+    def __init__(self, sells_only: bool, include_traded: bool) -> None:
+        self.sells_only, self.include_traded = sells_only, include_traded
+        self.open_lists: defaultdict[str, list[int]] = defaultdict(list)
+        self.asset_code: dict[str, int] = {}  # an index into last_price per asset_id
+        self.last_price: list[float] = []
+        self.pair_open: list[list[int]] = []  # the open list of the pair's investor
+        self.pair_asset: list[int] = []
+        self.pair_asset_id: list[str] = []
+        self.pair_qty: list[int] = []
+        self.pair_ref: list[float] = []
+        # Tally layout, flat: pair*36 + context*12 + method*4 + component
+        # contexts: 0 positive, 1 negative, 2 neutral (ctx_off is context*12)
+        # components: 0 rg, 1 rl, 2 pg, 3 pl; methods: count, total, value
+        self.tallies = array("d")
+
+    def add_pairs(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Append the (investor_id, asset_id) ``pairs``, with no position and zero tallies."""
+        for investor_id, asset_id in pairs:
+            self.pair_open.append(self.open_lists[investor_id])
+            self.pair_asset.append(self.asset_code.setdefault(asset_id, len(self.asset_code)))
+            self.pair_asset_id.append(asset_id)
+        new = len(self.pair_asset) - len(self.pair_qty)
+        self.last_price += [0.0] * (len(self.asset_code) - len(self.last_price))
+        self.pair_qty += [0] * new
+        self.pair_ref += [0.0] * new
+        self.tallies += array("d", [0.0]) * (36 * new)
+
+
+def stream(acc: Accrual, pairs: Sequence[int], sides: Sequence[int], quantities: Sequence[int], prices: Sequence[float]) -> None:
+    """Run the accrual loop over one chunk of events, given as columns, whose pairs ``acc`` already has."""
+    sells_only, include_traded = acc.sells_only, acc.include_traded
+    pair_asset, pair_qty, pair_ref, pair_open = acc.pair_asset, acc.pair_qty, acc.pair_ref, acc.pair_open
+    asset_order = acc.pair_asset_id.__getitem__
+    last_price = acc.last_price
+    tal = acc.tallies
+    # encode and the parser admit only positive finite prices, so every
+    # reference price and market price read below is positive.
+    for pid, side, qty, price in zip(pairs, sides, quantities, prices):
         buy = side > 0
         last_price[pair_asset[pid]] = price
         opened = pair_open[pid]
@@ -92,7 +126,7 @@ def stream(enc: TransactionColumns, sells_only: bool, include_traded: bool) -> a
         if old == 0:
             pair_qty[pid] = qty if buy else -qty
             pair_ref[pid] = price
-            insort(opened, pid, key=pair_asset.__getitem__)
+            insort(opened, pid, key=asset_order)
         elif (old > 0) == buy:
             new = old + qty if buy else old - qty
             pair_ref[pid] = (abs(old) * pair_ref[pid] + qty * price) / abs(new)
@@ -150,4 +184,3 @@ def stream(enc: TransactionColumns, sells_only: bool, include_traded: bool) -> a
             tal[j] += 1.0
             tal[j + 4] += abs(qn)
             tal[j + 8] += abs(ret)
-    return tal

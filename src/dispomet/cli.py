@@ -138,13 +138,28 @@ def _write_histogram(bins: Sequence[tuple[float, int]], stream: TextIO) -> None:
     writer.writerows((repr(edge), count) for edge, count in bins)
 
 
-def _run_engine(transactions: TransactionColumns, args: argparse.Namespace) -> metrics.TallyStore:
-    """run_engine with the --eval-scope and --context-rule flags as its booleans."""
-    return metrics.run_engine(
-        transactions,
-        sells_only=args.eval_scope == "sells-only",
-        include_traded=args.context_rule == "include-traded-asset",
-    )
+def _engine_flags(args: argparse.Namespace) -> dict[str, bool]:
+    """The --eval-scope and --context-rule flags as run_engine's booleans."""
+    return {
+        "sells_only": args.eval_scope == "sells-only",
+        "include_traded": args.context_rule == "include-traded-asset",
+    }
+
+
+def _log_tallies(args: argparse.Namespace) -> metrics.TallyStore:
+    """The tallies of the --transactions log, fed a chunk of rows at a time while it is in time order.
+
+    At its first row out of order the file is read again, parsed whole and
+    sorted, as a file that cannot be read twice, such as a pipe, is at once.
+    """
+    with open(args.transactions, "r", encoding="utf-8-sig", newline="") as fh:
+        if fh.seekable():
+            store = metrics.run_engine_on_log(fh, lenient=args.lenient, **_engine_flags(args))
+            if store is not None:
+                return store
+            fh.seek(0)
+        transactions = ingest.parse_transactions_report(fh, lenient=args.lenient)[0]
+    return metrics.run_engine(transactions, **_engine_flags(args))
 
 
 def _print_summary(transactions: TransactionColumns) -> None:
@@ -188,11 +203,9 @@ def _write_framing(store: metrics.TallyStore, framing: Framing, args: argparse.N
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    transactions = _load_transactions(args.transactions, lenient=args.lenient)[0]
+    store = _log_tallies(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    store = _run_engine(transactions, args)
-    del transactions  # the columns are not needed to write, so the records and the writes reuse their memory
     framings = list(Framing) if args.framing == "all" else [Framing(args.framing)]
     n_records = sum(_write_framing(store, framing, args, out_dir) for framing in framings)
     print(f"wrote {n_records} records to {out_dir}")
@@ -262,7 +275,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     transactions = _load_transactions(args.transactions, lenient=args.lenient)[0]
     registry = _load_registry(args.registry)
     framing, row_header = _COMPARE_SPECS[args.spec]
-    store = _run_engine(transactions, args)
+    store = metrics.run_engine(transactions, **_engine_flags(args))
     del transactions
     methods = args.methods
     records = metrics.aggregate(store, Level.PER_ASSET, framing, methods=methods, zero_policy=args.zero_denominator)
@@ -348,7 +361,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     print("Descriptive Summary of Investors")
     _print_summary(transactions)
     print()
-    store = _run_engine(transactions, args)
+    store = metrics.run_engine(transactions, **_engine_flags(args))
     del transactions
     records = metrics.aggregate(
         store,
@@ -434,12 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_codes() -> dict[type[Exception], int]:
     """Exit code per error type; an error takes the code of the nearest class in its MRO.
 
-    Built only when an error propagates, so synth is imported for
-    InvalidProfile by a failed run alone.
+    synth's InvalidProfile is mapped only when synth, which alone raises it,
+    is loaded: importing it here would load numpy into every failed run.
     """
-    from .synth import InvalidProfile
-
-    return {
+    codes = {
         SchemaError: EXIT_SCHEMA,
         MalformedRow: EXIT_MALFORMED,
         DuplicateAsset: EXIT_MALFORMED,
@@ -448,10 +459,13 @@ def _exit_codes() -> dict[type[Exception], int]:
         OSError: EXIT_IO,
         IngestError: EXIT_ERROR,
         metrics.InvalidBinWidth: EXIT_ERROR,
-        InvalidProfile: EXIT_ERROR,
         UsageError: EXIT_ERROR,
         MemoryError: EXIT_ERROR,
     }
+    synth = sys.modules.get("dispomet.synth")
+    if synth is not None:
+        codes[synth.InvalidProfile] = EXIT_ERROR
+    return codes
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -15,10 +15,12 @@ the UTC instant in a timezone-aware one, which also keeps a ``tz`` column
 of each row's fixed-offset zone.  The parser converts each timestamp once,
 as it reads the row, and sorts, checks order and measures spans on those
 integers.  A Transaction, its ids and its ``datetime`` are built only when
-read.  No row-scale step holds a whole column as Python objects: the order
-check and the sort of a log out of time order box one chunk of keys at a
-time, and a column is reordered straight into a new column, its source
-released as soon as it is taken.  TransactionColumns.of builds the same
+read.  The row loop, parse_chunks, yields chunks of columns:
+parse_transactions_report collects them, and ``compute`` holds one chunk
+of the rows of a log in time order at a time.  No row-scale step holds a
+whole column as Python objects: the order check and the sort of a log out
+of time order box one chunk of keys at a time, and a column is reordered
+straight into a new column, its source released as soon as it is taken.  TransactionColumns.of builds the same
 columns from a list of Transactions, so the engine, summarize and
 serialize_transactions read one layout whichever the source; the synth
 generators build it directly.  Pair codes and their tables are the one
@@ -462,36 +464,23 @@ def renumbered(txs: TransactionColumns) -> TransactionColumns:
     return TransactionColumns(_pair_tables(ids), pair, *txs._numbers(), tz=txs.tz)
 
 
-def parse_transactions_report(
-    stream: TextIO, lenient: bool = False
-) -> tuple[TransactionColumns, list[MalformedRow]]:
-    """Like parse_transactions, also returning the rejected-row errors.
+def parse_chunks(
+    stream: TextIO, lenient: bool, codes: dict[tuple[str, str], int], rejects: list[MalformedRow]
+) -> Iterator[tuple[array, array, array, array, array, list[timezone]]]:
+    """The accepted rows of a transaction log, in input order, as chunks of _ORDER_CHUNK rows or fewer.
 
-    In strict mode the first reject raises; in lenient mode every reject is
-    recorded so accepted + rejected equals the input row count, and one
-    warning gives the reject count and the first reject.  Timestamps must
-    all be timezone-aware or all naive, as the first accepted row sets; a
-    row that differs is a reject.
-
-    Columns are found by header name; a name given twice resolves to its
-    last column, blank lines are skipped, fields past the header are
-    ignored and a row too short to hold every required column is a reject.
-    Text that is not UTF-8 or a field longer than the csv module's limit
-    raises MalformedRow at that line, lenient or not.
+    A chunk is the columns (pair, side, quantity, price, timestamp, tz) of
+    TransactionColumns, ``tz`` empty in a naive log; no chunk is empty.
+    Across chunks, ``codes`` gains each (investor_id, asset_id) pair's code
+    as it first appears and ``rejects`` each rejected row's MalformedRow,
+    and one warning is logged once the last chunk is taken.  The rules for
+    rows are parse_transactions_report's.
     """
     reader = csv.reader(stream)
-    pair = array("i")
-    sides = array("b")
-    quantities = array("q")
-    prices = array("d")
-    timestamps = array("q")
-    tzs: list[timezone] = []
     ids: dict[str, str] = {}  # one str object per distinct id, shared by the pair keys
-    codes: dict[tuple[str, str], int] = {}  # each pair's code, in order of first appearance
     zones: dict[timezone, timezone] = {}  # one object per distinct offset
     last_text = timestamp = None  # the previous row's timestamp field and its conversion
     first_aware: bool | None = None
-    rejects: list[MalformedRow] = []
     try:
         header = next(reader, None)
         _check_header(header, TRANSACTION_COLUMNS)
@@ -500,6 +489,9 @@ def parse_transactions_report(
         fields = itemgetter(*columns)
         timestamp_column = position["timestamp"]
         min_len = max(columns) + 1
+        chunk = pair, sides, quantities, prices, timestamps, tzs = (
+            array("i"), array("b"), array("q"), array("d"), array("q"), []
+        )
         for row in reader:
             if not row:
                 continue
@@ -538,16 +530,50 @@ def parse_transactions_report(
             timestamps.append(micros)
             if aware:
                 tzs.append(zones.setdefault(zone, zone))
+            if len(pair) == _ORDER_CHUNK:
+                yield chunk
+                chunk = pair, sides, quantities, prices, timestamps, tzs = (
+                    array("i"), array("b"), array("q"), array("d"), array("q"), []
+                )
     except (UnicodeDecodeError, csv.Error) as err:
         raise _unreadable(reader, err) from None
+    if pair:
+        yield chunk
     if rejects:
         import logging  # loaded only by a parse that has rejects to report
 
         log = logging.getLogger(__name__)
         log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
+
+
+def parse_transactions_report(
+    stream: TextIO, lenient: bool = False
+) -> tuple[TransactionColumns, list[MalformedRow]]:
+    """Like parse_transactions, also returning the rejected-row errors.
+
+    In strict mode the first reject raises; in lenient mode every reject is
+    recorded so accepted + rejected equals the input row count, and one
+    warning gives the reject count and the first reject.  Timestamps must
+    all be timezone-aware or all naive, as the first accepted row sets; a
+    row that differs is a reject.
+
+    Columns are found by header name; a name given twice resolves to its
+    last column, blank lines are skipped, fields past the header are
+    ignored and a row too short to hold every required column is a reject.
+    Text that is not UTF-8 or a field longer than the csv module's limit
+    raises MalformedRow at that line, lenient or not.  The rows are those of
+    parse_chunks, collected.
+    """
+    codes: dict[tuple[str, str], int] = {}  # each pair's code, in order of first appearance
+    rejects: list[MalformedRow] = []
+    columns = [array("i"), array("b"), array("q"), array("d"), array("q"), []]
+    for chunk in parse_chunks(stream, lenient, codes, rejects):
+        for column, part in zip(columns, chunk):
+            column += part
+    pair, sides, quantities, prices, timestamps, tzs = columns
     seq, tables = range(len(timestamps)), _pair_tables(codes)
     del codes  # and its key tuples, before the order check
-    columns = [pair, sides, quantities, prices, timestamps, tzs if first_aware else None]
+    columns[-1] = tzs or None  # an aware log has a zone per row, a naive one none
     if first_out_of_order(timestamps, seq) is not None:
         seq = _stable_order(timestamps)  # stable: the input position breaks ties
         del pair, sides, quantities, prices, timestamps, tzs  # columns holds the last references

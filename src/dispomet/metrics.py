@@ -20,14 +20,15 @@ other positions or the balance is exactly zero).  Narrow framing merges
 contexts before the ratio; wide framing pools tallies at the investor level
 per context; integrated framing keeps per-asset, per-context tallies.
 
-``run_engine`` streams the events through _kernel into a TallyStore: its
-``tallies`` are the kernel's dense ``array('d')``, laid out in the order of
-Context and Method, with each pair's investor and asset and no event
-column.  ``aggregate`` reads that buffer in plain Python and returns its
-records as a sequence of DeRecords backed by stdlib ``array`` columns
-(``array('i')`` investor and asset indices, as wide as the pair tables,
-context and method codes and ``de``), ordered by (investor_id, asset_id,
-context, method) as text.  It reads each group with a nonzero tally once,
+``run_engine`` streams the events through _kernel into a TallyStore, and
+``run_engine_on_log`` does the same for a log in time order as it is
+parsed, a chunk of rows at a time.  A TallyStore's ``tallies`` are the
+kernel's dense ``array('d')``, laid out in the order of Context and Method,
+with each pair's investor and asset and no event column.  ``aggregate``
+reads that buffer in plain Python and returns its records as a sequence of
+DeRecords backed by stdlib ``array`` columns (``array('i')`` investor and
+asset indices, as wide as the pair tables, context and method codes and
+``de``), ordered by (investor_id, asset_id, context, method) as text.  It reads each group with a nonzero tally once,
 computes every requested method from it, and builds the records in that
 order rather than sorting them.  ``histogram`` is plain Python too, so
 nothing here loads numpy.
@@ -43,10 +44,10 @@ import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, filterfalse
-from typing import Iterable, Sequence
+from itertools import compress, filterfalse, islice
+from typing import Iterable, Sequence, TextIO
 
-from . import _kernel
+from . import _kernel, ingest
 from .ingest import Transaction
 
 
@@ -244,9 +245,37 @@ def run_engine(
     rejects.
     """
     enc = _kernel.encode(transactions)
-    tallies = _kernel.stream(enc, sells_only, include_traded)
+    acc = _kernel.Accrual(sells_only, include_traded)
+    acc.add_pairs(zip(map(enc.investors.__getitem__, enc.pair_investor), map(enc.assets.__getitem__, enc.pair_asset)))
+    _kernel.stream(acc, enc.pair, enc.side, enc.quantity, enc.price)
     # The store keeps the per-pair tables of enc, not its event columns.
-    return TallyStore(enc.investors, enc.assets, enc.pair_investor, enc.pair_asset, tallies)
+    return TallyStore(enc.investors, enc.assets, enc.pair_investor, enc.pair_asset, acc.tallies)
+
+
+def run_engine_on_log(
+    stream: TextIO, *, lenient: bool = False, sells_only: bool = False, include_traded: bool = False
+) -> TallyStore | None:
+    """run_engine of parse_transactions(stream, lenient), fed a chunk of ingest.parse_chunks at a time.
+
+    Each chunk is dropped once the kernel has read it.  Returns None at the
+    first row out of (timestamp, seq) order: that log must be parsed whole
+    and sorted.  The parse's warning is logged only if the log is read to
+    its end.
+    """
+    codes: dict[tuple[str, str], int] = {}
+    acc = _kernel.Accrual(sells_only, include_traded)
+    last = -math.inf
+    for pairs, sides, quantities, prices, timestamps, tz in ingest.parse_chunks(stream, lenient, codes, []):
+        keys = timestamps.tolist()  # seq is the input position, so only a lower timestamp is out of order
+        if keys[0] < last or keys != sorted(keys):
+            return None
+        last = keys[-1]
+        new = list(islice(reversed(codes), len(codes) - len(acc.pair_qty)))  # the pairs that first appear here
+        acc.add_pairs(reversed(new))
+        _kernel.stream(acc, pairs, sides, quantities, prices)
+        del pairs, sides, quantities, prices, timestamps, tz, keys  # before the next chunk is parsed
+    pair_investor, pair_asset, investors, assets = ingest._pair_tables(codes)
+    return TallyStore(investors, assets, pair_investor, pair_asset, acc.tallies)
 
 
 # ---------------------------------------------------------------------------

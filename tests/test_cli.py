@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dispomet
-from dispomet import cli, metrics
+from dispomet import _kernel, cli, ingest, metrics
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
     EXIT_ERROR,
@@ -27,7 +27,7 @@ from dispomet.cli import (
     EXIT_SCHEMA,
     main,
 )
-from dispomet.ingest import Transaction
+from dispomet.ingest import MalformedRow, Transaction
 
 HEADER = "investor_id,asset_id,side,quantity,price,timestamp\n"
 CLEAN = (
@@ -348,6 +348,83 @@ def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, numpy, synth_
         assert report["frozen"]
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["compute", "--transactions", "{bad}", "--out", "{out}"], EXIT_MALFORMED,
+         "dispomet: error: MalformedRow: line 3: side must be B or S, got 'X'"),
+        (["report", "--transactions", "{tx}", "--bins", "0"], EXIT_ERROR,
+         "dispomet: error: InvalidBinWidth: bin width must be in (0, 2], got 0.0"),
+    ],
+    ids=["compute-malformed-row", "report-bins-0"],
+)
+def test_a_failed_run_does_not_load_numpy(argv, code, message, tmp_path):
+    # Mapping synth's InvalidProfile to its exit code imported synth, and
+    # numpy with it, in every run that failed.
+    bad = tmp_path / "bad.csv"
+    bad.write_text(HEADER + "I1,A1,B,1,10,2015-01-05 09:00:00\nI1,A1,X,1,10,2015-01-05 09:01:00\n")
+    (tmp_path / "tx.csv").write_text(CLEAN)
+    paths = {"bad": bad, "tx": tmp_path / "tx.csv", "out": tmp_path / "out"}
+    src = str(Path(dispomet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, *(arg.format(**paths) for arg in argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    *lines, last = done.stderr.splitlines()
+    assert lines == [message]
+    report = json.loads(last)
+    assert "dispomet.synth" not in report["modules"] and report["numpy"] is False
+    assert not list(tmp_path.rglob("records_*"))
+
+
+def _ordered_log(n_rows, bad_line=None):
+    """A log of ``n_rows`` rows in time order; the row at ``bad_line``, if any, has side X."""
+    rows = [f"I{i % 3},A{i % 4},{'BS'[i // 12 % 2]},{1 + i % 2},{10 + i % 5},2015-01-05 09:{i // 60:02d}:{i % 60:02d}\n"
+            for i in range(n_rows)]
+    if bad_line is not None:
+        rows[bad_line - 2] = rows[bad_line - 2].replace(",B,", ",X,").replace(",S,", ",X,")
+    return HEADER + "".join(rows)
+
+
+@pytest.mark.parametrize("last_row_out_of_order", [False, True])
+def test_a_bad_row_after_streamed_chunks_stops_compute_as_the_whole_parse_does(last_row_out_of_order, tmp_path,
+                                                                               monkeypatch, capsys):
+    text = _ordered_log(40, bad_line=35)
+    if last_row_out_of_order:  # the bad row is met by the streaming attempt, which has not seen the disorder
+        text += "I0,A0,B,1,10,2015-01-05 08:00:00\n"
+    path = tmp_path / "transactions.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedRow) as whole:
+        ingest.parse_transactions_report(io.StringIO(text))
+    monkeypatch.setattr(ingest, "_ORDER_CHUNK", 4)  # eight chunks stream before the bad row
+    assert main(["compute", "--transactions", str(path), "--out", str(tmp_path / "out"), "--framing", "all"]) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"dispomet: error: MalformedRow: {whole.value}\n"
+    assert not list(tmp_path.rglob("records_*"))
+
+
+def test_a_lenient_compute_that_falls_back_warns_once(tmp_path, monkeypatch, caplog, capsys):
+    text = _ordered_log(40, bad_line=9) + "I0,A0,B,1,10,2015-01-05 08:00:00\n"  # the last row is out of order
+    path = tmp_path / "transactions.csv"
+    path.write_text(text)
+    sorted_path = tmp_path / "sorted.csv"
+    header, *rows = text.splitlines(keepends=True)
+    sorted_path.write_text(header + rows[-1] + "".join(rows[:-1]))
+    monkeypatch.setattr(ingest, "_ORDER_CHUNK", 4)
+    for log in (path, sorted_path):
+        caplog.clear()
+        argv = ["compute", "--transactions", str(log), "--out", str(tmp_path / log.stem), "--framing", "all", "--lenient"]
+        assert main(argv) == EXIT_OK
+        (warning,) = [r.getMessage() for r in caplog.records]  # none from the streaming attempt
+        line = 9 if log == path else 10
+        assert warning == f"skipped 1 malformed row(s), the first at line {line}: side must be B or S, got 'X'"
+    capsys.readouterr()
+    files = sorted(p.name for p in (tmp_path / "sorted").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "transactions").iterdir()) and len(files) == 18
+    assert all((tmp_path / "sorted" / f).read_bytes() == (tmp_path / "transactions" / f).read_bytes() for f in files)
+
+
 def test_report_prints_summary_and_histogram(clean_file, capsys):
     assert main(["report", "--transactions", clean_file]) == EXIT_OK
     out = capsys.readouterr().out
@@ -408,7 +485,8 @@ def test_memory_error_is_one_error_line(command, clean_file, tmp_path, monkeypat
     def out_of_memory(*args, **kwargs):
         raise MemoryError()  # as a failed allocation raises it, without text
 
-    monkeypatch.setattr(metrics, "run_engine", out_of_memory)
+    # compute feeds a log in time order to the kernel without run_engine: both reach _kernel.stream.
+    monkeypatch.setattr(_kernel, "stream", out_of_memory)
     argv = [command, "--transactions", clean_file, *(["--out", str(tmp_path / "out")] if command == "compute" else [])]
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err == "dispomet: error: MemoryError: out of memory\n"

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -27,6 +28,7 @@ from dispomet.metrics import (
     aggregate,
     histogram,
     run_engine,
+    run_engine_on_log,
 )
 from dispomet.synth import (
     BehaviorProfile,
@@ -746,6 +748,84 @@ def test_engine_equals_oracle_on_adversarial_numerics(events):
             got = {key: repr(t) for key, t in store.to_dict().items()}  # repr: NaN equals NaN
             assert got == {key: repr(t) for key, t in oracle_replay(txs, **flags).items()}, flags
             _assert_matches_naive(store)
+
+
+def _fed_in_chunks(txs, chunk, **flags):
+    """run_engine_on_log over ``txs`` written as CSV, the kernel fed ``chunk`` rows per call."""
+    text = io.StringIO()
+    ingest.serialize_transactions(txs, text)
+    text.seek(0)
+    with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
+        return run_engine_on_log(text, **flags)
+
+
+def _assert_chunked_feeds_match(txs):
+    """Chunks of 1, 2, 3 and 4,096 rows give the tallies and tables of one whole feed, and the oracle's tallies."""
+    for sells_only, include_traded in itertools.product((False, True), repeat=2):
+        flags = dict(sells_only=sells_only, include_traded=include_traded)
+        whole = run_engine(txs, **flags)
+        oracle = {key: repr(t) for key, t in oracle_replay(txs, **flags).items()}  # repr: NaN equals NaN
+        tables = whole.investors, whole.assets, list(whole.pair_investor), list(whole.pair_asset)
+        for chunk in (1, 2, 3, 4096):
+            fed = _fed_in_chunks(txs, chunk, **flags)
+            assert (fed.investors, fed.assets, list(fed.pair_investor), list(fed.pair_asset)) == tables
+            assert fed.tallies.tobytes() == whole.tallies.tobytes(), (chunk, flags)
+            assert {key: repr(t) for key, t in fed.to_dict().items()} == oracle
+
+
+# I2 opens A, then C, then B, each with a huge P&L: summed in the order
+# of first appearance, I2's context balance has other bits than in asset order.
+_OUT_OF_ASSET_ORDER = [
+    ("I2", "A", Side.SELL, 3, 1e300, 1), ("I2", "C", Side.BUY, 1, 2.0, 0), ("I0", "C", Side.SELL, 3, 2.0, 0),
+    ("I2", "C", Side.BUY, INT64_MAX, 5e-324, 0), ("I2", "B", Side.BUY, 3, 1e300, 0),
+    ("I0", "B", Side.BUY, 2**62, 1e-300, 0), ("I1", "A", Side.BUY, INT64_MAX, 5e-324, 0),
+    ("I2", "C", Side.SELL, 2, 1e-300, 0),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(events=_adversarial_events)
+@example(events=_CANCELLING)
+@example(events=_OUT_OF_ASSET_ORDER)
+def test_chunked_feeds_equal_one_feed_and_the_oracle_on_adversarial_numerics(events):
+    # The asset codes are known only once the whole log is read, so a fed
+    # chunk orders each open list by asset_id text.
+    _assert_chunked_feeds_match(_adversarial_stream(events))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chunked_feeds_equal_one_feed_and_the_oracle_on_random_streams(seed):
+    _assert_chunked_feeds_match(list(random_stream(seed, max_investors=4, max_assets=6, max_events=120)))
+
+
+def test_a_log_out_of_order_in_a_later_chunk_is_not_fed():
+    txs = _adversarial_stream(_CANCELLING)
+    for chunk in (2, 5):  # the disorder inside a chunk, then across two
+        assert _fed_in_chunks([*txs[:4], txs[5], txs[4]], chunk) is None  # event 4 is a minute before event 5
+    assert _fed_in_chunks(txs, 2).tallies == run_engine(txs).tallies
+
+
+def test_streaming_an_ordered_log_peaks_with_its_pairs_not_its_rows(tmp_path):
+    # The whole-log parse held every row's columns, about 30 bytes a row,
+    # so ten times the rows peaked about ten times as high.
+    peaks = {}
+    for n in (4_000, 40_000):
+        path = tmp_path / f"{n}.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(ingest.TRANSACTION_COLUMNS) + "\n")
+            for i in range(n):  # 200 pairs, each flipping between long and short
+                side = "BS"[i // 200 % 2]
+                fh.write(f"I{i % 50},A{i // 50 % 4},{side},{1 + i % 3},{10 + i % 7}.5,{datetime(2015, 1, 5) + timedelta(seconds=i)}\n")
+        with open(path, encoding="utf-8", newline="") as fh:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                store = run_engine_on_log(fh)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert len(store.pair_investor) == 200
+    assert peaks[40_000] <= 1.2 * peaks[4_000], f"{peaks[40_000] / peaks[4_000]:.2f} times"
 
 
 def test_a_balance_that_cancels_to_zero_is_neutral():
