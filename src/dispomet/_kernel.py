@@ -100,7 +100,7 @@ class Accrual:
         self.last_price += [0.0] * (len(self.asset_code) - len(self.last_price))
         self.pair_qty += [0] * new
         self.pair_ref += [0.0] * new
-        self.tallies += array("d", [0.0]) * (36 * new)
+        self.tallies.frombytes(bytes(288 * new))  # zeros straight from calloc, not via a second array
 
 
 def stream(acc: Accrual, pairs: Sequence[int], sides: Sequence[int], quantities: Sequence[int], prices: Sequence[float]) -> None:

@@ -274,8 +274,10 @@ def run_engine_on_log(
         acc.add_pairs(reversed(new))
         _kernel.stream(acc, pairs, sides, quantities, prices)
         del pairs, sides, quantities, prices, timestamps, tz, keys  # before the next chunk is parsed
+    tallies = acc.tallies
+    del acc  # and the positions, before the tables are built
     pair_investor, pair_asset, investors, assets = ingest._pair_tables(codes)
-    return TallyStore(investors, assets, pair_investor, pair_asset, acc.tallies)
+    return TallyStore(investors, assets, pair_investor, pair_asset, tallies)
 
 
 # ---------------------------------------------------------------------------
