@@ -266,14 +266,14 @@ def run_engine_on_log(
     acc = _kernel.Accrual(sells_only, include_traded)
     last = -math.inf
     for pairs, sides, quantities, prices, timestamps, tz in ingest.parse_chunks(stream, lenient, codes, []):
-        keys = timestamps.tolist()  # seq is the input position, so only a lower timestamp is out of order
-        if keys[0] < last or keys != sorted(keys):
+        # seq is the input position, so only a lower timestamp is out of order
+        if timestamps[0] < last or not all(map(operator.le, timestamps, islice(timestamps, 1, None))):
             return None
-        last = keys[-1]
+        last = timestamps[-1]
         new = list(islice(reversed(codes), len(codes) - len(acc.pair_qty)))  # the pairs that first appear here
         acc.add_pairs(reversed(new))
         _kernel.stream(acc, pairs, sides, quantities, prices)
-        del pairs, sides, quantities, prices, timestamps, tz, keys  # before the next chunk is parsed
+        del pairs, sides, quantities, prices, timestamps, tz  # before the next chunk is parsed
     tallies = acc.tallies
     del acc  # and the positions, before the tables are built
     pair_investor, pair_asset, investors, assets = ingest._pair_tables(codes)
