@@ -103,7 +103,9 @@ class Accrual:
         self.tallies.frombytes(bytes(288 * new))  # zeros straight from calloc, not via a second array
 
 
-def stream(acc: Accrual, pairs: Sequence[int], sides: Sequence[int], quantities: Sequence[int], prices: Sequence[float]) -> None:
+def stream(
+    acc: Accrual, pairs: Sequence[int], sides: Sequence[int], quantities: Sequence[int], prices: Sequence[float]
+) -> None:
     """Run the accrual loop over one chunk of events, given as columns, whose pairs ``acc`` already has."""
     sells_only, include_traded = acc.sells_only, acc.include_traded
     pair_asset, pair_qty, pair_ref, pair_open = acc.pair_asset, acc.pair_qty, acc.pair_ref, acc.pair_open

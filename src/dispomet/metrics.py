@@ -28,10 +28,10 @@ with each pair's investor and asset and no event column.  ``aggregate``
 reads that buffer in plain Python and returns its records as a sequence of
 DeRecords backed by stdlib ``array`` columns (``array('i')`` investor and
 asset indices, as wide as the pair tables, context and method codes and
-``de``), ordered by (investor_id, asset_id, context, method) as text.  It reads each group with a nonzero tally once,
-computes every requested method from it, and builds the records in that
-order rather than sorting them.  ``histogram`` is plain Python too, so
-nothing here loads numpy.
+``de``), ordered by (investor_id, asset_id, context, method) as text.  It
+reads each group with a nonzero tally once, computes every requested method
+from it, and builds the records in that order rather than sorting them.
+``histogram`` is plain Python too, so nothing here loads numpy.
 
 The same semantics, one object at a time, are the reference in synth
 (``classify_context``, ``accrue_event``, ``compute_de``, ``oracle_replay``).
