@@ -20,11 +20,12 @@ parse_transactions_report collects them, and ``compute`` holds one chunk
 of the rows of a log in time order at a time.  No row-scale step holds a
 whole column as Python objects: the order check and the sort of a log out
 of time order box one chunk of keys at a time, and a column is reordered
-straight into a new column, its source released as soon as it is taken.  TransactionColumns.of builds the same
-columns from a list of Transactions, so the engine, summarize and
-serialize_transactions read one layout whichever the source; the synth
-generators build it directly.  Pair codes and their tables are the one
-form of the ids: no column of id strings is kept or built.
+straight into a new column, its source released as soon as it is taken.
+TransactionColumns.of builds the same columns from a list of Transactions,
+so the engine, summarize and serialize_transactions read one layout
+whichever the source; the synth generators build it directly.  Pair codes
+and their tables are the one form of the ids: no column of id strings is
+kept or built.
 """
 from __future__ import annotations
 
