@@ -69,20 +69,20 @@ class Accrual:
 
     ``add_pairs`` makes room for pairs before ``stream`` reads their
     events, each pair numbered on from the last.  The per-pair lists are
-    indexed by pair, ``open_lists`` is keyed by investor_id, and each
-    investor's open pair ids are kept ordered by their asset_id text, the
-    order of TallyStore's asset codes, which are known only once the whole
-    log is read.
+    indexed by pair, and ``open_lists`` is keyed by investor_id.  Each
+    investor's open pair ids are kept ordered by asset_id text, the order
+    of TallyStore's asset codes, which are known only once the whole log is
+    read: a pair's ``pair_asset`` entry is its asset's [asset_id, last trade
+    price] list, and one investor's pairs differ in asset_id, so the lists
+    compare by it alone.
     """
 
     def __init__(self, sells_only: bool, include_traded: bool) -> None:
         self.sells_only, self.include_traded = sells_only, include_traded
         self.open_lists: defaultdict[str, list[int]] = defaultdict(list)
-        self.asset_code: dict[str, int] = {}  # an index into last_price per asset_id
-        self.last_price: list[float] = []
+        self.assets: dict[str, list] = {}  # each asset_id's [asset_id, last trade price]
         self.pair_open: list[list[int]] = []  # the open list of the pair's investor
-        self.pair_asset: list[int] = []
-        self.pair_asset_id: list[str] = []
+        self.pair_asset: list[list] = []  # the pair's entry of assets
         self.pair_qty: list[int] = []
         self.pair_ref: list[float] = []
         # Tally layout, flat: pair*36 + context*12 + method*4 + component
@@ -94,10 +94,8 @@ class Accrual:
         """Append the (investor_id, asset_id) ``pairs``, with no position and zero tallies."""
         for investor_id, asset_id in pairs:
             self.pair_open.append(self.open_lists[investor_id])
-            self.pair_asset.append(self.asset_code.setdefault(asset_id, len(self.asset_code)))
-            self.pair_asset_id.append(asset_id)
+            self.pair_asset.append(self.assets.setdefault(asset_id, [asset_id, 0.0]))
         new = len(self.pair_asset) - len(self.pair_qty)
-        self.last_price += [0.0] * (len(self.asset_code) - len(self.last_price))
         self.pair_qty += [0] * new
         self.pair_ref += [0.0] * new
         self.tallies.frombytes(bytes(288 * new))  # zeros straight from calloc, not via a second array
@@ -109,14 +107,12 @@ def stream(
     """Run the accrual loop over one chunk of events, given as columns, whose pairs ``acc`` already has."""
     sells_only, include_traded = acc.sells_only, acc.include_traded
     pair_asset, pair_qty, pair_ref, pair_open = acc.pair_asset, acc.pair_qty, acc.pair_ref, acc.pair_open
-    asset_order = acc.pair_asset_id.__getitem__
-    last_price = acc.last_price
     tal = acc.tallies
     # encode and the parser admit only positive finite prices, so every
     # reference price and market price read below is positive.
     for pid, side, qty, price in zip(pairs, sides, quantities, prices):
         buy = side > 0
-        last_price[pair_asset[pid]] = price
+        pair_asset[pid][1] = price
         opened = pair_open[pid]
 
         # Ledger step: volume-weighted reference on increases, realization
@@ -128,7 +124,7 @@ def stream(
         if old == 0:
             pair_qty[pid] = qty if buy else -qty
             pair_ref[pid] = price
-            insort(opened, pid, key=asset_order)
+            insort(opened, pid, key=pair_asset.__getitem__)
         elif (old > 0) == buy:
             new = old + qty if buy else old - qty
             pair_ref[pid] = (abs(old) * pair_ref[pid] + qty * price) / abs(new)
@@ -157,7 +153,7 @@ def stream(
         for pp in opened:
             if pp == pid and not include_traded:
                 continue
-            balance += (last_price[pair_asset[pp]] - pair_ref[pp]) * pair_qty[pp]
+            balance += (pair_asset[pp][1] - pair_ref[pp]) * pair_qty[pp]
             seen = True
         if not seen or balance == 0.0:
             ctx_off = 24
@@ -173,7 +169,7 @@ def stream(
             tal[j + 8] += abs(leg_ret)
 
         for pp in opened:
-            mp = last_price[pair_asset[pp]]
+            mp = pair_asset[pp][1]
             ref = pair_ref[pp]
             qn = pair_qty[pp]
             if qn > 0:
