@@ -399,7 +399,8 @@ def test_a_bad_row_after_streamed_chunks_stops_compute_as_the_whole_parse_does(l
     with pytest.raises(MalformedRow) as whole:
         ingest.parse_transactions_report(io.StringIO(text))
     monkeypatch.setattr(ingest, "_ORDER_CHUNK", 4)  # eight chunks stream before the bad row
-    assert main(["compute", "--transactions", str(path), "--out", str(tmp_path / "out"), "--framing", "all"]) == EXIT_MALFORMED
+    argv = ["compute", "--transactions", str(path), "--out", str(tmp_path / "out"), "--framing", "all"]
+    assert main(argv) == EXIT_MALFORMED
     assert capsys.readouterr().err == f"dispomet: error: MalformedRow: {whole.value}\n"
     assert not list(tmp_path.rglob("records_*"))
 
@@ -414,7 +415,8 @@ def test_a_lenient_compute_that_falls_back_warns_once(tmp_path, monkeypatch, cap
     monkeypatch.setattr(ingest, "_ORDER_CHUNK", 4)
     for log in (path, sorted_path):
         caplog.clear()
-        argv = ["compute", "--transactions", str(log), "--out", str(tmp_path / log.stem), "--framing", "all", "--lenient"]
+        argv = ["compute", "--transactions", str(log), "--out", str(tmp_path / log.stem), "--framing", "all",
+                "--lenient"]
         assert main(argv) == EXIT_OK
         (warning,) = [r.getMessage() for r in caplog.records]  # none from the streaming attempt
         line = 9 if log == path else 10

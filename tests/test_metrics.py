@@ -773,8 +773,9 @@ def _assert_chunked_feeds_match(txs):
             assert {key: repr(t) for key, t in fed.to_dict().items()} == oracle
 
 
-# I2 opens A, then C, then B, each with a huge P&L: summed in the order
-# of first appearance, I2's context balance has other bits than in asset order.
+# I2 opens A, then C, then B, with P&Ls of far apart magnitudes: summed in
+# the order of first appearance, I2's context balance has other bits than
+# summed in asset order.
 _OUT_OF_ASSET_ORDER = [
     ("I2", "A", Side.SELL, 3, 1e300, 1), ("I2", "C", Side.BUY, 1, 2.0, 0), ("I0", "C", Side.SELL, 3, 2.0, 0),
     ("I2", "C", Side.BUY, INT64_MAX, 5e-324, 0), ("I2", "B", Side.BUY, 3, 1e300, 0),
@@ -806,8 +807,8 @@ def test_a_log_out_of_order_in_a_later_chunk_is_not_fed():
 
 
 def test_streaming_an_ordered_log_peaks_with_its_pairs_not_its_rows(tmp_path):
-    # The whole-log parse held every row's columns, about 30 bytes a row,
-    # so ten times the rows peaked about ten times as high.
+    # The whole-log parse held every row's columns, about 30 bytes a row:
+    # ten times the rows peaked 3.8 times as high (0.44 against 1.70 MB).
     peaks = {}
     for n in (4_000, 40_000):
         path = tmp_path / f"{n}.csv"
@@ -815,7 +816,8 @@ def test_streaming_an_ordered_log_peaks_with_its_pairs_not_its_rows(tmp_path):
             fh.write(",".join(ingest.TRANSACTION_COLUMNS) + "\n")
             for i in range(n):  # 200 pairs, each flipping between long and short
                 side = "BS"[i // 200 % 2]
-                fh.write(f"I{i % 50},A{i // 50 % 4},{side},{1 + i % 3},{10 + i % 7}.5,{datetime(2015, 1, 5) + timedelta(seconds=i)}\n")
+                when = datetime(2015, 1, 5) + timedelta(seconds=i)
+                fh.write(f"I{i % 50},A{i // 50 % 4},{side},{1 + i % 3},{10 + i % 7}.5,{when}\n")
         with open(path, encoding="utf-8", newline="") as fh:
             tracemalloc.start()
             try:
