@@ -213,7 +213,7 @@ def test_ids_that_need_quoting_survive_every_level_and_chunk_size(tmp_path, monk
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
-def test_records_writer_matches_the_per_record_reference_on_signed_zeros_and_nan(monkeypatch, chunk):
+def test_deduplicating_records_writer_matches_the_per_record_reference(monkeypatch, chunk):
     # 0.0 and -0.0 compare equal but are written differently; 1/3 repeats,
     # and a NaN is an undefined record.
     values = [0.0, -0.0, 1 / 3, math.nan, 1 / 3, -0.0, 0.0, 1 / 3, -0.25, math.nan, 1.0, -1.0]
