@@ -501,9 +501,9 @@ def run() -> None:
 
     The modules are loaded by now and their objects live until exit, so
     gc.freeze() leaves them out of every later collection, the ones at
-    interpreter shutdown included.  The few that are garbage (a class that
-    dataclass(slots=True) replaced) are frozen too, rather than paid for
-    with a full collection.  What main() loads later (stats, or synth and
+    interpreter shutdown included.  The few that are garbage (functions and
+    classes an import built and dropped) are frozen too, rather than paid
+    for with a full collection.  What main() loads later (stats, or synth and
     numpy) is frozen once more before exit.  Text that stdout could not take,
     argparse's help included, is one I/O error; it goes to the null
     device, so the exit flush cannot fail again.

@@ -35,12 +35,11 @@ import operator
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 TRANSACTION_COLUMNS = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp")
 REGISTRY_COLUMNS = ("asset_id", "underlying_id", "leverage")
@@ -92,8 +91,7 @@ class Side(str, Enum):
     SELL = "S"
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class Transaction(NamedTuple):
     """One trading order, the atomic input event."""
 
     investor_id: str
@@ -301,8 +299,7 @@ class TransactionColumns(Sequence[Transaction]):
         return all(all(map(operator.eq, a, b)) for a, b in columns)
 
 
-@dataclass(frozen=True, slots=True)
-class Instrument:
+class Instrument(NamedTuple):
     """Asset metadata: underlying index and signed leverage factor.
 
     Positive leverage is a long-exposure instrument, negative is an
@@ -314,8 +311,7 @@ class Instrument:
     leverage: float
 
 
-@dataclass(frozen=True, slots=True)
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     n_investors: int
     n_assets: int
     n_transactions: int
@@ -647,7 +643,10 @@ def serialize_instruments(registry: dict[str, Instrument], stream: TextIO) -> No
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(REGISTRY_COLUMNS)
     for inst in registry.values():
-        writer.writerow((inst.asset_id, inst.underlying_id, f"{inst.leverage:g}"))
+        text = f"{inst.leverage:g}"  # the short form, where its 6 significant digits are exact
+        if float(text) != inst.leverage:
+            text = repr(inst.leverage)
+        writer.writerow((inst.asset_id, inst.underlying_id, text))
 
 
 _SECONDS_PER_YEAR = 365.25 * 86400.0
@@ -663,10 +662,17 @@ def _spans(keys: Iterable, timestamps: Sequence[int]) -> dict:
     return spans
 
 
+def median(values: Iterable[float]) -> float:
+    """The middle of the sorted values, or the mean of the two middle ones, as statistics.median."""
+    data = sorted(values)
+    n = len(data)
+    if not n:
+        raise ValueError("median of no values")
+    return data[n // 2] if n % 2 else (data[n // 2 - 1] + data[n // 2]) / 2
+
+
 def summarize(transactions: Sequence[Transaction]) -> DatasetSummary:
     """Descriptive summary: medians over per-investor and per-asset groups."""
-    from statistics import median
-
     txs = TransactionColumns.of(transactions)
     if not txs:
         raise EmptyDataset("summarize requires at least one transaction")

@@ -42,10 +42,9 @@ import math
 import operator
 import struct
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, filterfalse, islice
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from . import _kernel, ingest
 from .ingest import Transaction
@@ -101,21 +100,31 @@ _unpack_pair = struct.Struct("36d").unpack_from
 _unpack_context = struct.Struct("12d").unpack_from
 
 
-@dataclass(slots=True)
 class Tally:
-    """RG/RL/PG/PL accumulators for one (investor, asset, context, method)."""
+    """RG/RL/PG/PL accumulators for one (investor, asset, context, method).
 
-    rg: float = 0.0
-    rl: float = 0.0
-    pg: float = 0.0
-    pl: float = 0.0
+    Mutable, so unhashable; equal to a Tally with equal components.
+    """
+
+    __slots__ = ("rg", "rl", "pg", "pl")
+    __hash__ = None
+
+    def __init__(self, rg: float = 0.0, rl: float = 0.0, pg: float = 0.0, pl: float = 0.0) -> None:
+        self.rg, self.rl, self.pg, self.pl = rg, rl, pg, pl
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rg, self.rl, self.pg, self.pl) == (other.rg, other.rl, other.pg, other.pl)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rg={self.rg!r}, rl={self.rl!r}, pg={self.pg!r}, pl={self.pl!r})"
 
 
 TallyKey = tuple[str, str, Context, Method]
 
 
-@dataclass(frozen=True, slots=True)
-class DeRecord:
+class DeRecord(NamedTuple):
     """One disposition-effect observation, the unit fed to statistics."""
 
     investor_id: str

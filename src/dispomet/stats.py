@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from statistics import median
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .ingest import median
 
 STAR_LEGEND = "* p<0.1, ** p<0.05, *** p<0.01"
 
@@ -25,8 +24,7 @@ class EmptySample(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TestResult:
+class TestResult(NamedTuple):
     median_first: float
     median_second: float
     median_diff: float  # first minus second
@@ -81,13 +79,18 @@ def _u_counts(n1: int, n2: int) -> list[int]:
     return counts
 
 
-def exact_cdf(u: float, n1: int, n2: int) -> Fraction:
-    """P(U <= u) under the exact tie-free null."""
+def _exact_counts(u: float, n1: int, n2: int) -> tuple[int, int]:
+    """The arrangements with U <= u, and all arrangements, under the exact tie-free null."""
     counts = _u_counts(n1, n2)
     top = min(int(math.floor(u)), n1 * n2)
-    if top < 0:
-        return Fraction(0)
-    return Fraction(sum(counts[: top + 1]), sum(counts))
+    return sum(counts[: max(top + 1, 0)]), sum(counts)
+
+
+def exact_cdf(u: float, n1: int, n2: int) -> Fraction:
+    """P(U <= u) under the exact tie-free null."""
+    from fractions import Fraction  # mann_whitney divides the counts itself, so compare never loads it
+
+    return Fraction(*_exact_counts(u, n1, n2))
 
 
 def _normal_sf(z: float) -> float:
@@ -115,8 +118,8 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> TestResult:
     mode = "exact" if (n1 * n2 <= EXACT_PRODUCT_LIMIT and not has_ties) else "normal"
 
     if mode == "exact":
-        p_one = exact_cdf(min(u1, u2), n1, n2)
-        p = min(1.0, float(2 * p_one))
+        below, total = _exact_counts(min(u1, u2), n1, n2)
+        p = min(1.0, 2 * below / total)  # int division rounds correctly, as float(Fraction) does
     else:
         n = n1 + n2
         # Tie correction on the rank variance.

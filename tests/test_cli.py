@@ -276,16 +276,20 @@ def test_help_to_a_writable_stdout_exits_0(monkeypatch):
     assert stdout.getvalue().startswith("usage: dispomet")
 
 
-# Prints, as JSON on stderr, the dispomet modules a fresh process loaded and
-# whether it loaded numpy: for a command run through cli.run at exit, with
-# whether the heap was frozen; for a bare import before
-# dispomet.random_stream is first read.
+# Prints, as JSON on stderr, the dispomet modules a fresh process loaded,
+# whether it loaded numpy and which it loaded of the stdlib modules that only
+# synth needs: for a command run through cli.run at exit, with whether the
+# heap was frozen; for a bare import before dispomet.random_stream is first
+# read.
 _FRESH_PROCESS = """
 import atexit, gc, json, sys
 
+SYNTH_ONLY = ("dataclasses", "decimal", "fractions", "inspect", "statistics")
+
 def report(**extra):
     names = sorted(name for name in sys.modules if name.startswith("dispomet."))
-    print(json.dumps({"modules": names, "numpy": "numpy" in sys.modules, **extra}), file=sys.stderr)
+    stdlib = [name for name in SYNTH_ONLY if name in sys.modules]
+    print(json.dumps({"modules": names, "numpy": "numpy" in sys.modules, "stdlib": stdlib, **extra}), file=sys.stderr)
 
 if sys.argv[1:]:
     atexit.register(lambda: report(frozen=gc.get_freeze_count() > 0))
@@ -344,6 +348,9 @@ def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, numpy, synth_
     report = json.loads(done.stderr.splitlines()[-1])
     assert {"dispomet.synth", "dispomet.stats"} & set(report["modules"]) == loads
     assert report["numpy"] is numpy  # only synth, of the commands, needs numpy
+    # dataclasses loads inspect, ast, dis and tokenize; fractions loads decimal.
+    if "dispomet.synth" not in loads:
+        assert report["stdlib"] == []
     if argv:
         assert report["frozen"]
 
@@ -375,7 +382,7 @@ def test_a_failed_run_does_not_load_numpy(argv, code, message, tmp_path):
     *lines, last = done.stderr.splitlines()
     assert lines == [message]
     report = json.loads(last)
-    assert "dispomet.synth" not in report["modules"] and report["numpy"] is False
+    assert "dispomet.synth" not in report["modules"] and report["numpy"] is False and report["stdlib"] == []
     assert not list(tmp_path.rglob("records_*"))
 
 

@@ -1,29 +1,33 @@
-import dataclasses
 import io
 import itertools
 import logging
 import math
 import operator
 import random
+import statistics
+import struct
 import tracemalloc
 from array import array
 from datetime import datetime, timedelta, timezone, tzinfo
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dispomet.ingest import (
     DuplicateAsset,
     EmptyDataset,
+    Instrument,
     MalformedRow,
     SchemaError,
     Side,
     Transaction,
     TransactionColumns,
     ZeroLeverage,
+    median,
     parse_instruments,
     parse_transactions,
     parse_transactions_report,
+    serialize_instruments,
     serialize_transactions,
     summarize,
 )
@@ -214,6 +218,18 @@ def test_parse_instruments():
     assert reg["ETF1S"].leverage == -1
 
 
+def test_leverage_survives_a_write_and_a_read():
+    leverages = (1.0000001, 2.1234567, -7.0, 2.5, 1.0)
+    registry = {f"A{k}": Instrument(f"A{k}", "IDX", lev) for k, lev in enumerate(leverages)}
+    text = io.StringIO()
+    serialize_instruments(registry, text)
+    assert parse_instruments(io.StringIO(text.getvalue())) == registry
+    # The short form where it is exact: whole leverages still write as integers.
+    assert [line.rsplit(",", 1)[1] for line in text.getvalue().splitlines()[1:]] == [
+        "1.0000001", "2.1234567", "-7", "2.5", "1"
+    ]
+
+
 def test_duplicate_asset_rejected():
     with pytest.raises(DuplicateAsset):
         parse_instruments(io.StringIO("asset_id,underlying_id,leverage\nA,X,1\nA,X,2\n"))
@@ -233,6 +249,34 @@ def test_non_finite_leverage_is_row_precise(leverage):
 def test_utc_designator_timestamp_is_aware():
     (tx,) = parse(HEADER + "I1,A1,B,1,10,2015-01-05T09:00:00Z\n")
     assert tx.timestamp == datetime(2015, 1, 5, 9, 0, 0, tzinfo=timezone.utc)
+
+
+def _bits(value):
+    return type(value), struct.pack("<d", value) if isinstance(value, float) else value
+
+
+_SIGNED = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+
+
+@given(
+    st.lists(st.integers(-(2**64), 2**64), min_size=1)
+    | st.lists(st.floats(allow_nan=False) | _SIGNED, min_size=1)
+    | st.lists(st.integers(-(2**64), 2**64) | st.floats(allow_nan=False) | _SIGNED, min_size=1)
+)
+@example([3, 1, 2])
+@example([4, 1, 3, 2])
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([-0.0, 0.0, -0.0])
+@example([math.inf, -math.inf])
+@example([math.inf, 1, math.inf])
+def test_median_equals_statistics_median_bit_for_bit(values):
+    assert _bits(median(values)) == _bits(statistics.median(values))
+
+
+def test_median_of_nothing_is_a_value_error():
+    with pytest.raises(ValueError):
+        median([])
 
 
 def test_summarize_hand_counted_fixture():
@@ -310,7 +354,7 @@ def test_transaction_columns_differ_when_one_field_of_one_row_differs(field, cha
     cols = parse(_text(txs))
     i = len(txs) // 2
     changed = list(txs)
-    changed[i] = dataclasses.replace(txs[i], **{field: change(getattr(txs[i], field))})
+    changed[i] = txs[i]._replace(**{field: change(getattr(txs[i], field))})
     assert cols != changed and not cols == changed
     assert changed != cols
     # Columns against columns: the parsed seq is a range, the built one an array('q').

@@ -179,6 +179,25 @@ def test_compute_de_examples(rg, pg, rl, pl, expected):
     assert de == pytest.approx(expected)
 
 
+def test_tally_keeps_the_repr_equality_and_unhashability_of_the_dataclass_it_was():
+    # Each value below is what the former @dataclass(slots=True) Tally gave.
+    assert repr(Tally()) == "Tally(rg=0.0, rl=0.0, pg=0.0, pl=0.0)"
+    assert repr(Tally(1, pl=-0.0)) == "Tally(rg=1, rl=0.0, pg=0.0, pl=-0.0)"
+    assert repr(Tally(math.inf, 2.5, float("nan"), -1e-300)) == "Tally(rg=inf, rl=2.5, pg=nan, pl=-1e-300)"
+    tally = Tally(rg=float("nan"))
+    assert tally == tally  # the components compare as a tuple, identity first
+    assert Tally(rg=float("nan")) != Tally(rg=float("nan"))
+    assert Tally(rg=1) == Tally(rg=1.0) and Tally(pl=1.0) != Tally(pg=1.0)
+    assert Tally() != (0.0, 0.0, 0.0, 0.0) and Tally.__eq__(Tally(), (0.0, 0.0, 0.0, 0.0)) is NotImplemented
+    assert Tally.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable type: 'Tally'"):
+        hash(Tally())
+    with pytest.raises(AttributeError):
+        tally.other = 1.0
+    tally.rg = 2.0
+    assert tally == Tally(2.0)
+
+
 def test_compute_de_zero_denominator_undefined():
     de, defined = compute_de(Tally(rg=2.0))
     assert not defined

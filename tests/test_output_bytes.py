@@ -8,7 +8,6 @@ writers replaced; the output bytes must not change, whatever the ids hold,
 the level or the chunk size.
 """
 import csv
-import dataclasses
 import io
 import itertools
 import math
@@ -195,7 +194,7 @@ def test_ids_that_need_quoting_survive_every_level_and_chunk_size(tmp_path, monk
     investors = {f"I{i:03d}": name for i, name in enumerate(QUOTED_INVESTORS)}
     assets = {f"A{a:03d}": name for a, name in enumerate(QUOTED_ASSETS)}
     stream = [
-        dataclasses.replace(tx, investor_id=investors[tx.investor_id], asset_id=assets[tx.asset_id])
+        tx._replace(investor_id=investors[tx.investor_id], asset_id=assets[tx.asset_id])
         for tx in random_stream(23, max_investors=12, max_assets=6, max_events=200)
     ]
     assert {tx.investor_id for tx in stream} == set(QUOTED_INVESTORS)
@@ -355,7 +354,7 @@ def test_cli_text_path_matches_the_oracle_on_adversarial_csv(tmp_path, capsys):
         where = (seed, level, zero_policy, scope, rule)
         zone = timezone(timedelta(hours=1)) if seed % 2 else None
         txs = [
-            dataclasses.replace(tx, investor_id=f'{tx.investor_id} "q",', timestamp=tx.timestamp.replace(tzinfo=zone))
+            tx._replace(investor_id=f'{tx.investor_id} "q",', timestamp=tx.timestamp.replace(tzinfo=zone))
             for tx in random_stream(seed, max_investors=4, max_assets=5, max_events=60)
         ]
         data, bad_lines = _adversarial_csv(seed, txs)

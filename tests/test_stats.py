@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 from dispomet.stats import (
@@ -105,6 +106,16 @@ def test_exact_agrees_with_scipy():
         ref = sps.mannwhitneyu(x, y, alternative="two-sided", method="exact")
         assert ours.mode == "exact"
         assert ours.p_value == pytest.approx(ref.pvalue)
+
+
+@given(st.lists(st.floats(-1, 1), min_size=2, max_size=24, unique=True), st.data())
+def test_exact_p_value_is_twice_the_exact_cdf_rounded_once(pooled, data):
+    n1 = data.draw(st.integers(1, len(pooled) - 1))
+    x, y = pooled[:n1], pooled[n1:]
+    result = mann_whitney(x, y)
+    assert result.mode == "exact"
+    u = min(result.u_statistic, n1 * len(y) - result.u_statistic)
+    assert result.p_value == min(1.0, float(2 * exact_cdf(u, n1, len(y))))
 
 
 def test_normal_approx_close_to_scipy():
