@@ -8,10 +8,12 @@ parser has rejected each bad quantity and price, sorted the rows by
 pair indices.  Other columns are checked for that order, positive
 quantities and positive finite prices, then renumbered, each in one pass
 of plain Python.  ``stream`` then makes one sequential pass over a chunk of
-columns in plain Python.  Its state, an Accrual of per-pair positions in
-lists and the tallies in an ``array('d')``, outlives the call: run_engine
-feeds a whole log as one chunk, and ``compute`` holds one chunk of 4,096
-rows at a time of a log in time order.  Neither loads numpy.
+columns in plain Python.  Its state, an Accrual of per-pair quantities in
+a list of ints (a position can outgrow int64), reference prices and the
+tallies in ``array('d')`` columns, outlives the call: run_engine feeds a
+whole log as one chunk, and ``compute`` holds one chunk of 4,096 rows at a
+time of a log in time order, the pairs numbered by the parser's
+ingest.PairTable.  Neither loads numpy.
 
 Each investor's open positions are kept in one list of pair ids, ordered by
 asset_id: a position that opens is inserted with ``bisect.insort`` and one
@@ -26,7 +28,7 @@ import math
 from array import array
 from bisect import insort
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ingest import Transaction, TransactionColumns, first_out_of_order, renumbered
 
@@ -68,37 +70,45 @@ class Accrual:
     """The kernel's state between chunks of one log: positions, open lists and tallies per pair.
 
     ``add_pairs`` makes room for pairs before ``stream`` reads their
-    events, each pair numbered on from the last.  The per-pair lists are
-    indexed by pair, and ``open_lists`` is keyed by investor_id.  Each
-    investor's open pair ids are kept ordered by asset_id text, the order
-    of TallyStore's asset codes, which are known only once the whole log is
-    read: a pair's ``pair_asset`` entry is its asset's [asset_id, last trade
-    price] list, and one investor's pairs differ in asset_id, so the lists
-    compare by it alone.
+    events, each pair numbered on from the last.  The per-pair columns are
+    indexed by pair: ``pair_qty`` a list of ints, ``pair_ref`` an
+    ``array('d')``.  ``open_lists`` and ``assets`` are keyed by the investor
+    and asset codes of the tables add_pairs reads.  Each investor's open
+    pair ids are kept ordered by asset_id text, the order of TallyStore's
+    asset codes, which are known only once the whole log is read: a pair's
+    ``pair_asset`` entry is its asset's [asset_id, last trade price] list,
+    and one investor's pairs differ in asset_id, so the lists compare by it
+    alone.
     """
 
     def __init__(self, sells_only: bool, include_traded: bool) -> None:
         self.sells_only, self.include_traded = sells_only, include_traded
-        self.open_lists: defaultdict[str, list[int]] = defaultdict(list)
-        self.assets: dict[str, list] = {}  # each asset_id's [asset_id, last trade price]
+        self.open_lists: defaultdict[int, list[int]] = defaultdict(list)
+        self.assets: dict[int, list] = {}  # each asset code's [asset_id, last trade price]
         self.pair_open: list[list[int]] = []  # the open list of the pair's investor
         self.pair_asset: list[list] = []  # the pair's entry of assets
         self.pair_qty: list[int] = []
-        self.pair_ref: list[float] = []
+        self.pair_ref = array("d")
         # Tally layout, flat: pair*36 + context*12 + method*4 + component
         # contexts: 0 positive, 1 negative, 2 neutral (ctx_off is context*12)
         # components: 0 rg, 1 rl, 2 pg, 3 pl; methods: count, total, value
         self.tallies = array("d")
 
-    def add_pairs(self, pairs: Iterable[tuple[str, str]]) -> None:
-        """Append the (investor_id, asset_id) ``pairs``, with no position and zero tallies."""
-        for investor_id, asset_id in pairs:
-            self.pair_open.append(self.open_lists[investor_id])
-            self.pair_asset.append(self.assets.setdefault(asset_id, [asset_id, 0.0]))
-        new = len(self.pair_asset) - len(self.pair_qty)
+    def add_pairs(self, pair_investor: Sequence[int], pair_asset: Sequence[int], asset_ids: Sequence[str]) -> None:
+        """Append the pairs past the last one added, with no position and zero tallies.
+
+        Pair p's investor is code ``pair_investor[p]`` and its asset
+        ``asset_ids[pair_asset[p]]``.
+        """
+        start = len(self.pair_qty)
+        for investor, asset in zip(pair_investor[start:], pair_asset[start:]):
+            self.pair_open.append(self.open_lists[investor])
+            self.pair_asset.append(self.assets.setdefault(asset, [asset_ids[asset], 0.0]))
+        new = len(self.pair_asset) - start
         self.pair_qty += [0] * new
-        self.pair_ref += [0.0] * new
-        self.tallies.frombytes(bytes(288 * new))  # zeros straight from calloc, not via a second array
+        # zeros straight from calloc, not via a second array
+        self.pair_ref.frombytes(bytes(8 * new))
+        self.tallies.frombytes(bytes(288 * new))
 
 
 def stream(

@@ -187,7 +187,8 @@ def _write_framing(store: metrics.TallyStore, framing: Framing, args: argparse.N
     """Write one framing's records_* and hist_* files; returns its record count.
 
     The framing is aggregated once, for every method, and each method's
-    records_* and hist_* files are written from its share of the records.
+    records_* and hist_* files are written from its share of the records,
+    which is dropped before the next method's is taken.
     """
     level = Level(args.level) if args.level else _FRAMING_LEVEL_DEFAULTS[framing]
     records = metrics.aggregate(store, level, framing, methods=args.methods, zero_policy=args.zero_denominator)
@@ -199,6 +200,7 @@ def _write_framing(store: metrics.TallyStore, framing: Framing, args: argparse.N
         bins = metrics.histogram(own.de, args.bins)  # NaN, an undefined record, is not counted
         with open(out_dir / f"hist_{framing.value}_{method.value}.csv", "w", encoding="utf-8") as fh:
             _write_histogram(bins, fh)
+        del own, bins  # before the next method's are taken
     return len(records)
 
 
@@ -213,7 +215,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _lev_label(leverage: float) -> str:
-    return f"{leverage:g}x"
+    return f"{ingest.leverage_text(leverage)}x"
 
 
 # Comparison plans are lists of (section title, rows).  A row is a label and

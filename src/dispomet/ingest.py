@@ -9,7 +9,9 @@ are assigned a ``seq`` index in input order and then stably sorted by
 The parser fills columns, not objects: it returns a TransactionColumns, a
 read-only sequence of Transactions over typed columns, whose ``seq`` is
 ``range(n)`` when the input was already in time order.  A row keeps one
-pair code for its (investor_id, asset_id), interned as the row is read.
+pair code for its (investor_id, asset_id), interned as the row is read in
+a PairTable: per investor_id, a dict of its asset_ids' pair codes, and
+per pair, an investor code and an asset code in ``array('i')`` columns.
 Timestamps are microseconds since 1970-01-01: the wall time in a naive log,
 the UTC instant in a timezone-aware one, which also keeps a ``tz`` column
 of each row's fixed-offset zone.  The parser converts each timestamp once,
@@ -23,9 +25,10 @@ of time order box one chunk of keys at a time, and a column is reordered
 straight into a new column, its source released as soon as it is taken.
 TransactionColumns.of builds the same columns from a list of Transactions,
 so the engine, summarize and serialize_transactions read one layout
-whichever the source; the synth generators build it directly.  Pair codes
-and their tables are the one form of the ids: no column of id strings is
-kept or built.
+whichever the source; the synth generators build it directly.  Every one
+of them numbers pairs with a PairTable, and pair codes and its tables are
+the one form of the ids: no column of id strings, and no (investor_id,
+asset_id) key, is kept or built.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 TRANSACTION_COLUMNS = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp")
 REGISTRY_COLUMNS = ("asset_id", "underlying_id", "leverage")
@@ -163,14 +166,51 @@ def first_out_of_order(timestamp: array, seq: range | array) -> int | None:
     return None
 
 
-def _pair_tables(pairs: Collection[tuple[str, str]]) -> tuple[array, array, list[str], list[str]]:
-    """The tables of the (investor_id, asset_id) ``pairs``: investors by first appearance, assets by asset_id."""
-    investors: dict[str, int] = {}
-    pair_investor = array("i", [investors.setdefault(investor_id, len(investors)) for investor_id, _ in pairs])
-    assets = sorted({asset_id for _, asset_id in pairs})
-    asset_code = {asset_id: code for code, asset_id in enumerate(assets)}
-    pair_asset = array("i", [asset_code[asset_id] for _, asset_id in pairs])
-    return pair_investor, pair_asset, list(investors), assets
+class PairTable:
+    """The (investor_id, asset_id) pairs of a log, each interned once and numbered in order of first appearance.
+
+    ``by_investor`` maps each investor_id, in order of first appearance, to
+    its {asset_id: pair code}; an asset_id key is the one str of
+    ``asset_ids`` for it.  Pair p's investor code, its investor's index in
+    ``by_investor``, is ``pair_investor[p]``, and its asset code, the index
+    in ``asset_ids`` of its asset_id by first appearance, ``pair_asset[p]``.
+    tables() gives them as TransactionColumns holds them.
+    """
+
+    __slots__ = ("by_investor", "pair_investor", "pair_asset", "asset_ids", "_asset_code")
+
+    def __init__(self) -> None:
+        self.by_investor: dict[str, dict[str, int]] = {}
+        self.pair_investor, self.pair_asset = array("i"), array("i")
+        self.asset_ids: list[str] = []
+        self._asset_code: dict[str, int] = {}
+
+    def code(self, investor_id: str, asset_id: str) -> int:
+        """The pair's code, the next one if the pair is new."""
+        assets = self.by_investor.get(investor_id)
+        if assets is None:
+            assets = self.by_investor[investor_id] = {}
+            investor = len(self.by_investor) - 1
+        else:
+            code = assets.get(asset_id)
+            if code is not None:
+                return code
+            investor = self.pair_investor[next(iter(assets.values()))]  # that of the investor's first pair
+        asset = self._asset_code.setdefault(asset_id, len(self.asset_ids))
+        if asset == len(self.asset_ids):
+            self.asset_ids.append(asset_id)
+        code = assets[self.asset_ids[asset]] = len(self.pair_investor)
+        self.pair_investor.append(investor)
+        self.pair_asset.append(asset)
+        return code
+
+    def tables(self) -> tuple[array, array, list[str], list[str]]:
+        """(pair_investor, pair_asset, investors, assets): investors by first appearance, assets by asset_id."""
+        assets = sorted(self.asset_ids)
+        rank = array("i", [0]) * len(assets)  # each asset code's index in asset_id order
+        for code, asset_id in enumerate(assets):
+            rank[self._asset_code[asset_id]] = code
+        return self.pair_investor, array("i", map(rank.__getitem__, self.pair_asset)), list(self.by_investor), assets
 
 
 class TransactionColumns(Sequence[Transaction]):
@@ -202,7 +242,7 @@ class TransactionColumns(Sequence[Transaction]):
     )
 
     def __init__(self, tables: tuple, pair: array, *columns: Sequence, tz: Sequence[timezone] | None = None) -> None:
-        """Columns over pair codes, ``tables`` as _pair_tables gives them, then side, quantity, price, timestamp, seq."""
+        """Columns over pair codes, ``tables`` as PairTable.tables gives them, then side, quantity, price, timestamp, seq."""
         self.pair_investor, self.pair_asset, self.investors, self.assets = tables
         self.pair, self.tz = pair, tz
         self.side, self.quantity, self.price, self.timestamp, self.seq = columns
@@ -226,7 +266,7 @@ class TransactionColumns(Sequence[Transaction]):
         columns = pair, side, quantity, price, timestamp, seq = (
             array("i"), array("b"), array("q"), array("d"), array("q"), array("q")
         )
-        codes: dict[tuple[str, str], int] = {}
+        pairs = PairTable()
         tz: list[timezone] = []
         zones: dict[timezone, timezone] = {}  # one object per distinct offset
         aware: bool | None = None
@@ -238,7 +278,7 @@ class TransactionColumns(Sequence[Transaction]):
             elif (zone is not None) != aware:
                 kind = "timezone-aware" if zone is not None else "naive"
                 raise ValueError(f"event {i}: timestamp {tx.timestamp} is {kind}, unlike event 0's")
-            pair.append(codes.setdefault((tx.investor_id, tx.asset_id), len(codes)))
+            pair.append(pairs.code(tx.investor_id, tx.asset_id))
             side.append(1 if tx.side is buy else -1)
             try:
                 quantity.append(tx.quantity)
@@ -250,7 +290,7 @@ class TransactionColumns(Sequence[Transaction]):
             if aware:
                 tz.append(zones.setdefault(zone, zone))
             seq.append(tx.seq)
-        return cls(_pair_tables(codes), *columns, tz=tz if aware else None)
+        return cls(pairs.tables(), *columns, tz=tz if aware else None)
 
     def _numbers(self) -> tuple[Sequence, ...]:
         return self.side, self.quantity, self.price, self.timestamp, self.seq
@@ -455,26 +495,27 @@ def _take_each(columns: list, order: Sequence[int]) -> None:
 
 def renumbered(txs: TransactionColumns) -> TransactionColumns:
     """``txs`` over the same columns, its pairs renumbered by first appearance and its tables cut to its rows' ids."""
-    new = {old: code for code, old in enumerate(dict.fromkeys(txs.pair))}  # each old code, by first appearance
-    ids = [(txs.investors[txs.pair_investor[p]], txs.assets[txs.pair_asset[p]]) for p in new]
+    pairs, new = PairTable(), dict.fromkeys(txs.pair)  # each old code, by first appearance
+    for old in new:
+        new[old] = pairs.code(txs.investors[txs.pair_investor[old]], txs.assets[txs.pair_asset[old]])
     pair = array("i", map(new.__getitem__, txs.pair))
-    return TransactionColumns(_pair_tables(ids), pair, *txs._numbers(), tz=txs.tz)
+    return TransactionColumns(pairs.tables(), pair, *txs._numbers(), tz=txs.tz)
 
 
 def parse_chunks(
-    stream: TextIO, lenient: bool, codes: dict[tuple[str, str], int], rejects: list[MalformedRow]
+    stream: TextIO, lenient: bool, pairs: PairTable, rejects: list[MalformedRow]
 ) -> Iterator[tuple[array, array, array, array, array, list[timezone]]]:
     """The accepted rows of a transaction log, in input order, as chunks of _ORDER_CHUNK rows or fewer.
 
     A chunk is the columns (pair, side, quantity, price, timestamp, tz) of
     TransactionColumns, ``tz`` empty in a naive log; no chunk is empty.
-    Across chunks, ``codes`` gains each (investor_id, asset_id) pair's code
-    as it first appears and ``rejects`` each rejected row's MalformedRow,
-    and one warning is logged once the last chunk is taken.  The rules for
-    rows are parse_transactions_report's.
+    Across chunks, ``pairs`` gains each (investor_id, asset_id) pair as it
+    first appears and ``rejects`` each rejected row's MalformedRow, and one
+    warning is logged once the last chunk is taken.  The rules for rows are
+    parse_transactions_report's.
     """
     reader = csv.reader(stream)
-    ids: dict[str, str] = {}  # one str object per distinct id, shared by the pair keys
+    code = pairs.code
     zones: dict[timezone, timezone] = {}  # one object per distinct offset
     last_text = timestamp = None  # the previous row's timestamp field and its conversion
     first_aware: bool | None = None
@@ -519,8 +560,7 @@ def parse_chunks(
                 err.__context__ = None  # a kept reject holds neither the error it was raised from nor frames
                 rejects.append(err.with_traceback(None))
                 continue
-            key = ids.setdefault(investor_id, investor_id), ids.setdefault(asset_id, asset_id)
-            pair.append(codes.setdefault(key, len(codes)))
+            pair.append(code(investor_id, asset_id))
             sides.append(side)
             quantities.append(quantity)
             prices.append(price)
@@ -561,15 +601,15 @@ def parse_transactions_report(
     raises MalformedRow at that line, lenient or not.  The rows are those of
     parse_chunks, collected.
     """
-    codes: dict[tuple[str, str], int] = {}  # each pair's code, in order of first appearance
+    pairs = PairTable()
     rejects: list[MalformedRow] = []
     columns = [array("i"), array("b"), array("q"), array("d"), array("q"), []]
-    for chunk in parse_chunks(stream, lenient, codes, rejects):
+    for chunk in parse_chunks(stream, lenient, pairs, rejects):
         for column, part in zip(columns, chunk):
             column += part
     pair, sides, quantities, prices, timestamps, tzs = columns
-    seq, tables = range(len(timestamps)), _pair_tables(codes)
-    del codes  # and its key tuples, before the order check
+    seq, tables = range(len(timestamps)), pairs.tables()
+    del pairs  # and its dicts, before the order check
     columns[-1] = tzs or None  # an aware log has a zone per row, a naive one none
     if first_out_of_order(timestamps, seq) is not None:
         seq = _stable_order(timestamps)  # stable: the input position breaks ties
@@ -642,11 +682,13 @@ def parse_instruments(stream: TextIO) -> dict[str, Instrument]:
 def serialize_instruments(registry: dict[str, Instrument], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(REGISTRY_COLUMNS)
-    for inst in registry.values():
-        text = f"{inst.leverage:g}"  # the short form, where its 6 significant digits are exact
-        if float(text) != inst.leverage:
-            text = repr(inst.leverage)
-        writer.writerow((inst.asset_id, inst.underlying_id, text))
+    writer.writerows((inst.asset_id, inst.underlying_id, leverage_text(inst.leverage)) for inst in registry.values())
+
+
+def leverage_text(leverage: float) -> str:
+    """``leverage`` in its short form where its 6 significant digits are exact, else as repr, which is exact."""
+    text = f"{leverage:g}"
+    return text if float(text) == leverage else repr(leverage)
 
 
 _SECONDS_PER_YEAR = 365.25 * 86400.0

@@ -43,7 +43,7 @@ import operator
 import struct
 from array import array
 from enum import Enum
-from itertools import compress, filterfalse, islice
+from itertools import accumulate, compress, filterfalse, islice
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from . import _kernel, ingest
@@ -255,7 +255,7 @@ def run_engine(
     """
     enc = _kernel.encode(transactions)
     acc = _kernel.Accrual(sells_only, include_traded)
-    acc.add_pairs(zip(map(enc.investors.__getitem__, enc.pair_investor), map(enc.assets.__getitem__, enc.pair_asset)))
+    acc.add_pairs(enc.pair_investor, enc.pair_asset, enc.assets)
     _kernel.stream(acc, enc.pair, enc.side, enc.quantity, enc.price)
     # The store keeps the per-pair tables of enc, not its event columns.
     return TallyStore(enc.investors, enc.assets, enc.pair_investor, enc.pair_asset, acc.tallies)
@@ -271,21 +271,20 @@ def run_engine_on_log(
     and sorted.  The parse's warning is logged only if the log is read to
     its end.
     """
-    codes: dict[tuple[str, str], int] = {}
+    table = ingest.PairTable()
     acc = _kernel.Accrual(sells_only, include_traded)
     last = -math.inf
-    for pairs, sides, quantities, prices, timestamps, tz in ingest.parse_chunks(stream, lenient, codes, []):
+    for pairs, sides, quantities, prices, timestamps, tz in ingest.parse_chunks(stream, lenient, table, []):
         # seq is the input position, so only a lower timestamp is out of order
         if timestamps[0] < last or not all(map(operator.le, timestamps, islice(timestamps, 1, None))):
             return None
         last = timestamps[-1]
-        new = list(islice(reversed(codes), len(codes) - len(acc.pair_qty)))  # the pairs that first appear here
-        acc.add_pairs(reversed(new))
+        acc.add_pairs(table.pair_investor, table.pair_asset, table.asset_ids)  # the pairs that first appear here
         _kernel.stream(acc, pairs, sides, quantities, prices)
         del pairs, sides, quantities, prices, timestamps, tz  # before the next chunk is parsed
     tallies = acc.tallies
     del acc  # and the positions, before the tables are built
-    pair_investor, pair_asset, investors, assets = ingest._pair_tables(codes)
+    pair_investor, pair_asset, investors, assets = table.tables()
     return TallyStore(investors, assets, pair_investor, pair_asset, tallies)
 
 
@@ -333,14 +332,15 @@ def _de_values(tallies: Iterable[Sequence[float]], m: int, zero_policy: str) -> 
     return values
 
 
-def _interleave(columns: list[array]) -> array:
-    """One array holding element j of ``columns[k]`` at j * len(columns) + k."""
-    if len(columns) == 1:
-        return columns[0]
-    out = columns[0] * len(columns)
+_KEY_BATCH = 4096  # keys per interleaving of aggregate's record columns
+
+
+def _append_interleaved(out: array, columns: Sequence[array]) -> None:
+    """Append to ``out`` element j of ``columns[k]`` at j * len(columns) + k, for every j and k."""
+    start, n = len(out), len(columns)
+    out.extend(columns[0] * n)
     for k, column in enumerate(columns):
-        out[k :: len(columns)] = column
-    return out
+        out[start + k :: n] = column
 
 
 def aggregate(
@@ -360,10 +360,13 @@ def aggregate(
     per-asset values.  A record exists only for a (pair, context) group
     with a nonzero tally, or an investor with at least one such group.
 
+    A counting sort indexes each investor's pairs in an ``array('i')``.
     One pass visits investors by name and each investor's pairs, by asset
     at PER_ASSET and in pair order otherwise, reading the groups that exist
-    from the store's buffer once; each group or investor cell gives a
-    record of every requested method.  So the records come out in their
+    from the store's buffer once; each group or investor cell is a key,
+    with a record of every requested method.  The keys are interleaved into
+    the record columns a batch of _KEY_BATCH or so at a time, so no copy of
+    a whole framing's columns is made.  The records come out in their
     order, (investor_id, asset_id, context, method) as text, and are never
     sorted.  Every sum adds in the reference's order: a narrow group's
     positive, negative and neutral tallies, an investor's groups and its
@@ -379,16 +382,27 @@ def aggregate(
         raise ValueError(f"methods must be a non-empty sequence of Method, got {methods!r}")
     offsets = [4 * code for code, m in enumerate(RECORD_METHODS) if m in methods]
     narrow = framing is Framing.NARROW
-    tal, pair_asset = store.tallies, store.pair_asset
-    pairs_of: list[list[int]] = [[] for _ in store.investors]  # each investor's pairs, in pair order
-    for p, i in enumerate(store.pair_investor):
-        pairs_of[i].append(p)
-    investor, asset, context = array("i"), array("i"), array("b")
-    de = [array("d") for _ in offsets]  # per method, a value per key
-    for i in sorted(range(len(pairs_of)), key=store.investors.__getitem__):
-        pairs = pairs_of[i]
+    tal, pair_investor, pair_asset = store.tallies, store.pair_investor, store.pair_asset
+    # Investor i's pairs, in pair order, are order[start[i]:start[i + 1]].
+    start = [0] * (len(store.investors) + 1)
+    for i in pair_investor:
+        start[i] += 1
+    start = list(accumulate(start))  # each investor's end, until the loop below moves it to its start
+    order = array("i", [0]) * len(pair_investor)
+    for p in reversed(range(len(pair_investor))):
+        i = pair_investor[p]
+        start[i] -= 1
+        order[start[i]] = p
+    n = len(offsets)
+    investor, asset, context, de = array("i"), array("i"), array("b"), array("d")  # a record per key and method
+    key_asset, key_context = array("i"), array("b")  # a batch of keys
+    key_de = [array("d") for _ in offsets]  # per method, a value per key of the batch
+    by_name = sorted(range(len(store.investors)), key=store.investors.__getitem__)
+    last = by_name[-1] if by_name else None
+    for i in by_name:
+        pairs = order[start[i] : start[i + 1]]
         if level is Level.PER_ASSET:
-            pairs.sort(key=pair_asset.__getitem__)
+            pairs = sorted(pairs, key=pair_asset.__getitem__)
         # Each present group's context code, asset and 12 components; the
         # codes of a pair's groups ascend.
         codes, group_assets, tallies = [], [], []
@@ -412,8 +426,8 @@ def aggregate(
                 group_assets.append(pair_asset[p])
                 tallies.append(positive)
         if level is Level.PER_ASSET:  # a key per group
-            asset.fromlist(group_assets)
-            for m, column in zip(offsets, de):
+            key_asset.fromlist(group_assets)
+            for m, column in zip(offsets, key_de):
                 column.fromlist(_de_values(tallies, m, zero_policy))
         else:  # a key per context code, or cell, of the investor's groups
             cells = sorted(set(codes))
@@ -422,10 +436,10 @@ def aggregate(
                 for code, tally in zip(codes, tallies):
                     total = summed[code]
                     summed[code] = tally if total is None else list(map(operator.add, total, tally))
-                for m, column in zip(offsets, de):
+                for m, column in zip(offsets, key_de):
                     column.fromlist(_de_values(summed.values(), m, zero_policy))
             else:
-                for m, column in zip(offsets, de):
+                for m, column in zip(offsets, key_de):
                     values = _de_values(tallies, m, zero_policy)
                     for cell in cells:
                         total, count = 0.0, 0
@@ -435,16 +449,24 @@ def aggregate(
                                 count += 1
                         column.append(total / count if count else _NAN)
             codes = cells
-            asset.fromlist([0] * len(cells))
-        investor.fromlist([i] * len(codes))
-        context.fromlist(codes)
-    n = len(offsets)
+            key_asset.fromlist([0] * len(cells))
+        investor.fromlist([i] * (n * len(codes)))
+        key_context.fromlist(codes)
+        if len(key_context) >= _KEY_BATCH or i == last:
+            # Each key's fields n times, and its values interleaved by method.
+            _append_interleaved(asset, [key_asset] * n)
+            _append_interleaved(context, [key_context] * n)
+            _append_interleaved(de, key_de)
+            for column in (key_asset, key_context, *key_de):
+                del column[:]
     records = DeRecords(
         store.investors,
         store.assets if level is Level.PER_ASSET else [POOLED_ASSET],
-        *(_interleave([column] * n) for column in (investor, asset, context)),
-        array("b", [m // 4 for m in offsets]) * len(investor),
-        _interleave(de),
+        investor,
+        asset,
+        context,
+        array("b", [m // 4 for m in offsets]) * (len(de) // n),
+        de,
     )
     # Each (key, method) is a record, except a mean of no defined value.
     return records._compress(records.defined) if level is Level.INVESTOR_MEAN_OF_ASSETS else records

@@ -30,7 +30,7 @@ from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
 
-from .ingest import Instrument, Side, Transaction, TransactionColumns, _instant, _pair_tables, _take_each
+from .ingest import Instrument, PairTable, Side, Transaction, TransactionColumns, _instant, _take_each
 from .metrics import Context, Method, Tally, TallyKey
 
 _MARKET_STREAM = 0xFFFFFFFF  # per-investor streams use the investor index
@@ -111,7 +111,7 @@ def generate_population(
     step_micros = [_BASE_MICROS + t * _MINUTE for t in range(profile.horizon_events)]
     columns = [array("i"), array("b"), array("q"), array("d"), array("q")]
     pair, side, quantity, price, timestamp = columns
-    codes: dict[tuple[str, str], int] = {}  # each (investor_id, asset_id)'s pair code
+    pairs = PairTable()
     for i in range(n_investors):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([profile.seed, i])))
         menu_size = min(profile.n_assets, profile.max_assets_per_investor)
@@ -121,7 +121,7 @@ def generate_population(
         positions: dict[int, list[float]] = {}  # asset index -> [qty, vwap ref]
 
         def emit(t: int, k: int, sign: int, qty: int) -> None:  # sign: +1 buy, -1 sell
-            pair.append(codes.setdefault((investor, asset_ids[k]), len(codes)))
+            pair.append(pairs.code(investor, asset_ids[k]))
             side.append(sign)
             quantity.append(qty)
             price.append(prices[t][k])
@@ -150,8 +150,8 @@ def generate_population(
             if rng.random() < profile.p_new_position:
                 k = menu[int(rng.integers(len(menu)))]
                 buy(t, k, int(rng.integers(1, profile.max_quantity + 1)))
-    tables = _pair_tables(codes)
-    del codes  # and its key tuples, before the sort's int32 row indices, half the bytes of int64 ones
+    tables = pairs.tables()
+    del pairs  # and its dicts, before the sort's int32 row indices, half the bytes of int64 ones
     order = memoryview(np.argsort(np.frombuffer(timestamp, np.int64), kind="stable").astype(np.int32))
     del pair, side, quantity, price, timestamp  # columns holds the last references
     _take_each(columns, order)
@@ -175,16 +175,16 @@ def random_stream(
     n_events = int(rng.integers(1, max_events + 1))
     prices = rng.uniform(20.0, 80.0, size=n_assets)
     pair, side, quantity, price, timestamp = array("i"), array("b"), array("q"), array("d"), array("q")
-    codes: dict[tuple[str, str], int] = {}  # each (investor_id, asset_id)'s pair code
+    pairs = PairTable()
     for e in range(n_events):
         a = int(rng.integers(n_assets))
         prices[a] *= 1.0 + float(rng.uniform(-0.05, 0.05))
-        pair.append(codes.setdefault((f"I{int(rng.integers(n_inv)):03d}", f"A{a:03d}"), len(codes)))
+        pair.append(pairs.code(f"I{int(rng.integers(n_inv)):03d}", f"A{a:03d}"))
         side.append(1 if rng.random() < 0.5 else -1)
         quantity.append(int(rng.integers(1, 21)))
         price.append(round(float(prices[a]), 4))
         timestamp.append(_BASE_MICROS + e * _MINUTE)
-    return TransactionColumns(_pair_tables(codes), pair, side, quantity, price, timestamp, range(n_events))
+    return TransactionColumns(pairs.tables(), pair, side, quantity, price, timestamp, range(n_events))
 
 
 # ---------------------------------------------------------------------------

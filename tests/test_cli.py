@@ -197,6 +197,25 @@ def test_compare_empty_group(tmp_path, capsys):
     assert "EmptyGroup" in capsys.readouterr().err
 
 
+def test_compare_labels_tell_near_leverages_apart(tmp_path, capsys):
+    # Six significant digits print both leverages as 2.12346.  A label is
+    # the registry's text of its leverage: the short form where it is exact,
+    # so whole leverages still read 2x and -7x, else the float's repr.
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--investors", "40", "--assets", "4",
+                 "--leverages", "2.1234567,2.1234568"]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["compare", "--transactions", str(data / "transactions.csv"),
+            "--registry", str(data / "instruments.csv"), "--spec", "volatility-long"]
+    assert main(argv) == EXIT_OK
+    labels = [line.split()[:3] for line in capsys.readouterr().out.splitlines() if " = " in line]
+    assert labels == [["2.1234567x", "=", "2.1234568x"]] * 2  # the negative and the positive portfolio
+    assert [line.split(",")[2] for line in (data / "instruments.csv").read_text().splitlines()[1:]] == [
+        "2.1234567", "2.1234568", "2.1234567", "2.1234568",
+    ]
+    assert [cli._lev_label(leverage) for leverage in (2.0, -7.0, 0.5, 1e-07)] == ["2x", "-7x", "0.5x", "1e-07x"]
+
+
 @pytest.mark.parametrize("method", [None, "count", "value", "total,value"])
 def test_compare_aggregates_only_the_requested_methods(synth_log, monkeypatch, capsys, method):
     argv = ["compare", "--transactions", str(synth_log / "transactions.csv"),

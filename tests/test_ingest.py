@@ -9,15 +9,18 @@ import struct
 import tracemalloc
 from array import array
 from datetime import datetime, timedelta, timezone, tzinfo
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dispomet import ingest
 from dispomet.ingest import (
     DuplicateAsset,
     EmptyDataset,
     Instrument,
     MalformedRow,
+    PairTable,
     SchemaError,
     Side,
     Transaction,
@@ -29,9 +32,10 @@ from dispomet.ingest import (
     parse_transactions_report,
     serialize_instruments,
     serialize_transactions,
+    renumbered,
     summarize,
 )
-from dispomet.metrics import run_engine
+from dispomet.metrics import run_engine, run_engine_on_log
 from dispomet.synth import BehaviorProfile, generate_population, oracle_replay
 
 HEADER = "investor_id,asset_id,side,quantity,price,timestamp\n"
@@ -493,6 +497,61 @@ def test_engine_numbers_pairs_by_first_appearance_whoever_built_the_columns():
     padded = parse(HEADER + " I1 , A1 ,B,1,10.0,2015-01-05 09:00:00\nI1,A1,S,1,11.0,2015-01-05 09:01:00\n")
     assert [(t.investor_id, t.asset_id) for t in padded] == [("I1", "A1"), ("I1", "A1")]
     assert padded.pair == array("i", [0, 0]) and padded[0].investor_id == "I1"
+
+
+def _naive_pair_tables(ids):
+    """pair_investor, pair_asset, investors and assets of the rows' (investor_id, asset_id) ``ids``, counted naively.
+
+    The pairs are numbered by first appearance, their investors too, and
+    their assets by asset_id.
+    """
+    pairs = list(dict.fromkeys(ids))
+    investors = {}
+    pair_investor = [investors.setdefault(investor_id, len(investors)) for investor_id, _ in pairs]
+    assets = sorted({asset_id for _, asset_id in pairs})
+    asset_code = {asset_id: code for code, asset_id in enumerate(assets)}
+    pair_asset = [asset_code[asset_id] for _, asset_id in pairs]
+    return pair_investor, pair_asset, list(investors), assets
+
+
+def _assert_naive_pair_tables(tables, pair, ids):
+    pair_investor, pair_asset, investors, assets = tables
+    assert (list(pair_investor), list(pair_asset), investors, assets) == _naive_pair_tables(ids)
+    pairs = list(dict.fromkeys(ids))
+    assert list(pair) == [pairs.index(key) for key in ids]
+
+
+# Investors and assets draw from one set of ids, so an investor_id can equal
+# an asset_id, even in one row.
+_PAIR_ROWS = st.lists(st.tuples(*[st.sampled_from(["A", "B", "C", "I1", "I10"])] * 2), min_size=1, max_size=30)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ids=_PAIR_ROWS, chunk=st.sampled_from((1, 2, 3, 4096)), seed=st.integers(0, 2**16))
+@example(ids=[("C", "B"), ("A", "C"), ("C", "A"), ("B", "B"), ("A", "B")], chunk=1, seed=0)  # assets B, C, A
+def test_every_pair_table_equals_the_naive_tables(ids, chunk, seed):
+    # Two rows a second: ties in time, which the sort of the shuffled rows
+    # breaks by input position.
+    txs = [
+        Transaction(investor_id, asset_id, Side.BUY, 1, 10.0, datetime(2015, 1, 5) + timedelta(seconds=k // 2), k)
+        for k, (investor_id, asset_id) in enumerate(ids)
+    ]
+    header, *rows = _text(txs).splitlines(keepends=True)
+    random.Random(seed).shuffle(rows)
+    with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
+        table = PairTable()
+        chunks = list(ingest.parse_chunks(io.StringIO(_text(txs)), False, table, []))
+        store = run_engine_on_log(io.StringIO(_text(txs)))
+        parsed, resorted = parse(_text(txs)), parse(header + "".join(rows))
+    assert all(0 < len(part[0]) <= chunk for part in chunks)
+    _assert_naive_pair_tables(table.tables(), array("i", b"".join(part[0].tobytes() for part in chunks)), ids)
+    assert (list(store.pair_investor), list(store.pair_asset), store.investors, store.assets) == _naive_pair_tables(ids)
+    listed = TransactionColumns.of(txs)
+    # A slice keeps its source's tables; renumbered numbers its own rows.
+    builds = {"parsed": parsed, "parsed out of order": resorted, "of a list": listed, "renumbered": renumbered(listed[::-1])}
+    for cols in builds.values():
+        tables = cols.pair_investor, cols.pair_asset, cols.investors, cols.assets
+        _assert_naive_pair_tables(tables, cols.pair, [(tx.investor_id, tx.asset_id) for tx in cols])
 
 
 def test_parse_retains_at_most_160_bytes_per_row(tmp_path):
