@@ -10,6 +10,7 @@ import csv
 import gc
 import os
 import sys
+from functools import partial
 from itertools import combinations, repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -76,13 +77,18 @@ def _parse_methods(text: str) -> list[Method]:
     return [Method(name) for name in names]
 
 
+def _open_input(path: str) -> TextIO:
+    """An input file as the parsers read it: UTF-8 text, a leading byte-order mark dropped, newlines untranslated."""
+    return open(path, "r", encoding="utf-8-sig", newline="")
+
+
 def _load_transactions(path: str, lenient: bool = False) -> tuple[TransactionColumns, list[MalformedRow]]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_input(path) as fh:
         return ingest.parse_transactions_report(fh, lenient=lenient)
 
 
 def _load_registry(path: str) -> dict[str, Instrument]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_input(path) as fh:
         return ingest.parse_instruments(fh)
 
 
@@ -152,7 +158,7 @@ def _log_tallies(args: argparse.Namespace) -> metrics.TallyStore:
     At its first row out of order the file is read again, parsed whole and
     sorted, as a file that cannot be read twice, such as a pipe, is at once.
     """
-    with open(args.transactions, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_input(args.transactions) as fh:
         if fh.seekable():
             store = metrics.run_engine_on_log(fh, lenient=args.lenient, **_engine_flags(args))
             if store is not None:
@@ -177,7 +183,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if rejects:
         print(f"{len(rejects)} row{'s' if len(rejects) != 1 else ''} skipped")
         for err in rejects:
-            print(f"  line {err.line}: {err.reason}")
+            print(f"  {err}")
     if transactions:
         _print_summary(transactions)
     return EXIT_OK
@@ -223,7 +229,8 @@ def _lev_label(leverage: float) -> str:
 # EmptyGroup names when the sample has no defined values).
 
 
-def _volatility_sections(leverages):
+def _volatility_sections(leverages, sign):
+    leverages = sorted([l for l in leverages if l * sign > 0], key=abs)  # the long or the short ones
     sections = []
     for title, context in (("Negative Portfolio", Context.NEGATIVE), ("Positive Portfolio", Context.POSITIVE)):
         rows = []
@@ -263,11 +270,12 @@ def _context_split_sections(leverages):
     return sections
 
 
+#: Each --spec's framing, row header and plan, which it builds from the registry's sorted leverages.
 _COMPARE_SPECS = {
-    "volatility-long": (Framing.INTEGRATED, "Long ETF"),
-    "volatility-short": (Framing.INTEGRATED, "Short ETF"),
-    "long-vs-inverse": (Framing.NARROW, "ETF"),
-    "context-split": (Framing.INTEGRATED, ""),
+    "volatility-long": (Framing.INTEGRATED, "Long ETF", partial(_volatility_sections, sign=1)),
+    "volatility-short": (Framing.INTEGRATED, "Short ETF", partial(_volatility_sections, sign=-1)),
+    "long-vs-inverse": (Framing.NARROW, "ETF", _long_vs_inverse_sections),
+    "context-split": (Framing.INTEGRATED, "", _context_split_sections),
 }
 
 
@@ -276,7 +284,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     transactions = _load_transactions(args.transactions, lenient=args.lenient)[0]
     registry = _load_registry(args.registry)
-    framing, row_header = _COMPARE_SPECS[args.spec]
+    framing, row_header, plan_of = _COMPARE_SPECS[args.spec]
     store = metrics.run_engine(transactions, **_engine_flags(args))
     del transactions
     methods = args.methods
@@ -289,29 +297,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if de == de:  # not NaN: a defined record
             defined_values.setdefault((method, asset_leverage[asset], ctx), []).append(de)
 
-    def sample(method: Method, leverage: float, context: Context | None) -> list[float]:
-        """The defined values of one (method, leverage, context) group, in record order."""
-        return defined_values.get((RECORD_METHODS.index(method), leverage, RECORD_CONTEXTS.index(context)), [])
-
-    leverages = sorted({inst.leverage for inst in registry.values()})
-    if args.spec == "volatility-long":
-        plan = _volatility_sections([l for l in leverages if l > 0])
-    elif args.spec == "volatility-short":
-        plan = _volatility_sections(sorted([l for l in leverages if l < 0], key=abs))
-    elif args.spec == "long-vs-inverse":
-        plan = _long_vs_inverse_sections(leverages)
-    else:
-        plan = _context_split_sections(leverages)
     sections = []
-    for title, rows in plan:
+    for title, rows in plan_of(sorted({inst.leverage for inst in registry.values()})):
         tested = []
         for label, samples in rows:
             results = []
-            for method in methods:
+            for method in map(RECORD_METHODS.index, methods):
                 pair = []
                 for leverage, context, group in samples:
-                    values = sample(method, leverage, context)
-                    if not values:
+                    values = defined_values.get((method, leverage, RECORD_CONTEXTS.index(context)))
+                    if values is None:
                         raise EmptyGroup(group)
                     pair.append(values)
                 results.append(stats.mann_whitney(*pair))
@@ -321,10 +316,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         sections, [m.value.capitalize() for m in methods], row_header=row_header, decimals=args.decimals
     )
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"compare_{args.spec}.txt").write_text(table + "\n", encoding="utf-8")
-        print(f"wrote comparison table to {out_dir / f'compare_{args.spec}.txt'}")
+        path = Path(args.out) / f"compare_{args.spec}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(table + "\n", encoding="utf-8")
+        print(f"wrote comparison table to {path}")
     else:
         print(table)
     return EXIT_OK

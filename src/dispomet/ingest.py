@@ -213,6 +213,11 @@ class PairTable:
         return self.pair_investor, array("i", map(rank.__getitem__, self.pair_asset)), list(self.by_investor), assets
 
 
+def _new_columns() -> list[array]:
+    """Empty pair, side, quantity, price and timestamp columns, of the types TransactionColumns holds."""
+    return [array(typecode) for typecode in "ibqdq"]
+
+
 class TransactionColumns(Sequence[Transaction]):
     """Read-only Transactions held as columns; a Transaction is built on access.
 
@@ -228,12 +233,12 @@ class TransactionColumns(Sequence[Transaction]):
     fixed-offset zone, so a row reads back as the datetime it was made
     from, with the same utcoffset().  An integer index gives one
     Transaction, a slice a TransactionColumns over the selected rows and
-    the same tables.  It equals any sequence of equal Transactions, field
-    by field, in order; two TransactionColumns compare their columns, ids
-    as text.  ``_in_order`` is true only on the columns
-    parse_transactions_report returns: it has checked their (timestamp,
-    seq) order, and they number pairs and investors by first appearance in
-    it and hold no id their rows lack, as _kernel.encode numbers them.
+    the same tables.  It equals any sequence of equal Transactions, another
+    TransactionColumns included, field by field, in order.  ``_in_order`` is
+    true only on the columns parse_transactions_report returns: it has
+    checked their (timestamp, seq) order, and they number pairs and
+    investors by first appearance in it and hold no id their rows lack, as
+    _kernel.encode numbers them.
     """
 
     __slots__ = (
@@ -263,9 +268,7 @@ class TransactionColumns(Sequence[Transaction]):
         """
         if isinstance(transactions, cls):
             return transactions
-        columns = pair, side, quantity, price, timestamp, seq = (
-            array("i"), array("b"), array("q"), array("d"), array("q"), array("q")
-        )
+        columns = pair, side, quantity, price, timestamp, seq = (*_new_columns(), array("q"))
         pairs = PairTable()
         tz: list[timezone] = []
         zones: dict[timezone, timezone] = {}  # one object per distinct offset
@@ -318,25 +321,9 @@ class TransactionColumns(Sequence[Transaction]):
         )
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TransactionColumns):
-            return self._same_rows(other)
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def _same_rows(self, other: "TransactionColumns") -> bool:
-        """Whether the rows are equal as Transactions, read from the columns without building any.
-
-        Ids compare as text, whatever their codes.  Aware timestamps are
-        equal when their instants are, whatever their zones, and never equal
-        naive ones; a NaN price equals nothing.
-        """
-        if len(self) != len(other):
-            return False
-        if self and (self.tz is None) != (other.tz is None):
-            return False
-        columns = zip((self._ids(0), self._ids(1), *self._numbers()), (other._ids(0), other._ids(1), *other._numbers()))
-        return all(all(map(operator.eq, a, b)) for a, b in columns)
 
 
 class Instrument(NamedTuple):
@@ -453,8 +440,7 @@ def parse_transactions(stream: TextIO, lenient: bool = False) -> TransactionColu
     which case bad rows are skipped.  Raises SchemaError if a required
     column is missing.
     """
-    txs, _ = parse_transactions_report(stream, lenient=lenient)
-    return txs
+    return parse_transactions_report(stream, lenient=lenient)[0]
 
 
 def _stable_order(timestamp: array) -> array:
@@ -503,22 +489,24 @@ def renumbered(txs: TransactionColumns) -> TransactionColumns:
 
 
 def parse_chunks(
-    stream: TextIO, lenient: bool, pairs: PairTable, rejects: list[MalformedRow]
+    stream: TextIO, lenient: bool, pairs: PairTable, rejects: list[MalformedRow] | None
 ) -> Iterator[tuple[array, array, array, array, array, list[timezone]]]:
     """The accepted rows of a transaction log, in input order, as chunks of _ORDER_CHUNK rows or fewer.
 
     A chunk is the columns (pair, side, quantity, price, timestamp, tz) of
     TransactionColumns, ``tz`` empty in a naive log; no chunk is empty.
     Across chunks, ``pairs`` gains each (investor_id, asset_id) pair as it
-    first appears and ``rejects`` each rejected row's MalformedRow, and one
-    warning is logged once the last chunk is taken.  The rules for rows are
-    parse_transactions_report's.
+    first appears, and ``rejects``, unless it is None, each rejected row's
+    MalformedRow.  Once the last chunk is taken, one warning gives the
+    reject count and the first reject, the only ones kept when ``rejects``
+    is None.  The rules for rows are parse_transactions_report's.
     """
     reader = csv.reader(stream)
     code = pairs.code
     zones: dict[timezone, timezone] = {}  # one object per distinct offset
     last_text = timestamp = None  # the previous row's timestamp field and its conversion
     first_aware: bool | None = None
+    n_rejected, first_reject = 0, None
     try:
         header = next(reader, None)
         _check_header(header, TRANSACTION_COLUMNS)
@@ -527,9 +515,7 @@ def parse_chunks(
         fields = itemgetter(*columns)
         timestamp_column = position["timestamp"]
         min_len = max(columns) + 1
-        chunk = pair, sides, quantities, prices, timestamps, tzs = (
-            array("i"), array("b"), array("q"), array("d"), array("q"), []
-        )
+        chunk = pair, sides, quantities, prices, timestamps, tzs = (*_new_columns(), [])
         for row in reader:
             if not row:
                 continue
@@ -557,8 +543,11 @@ def parse_chunks(
             except MalformedRow as err:
                 if not lenient:
                     raise
-                err.__context__ = None  # a kept reject holds neither the error it was raised from nor frames
-                rejects.append(err.with_traceback(None))
+                err.__context__ = err.__traceback__ = None  # a kept reject holds no error it was raised from, no frames
+                n_rejected += 1
+                first_reject = first_reject or err
+                if rejects is not None:
+                    rejects.append(err)
                 continue
             pair.append(code(investor_id, asset_id))
             sides.append(side)
@@ -569,18 +558,16 @@ def parse_chunks(
                 tzs.append(zones.setdefault(zone, zone))
             if len(pair) == _ORDER_CHUNK:
                 yield chunk
-                chunk = pair, sides, quantities, prices, timestamps, tzs = (
-                    array("i"), array("b"), array("q"), array("d"), array("q"), []
-                )
+                chunk = pair, sides, quantities, prices, timestamps, tzs = (*_new_columns(), [])
     except (UnicodeDecodeError, csv.Error) as err:
         raise _unreadable(reader, err) from None
     if pair:
         yield chunk
-    if rejects:
+    if n_rejected:
         import logging  # loaded only by a parse that has rejects to report
 
         log = logging.getLogger(__name__)
-        log.warning("skipped %d malformed row(s), the first at %s", len(rejects), rejects[0])
+        log.warning("skipped %d malformed row(s), the first at %s", n_rejected, first_reject)
 
 
 def parse_transactions_report(
@@ -603,7 +590,7 @@ def parse_transactions_report(
     """
     pairs = PairTable()
     rejects: list[MalformedRow] = []
-    columns = [array("i"), array("b"), array("q"), array("d"), array("q"), []]
+    columns = [*_new_columns(), []]
     for chunk in parse_chunks(stream, lenient, pairs, rejects):
         for column, part in zip(columns, chunk):
             column += part
@@ -718,10 +705,11 @@ def summarize(transactions: Sequence[Transaction]) -> DatasetSummary:
     txs = TransactionColumns.of(transactions)
     if not txs:
         raise EmptyDataset("summarize requires at least one transaction")
-    per_investor_count = Counter(txs._ids(0))
-    investor_spans = _spans(txs._ids(0), txs.timestamp)
+    investor_of = txs.pair_investor.__getitem__  # investors are counted by code: no id is read
+    per_investor_count = Counter(map(investor_of, txs.pair))
+    investor_spans = _spans(map(investor_of, txs.pair), txs.timestamp)
     pair_spans = _spans(txs.pair, txs.timestamp)
-    assets_per_investor = Counter(txs.pair_investor[p] for p in pair_spans)
+    assets_per_investor = Counter(map(investor_of, pair_spans))
     # A span in microseconds over the int 10**6 is exactly the span's
     # timedelta.total_seconds().
     horizons = [(last - first) / 10**6 / _SECONDS_PER_YEAR for first, last in investor_spans.values()]

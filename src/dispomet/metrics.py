@@ -268,13 +268,13 @@ def run_engine_on_log(
 
     Each chunk is dropped once the kernel has read it.  Returns None at the
     first row out of (timestamp, seq) order: that log must be parsed whole
-    and sorted.  The parse's warning is logged only if the log is read to
-    its end.
+    and sorted.  No reject is kept: the parse's warning, which counts them
+    and names the first, is logged only if the log is read to its end.
     """
     table = ingest.PairTable()
     acc = _kernel.Accrual(sells_only, include_traded)
     last = -math.inf
-    for pairs, sides, quantities, prices, timestamps, tz in ingest.parse_chunks(stream, lenient, table, []):
+    for pairs, sides, quantities, prices, timestamps, tz in ingest.parse_chunks(stream, lenient, table, None):
         # seq is the input position, so only a lower timestamp is out of order
         if timestamps[0] < last or not all(map(operator.le, timestamps, islice(timestamps, 1, None))):
             return None

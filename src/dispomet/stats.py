@@ -86,13 +86,6 @@ def _exact_counts(u: float, n1: int, n2: int) -> tuple[int, int]:
     return sum(counts[: max(top + 1, 0)]), sum(counts)
 
 
-def exact_cdf(u: float, n1: int, n2: int) -> Fraction:
-    """P(U <= u) under the exact tie-free null."""
-    from fractions import Fraction  # mann_whitney divides the counts itself, so compare never loads it
-
-    return Fraction(*_exact_counts(u, n1, n2))
-
-
 def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 

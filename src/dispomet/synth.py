@@ -22,7 +22,6 @@ that single event.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -30,7 +29,7 @@ from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
 
-from .ingest import Instrument, PairTable, Side, Transaction, TransactionColumns, _instant, _take_each
+from .ingest import Instrument, PairTable, Side, Transaction, TransactionColumns, _instant, _new_columns, _take_each
 from .metrics import Context, Method, Tally, TallyKey
 
 _MARKET_STREAM = 0xFFFFFFFF  # per-investor streams use the investor index
@@ -109,7 +108,7 @@ def generate_population(
     asset_ids = list(registry)
     prices = _price_grid(profile).tolist()  # the floats float(grid[t, k]) gives
     step_micros = [_BASE_MICROS + t * _MINUTE for t in range(profile.horizon_events)]
-    columns = [array("i"), array("b"), array("q"), array("d"), array("q")]
+    columns = _new_columns()
     pair, side, quantity, price, timestamp = columns
     pairs = PairTable()
     for i in range(n_investors):
@@ -174,7 +173,7 @@ def random_stream(
     n_assets = int(rng.integers(1, max_assets + 1))
     n_events = int(rng.integers(1, max_events + 1))
     prices = rng.uniform(20.0, 80.0, size=n_assets)
-    pair, side, quantity, price, timestamp = array("i"), array("b"), array("q"), array("d"), array("q")
+    pair, side, quantity, price, timestamp = _new_columns()
     pairs = PairTable()
     for e in range(n_events):
         a = int(rng.integers(n_assets))

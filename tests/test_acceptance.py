@@ -27,7 +27,7 @@ from dispomet.metrics import (
 from dispomet.stats import (
     STAR_LEGEND,
     TestResult,
-    exact_cdf,
+    _exact_counts,
     format_cell,
     mann_whitney,
     render_table,
@@ -251,7 +251,7 @@ def test_criterion_6_exact_u_test():
     for n1 in range(1, 9):
         for n2 in range(1, 9):
             for u in range(n1 * n2 + 1):
-                assert exact_cdf(u, n1, n2) == _full_enumeration_cdf(u, n1, n2), (n1, n2, u)
+                assert Fraction(*_exact_counts(u, n1, n2)) == _full_enumeration_cdf(u, n1, n2), (n1, n2, u)
     result = mann_whitney([1, 2, 3, 4], [5, 6, 7, 8])
     assert result.p_value == pytest.approx(float(Fraction(2, 70)))
     # Normal approximation within 0.01 of a 100,000-draw permutation estimate.

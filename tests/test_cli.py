@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dispomet
-from dispomet import _kernel, cli, ingest, metrics
+from dispomet import _kernel, cli, ingest, metrics, stats
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
     EXIT_ERROR,
@@ -237,6 +237,53 @@ def test_compare_aggregates_only_the_requested_methods(synth_log, monkeypatch, c
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == table
     assert received == [[metrics.Method(name) for name in (method or "count,total,value").split(",")]]
+
+
+def _naive_compare_table(spec, tx_path, reg_path):
+    """compare's table at 17 decimals, each sample picked record by record from aggregate's records."""
+    with open(tx_path, encoding="utf-8", newline="") as fh:
+        store = metrics.run_engine(ingest.parse_transactions(fh))
+    with open(reg_path, encoding="utf-8", newline="") as fh:
+        registry = ingest.parse_instruments(fh)
+    framing = metrics.Framing.NARROW if spec == "long-vs-inverse" else metrics.Framing.INTEGRATED
+    records = list(metrics.aggregate(store, metrics.Level.PER_ASSET, framing))
+
+    def sample(method, leverage, context):
+        return [r.de for r in records if r.defined and r.method is method and r.context is context
+                and r.asset_id in registry and registry[r.asset_id].leverage == leverage]
+
+    def row(a, b, context_a, context_b):
+        label = f"{ingest.leverage_text(a)}x = {ingest.leverage_text(b)}x"
+        return label, [stats.mann_whitney(sample(m, a, context_a), sample(m, b, context_b)) for m in metrics.Method]
+
+    leverages = sorted({inst.leverage for inst in registry.values()})
+    longs = [l for l in leverages if l > 0]
+    shorts = sorted([l for l in leverages if l < 0], key=abs)
+    negative, positive = metrics.Context.NEGATIVE, metrics.Context.POSITIVE
+    if spec.startswith("volatility-"):
+        group, header = (longs, "Long ETF") if spec == "volatility-long" else (shorts, "Short ETF")
+        sections = [(title, [row(a, b, context, context) for a, b in itertools.combinations(group, 2)])
+                    for title, context in (("Negative Portfolio", negative), ("Positive Portfolio", positive))]
+    elif spec == "long-vs-inverse":
+        header = "ETF"
+        sections = [("", [row(-l, l, None, None) for l in longs if -l in shorts])]
+    else:
+        header = ""
+        sections = [
+            (f"{kind} ETFs tested in Negative vs Positive Portfolio", [row(l, l, negative, positive) for l in group])
+            for kind, group in (("Short", shorts), ("Long", longs)) if group
+        ]
+    return stats.render_table(sections, ["Count", "Total", "Value"], row_header=header, decimals=17) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["volatility-long", "volatility-short", "long-vs-inverse", "context-split"])
+def test_compare_prints_the_table_of_a_naive_selection(spec, synth_log, capsys):
+    tx, reg = synth_log / "transactions.csv", synth_log / "instruments.csv"
+    assert main(["compare", "--transactions", str(tx), "--registry", str(reg), "--spec", spec,
+                 "--decimals", "17"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.count(" = ") >= 4
+    assert printed == _naive_compare_table(spec, tx, reg)
 
 
 class _FullDevice(io.RawIOBase):
