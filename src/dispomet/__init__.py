@@ -14,9 +14,8 @@ object-at-a-time reference semantics and their brute-force replay oracle
 The names below are the library surface the README uses; everything else
 is imported from its module (``dispomet.synth.oracle_replay``, ...).  The
 synth and stats names resolve on first use, so ``import dispomet`` loads
-neither module until a caller asks for one of them.  Parsing, the kernel,
-``aggregate`` and ``histogram`` are plain Python: numpy loads only with
-synth.
+neither module until a caller asks for one of them.  Every module is
+plain Python, synth's seeded draws included: nothing loads numpy.
 """
 import importlib
 

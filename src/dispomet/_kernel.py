@@ -13,7 +13,7 @@ a list of ints (a position can outgrow int64), reference prices and the
 tallies in ``array('d')`` columns, outlives the call: run_engine feeds a
 whole log as one chunk, and ``compute`` holds one chunk of 4,096 rows at a
 time of a log in time order, the pairs numbered by the parser's
-ingest.PairTable.  Neither loads numpy.
+ingest.PairTable.
 
 Each investor's open positions are kept in one list of pair ids, ordered by
 asset_id: a position that opens is inserted with ``bisect.insort`` and one

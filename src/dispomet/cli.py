@@ -229,12 +229,16 @@ def _lev_label(leverage: float) -> str:
 # EmptyGroup names when the sample has no defined values).
 
 
+def _by_magnitude(leverages, sign):
+    """The long (``sign`` 1) or the short (-1) leverages, by magnitude."""
+    return sorted([l for l in leverages if l * sign > 0], key=abs)
+
+
 def _volatility_sections(leverages, sign):
-    leverages = sorted([l for l in leverages if l * sign > 0], key=abs)  # the long or the short ones
     sections = []
     for title, context in (("Negative Portfolio", Context.NEGATIVE), ("Positive Portfolio", Context.POSITIVE)):
         rows = []
-        for lev_a, lev_b in combinations(leverages, 2):  # each pair once, in list order
+        for lev_a, lev_b in combinations(_by_magnitude(leverages, sign), 2):  # each pair once, in list order
             sample_a = (lev_a, context, f"{_lev_label(lev_a)} in {title}")
             sample_b = (lev_b, context, f"{_lev_label(lev_b)} in {title}")
             rows.append((f"{_lev_label(lev_a)} = {_lev_label(lev_b)}", (sample_a, sample_b)))
@@ -253,15 +257,13 @@ def _long_vs_inverse_sections(leverages):
 
 
 def _context_split_sections(leverages):
-    shorts = sorted([l for l in leverages if l < 0], key=abs)
-    longs = sorted([l for l in leverages if l > 0])
     sections = []
-    for title, group in (
-        ("Short ETFs tested in Negative vs Positive Portfolio", shorts),
-        ("Long ETFs tested in Negative vs Positive Portfolio", longs),
+    for title, sign in (
+        ("Short ETFs tested in Negative vs Positive Portfolio", -1),
+        ("Long ETFs tested in Negative vs Positive Portfolio", 1),
     ):
         rows = []
-        for lev in group:
+        for lev in _by_magnitude(leverages, sign):
             negative = (lev, Context.NEGATIVE, f"{_lev_label(lev)} negative context")
             positive = (lev, Context.POSITIVE, f"{_lev_label(lev)} positive context")
             rows.append((f"{_lev_label(lev)} = {_lev_label(lev)}", (negative, positive)))
@@ -445,7 +447,8 @@ def _exit_codes() -> dict[type[Exception], int]:
     """Exit code per error type; an error takes the code of the nearest class in its MRO.
 
     synth's InvalidProfile is mapped only when synth, which alone raises it,
-    is loaded: importing it here would load numpy into every failed run.
+    is loaded: importing it here would compile synth, and load dataclasses,
+    in every failed run.
     """
     codes = {
         SchemaError: EXIT_SCHEMA,
@@ -501,7 +504,7 @@ def run() -> None:
     interpreter shutdown included.  The few that are garbage (functions and
     classes an import built and dropped) are frozen too, rather than paid
     for with a full collection.  What main() loads later (stats, or synth and
-    numpy) is frozen once more before exit.  Text that stdout could not take,
+    dataclasses) is frozen once more before exit.  Text that stdout could not take,
     argparse's help included, is one I/O error; it goes to the null
     device, so the exit flush cannot fail again.
     """

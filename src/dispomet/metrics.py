@@ -31,7 +31,7 @@ asset indices, as wide as the pair tables, context and method codes and
 ``de``), ordered by (investor_id, asset_id, context, method) as text.  It
 reads each group with a nonzero tally once, computes every requested method
 from it, and builds the records in that order rather than sorting them.
-``histogram`` is plain Python too, so nothing here loads numpy.
+``histogram`` is plain Python too.
 
 The same semantics, one object at a time, are the reference in synth
 (``classify_context``, ``accrue_event``, ``compute_de``, ``oracle_replay``).

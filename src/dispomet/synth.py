@@ -7,9 +7,11 @@ position and then, at each subsequent step, sells winners with probability
 p_realize_gain and losers with p_realize_loss, occasionally adding new
 positions.  All randomness comes from PCG64 streams keyed explicitly by
 (seed, investor index), so generation is reproducible across runs,
-platforms, and parallel schedules.  Both generators return a
-TransactionColumns, the parser's layout: each event is appended straight
-into its typed columns, and a Transaction is built only when one is read.
+platforms, and parallel schedules.  _PCG64 draws them in plain Python, each
+draw bit for bit the one numpy's Generator gives for the same seed.  Both
+generators return a TransactionColumns, the parser's layout, appending each
+event straight into typed columns; a Transaction is built only when one is
+read.
 
 The second half of the module is the reference semantics that the
 streaming engine (metrics.run_engine) must reproduce bit for bit, written
@@ -22,19 +24,148 @@ that single event.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import accumulate
 from typing import Mapping, MutableMapping, Sequence
-
-import numpy as np
 
 from .ingest import Instrument, PairTable, Side, Transaction, TransactionColumns, _instant, _new_columns, _take_each
 from .metrics import Context, Method, Tally, TallyKey
 
 _MARKET_STREAM = 0xFFFFFFFF  # per-investor streams use the investor index
 _BASE_MICROS = _instant(datetime(2015, 1, 5, 9, 0, 0))[0]  # microseconds, the timestamp column's unit
-_MINUTE = 60 * 10**6
+_SECOND = 10**6
+_MINUTE = 60 * _SECOND
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int):
+    """SeedSequence's 32-bit hash, whose constant steps by ``multiplier`` at each call."""
+
+    def hash32(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hash32
+
+
+def _seed_state(entropy: tuple[int, ...]) -> tuple[int, int]:
+    """The 128-bit initial state and sequence numpy's PCG64 takes from ``SeedSequence(list(entropy))``.
+
+    Each int is split into its 32-bit words, least significant first, and
+    the words are mixed into a pool of four, then hashed out of it into
+    eight words: two uint64s apiece, read little-endian, and two 128-bit
+    numbers of those, the first one high.
+    """
+    if min(entropy) < 0:
+        raise ValueError(f"expected non-negative integers, got {entropy}")
+    words = [n >> shift & _MASK32 for n in entropy for shift in range(0, max(n.bit_length(), 1), 32)]
+    hash_in = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hash_in(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hash_in(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hash_in(word))
+    hash_out = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [hash_out(pool[i % 4]) for i in range(8)]
+    a, b, c, d = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    return a << 64 | b, c << 64 | d
+
+
+class _PCG64:
+    """numpy's ``Generator(PCG64(SeedSequence(list(entropy))))``, for the draws synth makes, bit for bit.
+
+    The state advances by the 128-bit LCG step and each 64-bit output is
+    its XSL-RR permutation.  A bounded integer is Lemire's method over
+    32-bit halves of one output, the spare half kept for the next, when the
+    span fits in 32 bits, and over whole outputs otherwise.
+    """
+
+    __slots__ = ("_state", "_increment", "_half")
+
+    def __init__(self, *entropy: int) -> None:
+        initstate, initseq = _seed_state(entropy)
+        self._increment = increment = (initseq << 1 | 1) & _MASK128
+        self._state = ((increment + initstate) * _PCG64_MULTIPLIER + increment) & _MASK128
+        self._half: int | None = None
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG64_MULTIPLIER + self._increment) & _MASK128
+        word, rotation = (state >> 64) ^ (state & _MASK64), state >> 122
+        return (word >> rotation | word << (64 - rotation)) & _MASK64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._next64()
+            self._half = word >> 32
+            return word & _MASK32
+        self._half = None
+        return half
+
+    def _bounded(self, top: int) -> int:
+        """An int in [0, top]; none is drawn when top is 0."""
+        if top == 0:
+            return 0
+        bits, draw = (32, self._next32) if top <= _MASK32 else (64, self._next64)
+        span = top + 1
+        threshold = (1 << bits) % span
+        while True:
+            product = draw() * span
+            if product & ((1 << bits) - 1) >= threshold:
+                return product >> bits
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * (1.0 / (1 << 53))
+
+    def uniform(self, low: float, high: float) -> float:
+        """One draw; numpy draws ``uniform(low, high, size)`` as ``size`` of them."""
+        return low + (high - low) * self.random()
+
+    def integers(self, low: int, high: int) -> int:
+        return low + self._bounded(high - 1 - low)
+
+    def choice(self, n: int, size: int) -> list[int]:
+        """``size`` distinct ints of range(n), as ``choice(n, size, replace=False)`` draws them.
+
+        Floyd's algorithm, then a shuffle; a tail shuffle of all of range(n)
+        instead when n exceeds 10,000 and size n // 50.
+        """
+        if n > 10_000 and size > n // 50:
+            chosen = list(range(n))
+            self._shuffle(chosen, max(n - size, 1))
+            return chosen[n - size:]
+        chosen, seen = [], set()
+        for top in range(n - size, n):
+            value = self._bounded(top)
+            if value in seen:
+                value = top
+            seen.add(value)
+            chosen.append(value)
+        self._shuffle(chosen, 1)
+        return chosen
+
+    def _shuffle(self, items: list[int], first: int) -> None:
+        """Fisher-Yates from the last item down to ``first``."""
+        for i in reversed(range(first, len(items))):
+            j = self._bounded(i)
+            items[i], items[j] = items[j], items[i]
 
 
 class InvalidProfile(Exception):
@@ -68,6 +199,8 @@ class BehaviorProfile:
             raise InvalidProfile("leverage menu must be non-empty with nonzero finite entries")
         if self.max_quantity < 1 or self.max_assets_per_investor < 1:
             raise InvalidProfile("max_quantity and max_assets_per_investor must be >= 1")
+        if self.seed < 0:
+            raise InvalidProfile("seed must be >= 0")
 
 
 def _instrument_universe(profile: BehaviorProfile) -> dict[str, Instrument]:
@@ -80,21 +213,22 @@ def _instrument_universe(profile: BehaviorProfile) -> dict[str, Instrument]:
     return registry
 
 
-def _price_grid(profile: BehaviorProfile) -> np.ndarray:
-    """Per-step instrument prices, shape (horizon_events, n_assets)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([profile.seed, _MARKET_STREAM])))
-    levs = np.array(
-        [float(profile.leverages[k % len(profile.leverages)]) for k in range(profile.n_assets)]
-    )
-    bound = 0.9 / float(np.max(np.abs(levs)))
-    steps = rng.uniform(-bound / 6.0, bound / 6.0, size=profile.horizon_events)
-    cum = np.empty(profile.horizon_events)
+def _round4(prices: list[float]) -> list[float]:
+    """Each price rounded to 4 decimals as ``numpy.round`` rounds it, which ``round(x, 4)`` does not always do."""
+    return [round(x * 10000.0) / 10000.0 for x in prices]
+
+
+def _price_grid(profile: BehaviorProfile) -> list[list[float]]:
+    """Per-step instrument prices: for each of horizon_events steps, a list of n_assets prices."""
+    rng = _PCG64(profile.seed, _MARKET_STREAM)
+    levs = [float(profile.leverages[k % len(profile.leverages)]) for k in range(profile.n_assets)]
+    bound = 0.9 / max(map(abs, levs))
+    grid = []
     level = 0.0
-    for t in range(profile.horizon_events):
-        level = min(bound, max(-bound, level + steps[t]))
-        cum[t] = level
-    grid = 100.0 * (1.0 + np.outer(cum, levs))
-    return np.round(grid, 4)
+    for _ in range(profile.horizon_events):
+        level = min(bound, max(-bound, level + rng.uniform(-bound / 6.0, bound / 6.0)))
+        grid.append(_round4([100.0 * (1.0 + level * lev) for lev in levs]))
+    return grid
 
 
 def generate_population(
@@ -106,55 +240,71 @@ def generate_population(
         raise InvalidProfile("n_investors must be >= 1")
     registry = _instrument_universe(profile)
     asset_ids = list(registry)
-    prices = _price_grid(profile).tolist()  # the floats float(grid[t, k]) gives
-    step_micros = [_BASE_MICROS + t * _MINUTE for t in range(profile.horizon_events)]
-    columns = _new_columns()
-    pair, side, quantity, price, timestamp = columns
+    prices = _price_grid(profile)
+    pair, side, quantity, price = _new_columns()[:4]
+    seconds = array("i")  # each row's timestamp, in whole seconds after _BASE_MICROS
+    firsts, offsets = array("i"), []  # each investor's first row, and its offset in seconds
     pairs = PairTable()
     for i in range(n_investors):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([profile.seed, i])))
-        menu_size = min(profile.n_assets, profile.max_assets_per_investor)
-        menu = sorted(rng.choice(profile.n_assets, size=menu_size, replace=False).tolist())
+        rng = _PCG64(profile.seed, i)
+        menu = sorted(rng.choice(profile.n_assets, min(profile.n_assets, profile.max_assets_per_investor)))
         investor = f"I{i:05d}"
-        offset = int(rng.integers(0, 50)) * 10**6  # whole seconds
-        positions: dict[int, list[float]] = {}  # asset index -> [qty, vwap ref]
+        offset = rng.integers(0, 50)
+        firsts.append(len(seconds))
+        offsets.append(offset)
+        positions: dict[int, list] = {}  # asset index -> [qty, vwap ref]
 
         def emit(t: int, k: int, sign: int, qty: int) -> None:  # sign: +1 buy, -1 sell
             pair.append(pairs.code(investor, asset_ids[k]))
             side.append(sign)
             quantity.append(qty)
             price.append(prices[t][k])
-            timestamp.append(step_micros[t] + offset)
+            seconds.append(60 * t + offset)
 
         def buy(t: int, k: int, qty: int) -> None:
             emit(t, k, 1, qty)
             p = prices[t][k]
             pos = positions.get(k)
             if pos is None:
-                positions[k] = [float(qty), p]
+                positions[k] = [qty, p]
             else:
                 pos[1] = (pos[0] * pos[1] + qty * p) / (pos[0] + qty)
                 pos[0] += qty
 
-        first = menu[int(rng.integers(len(menu)))]
-        buy(0, first, int(rng.integers(1, profile.max_quantity + 1)))
+        first = menu[rng.integers(0, len(menu))]
+        buy(0, first, rng.integers(1, profile.max_quantity + 1))
         for t in range(1, profile.horizon_events):
             for k in sorted(positions):
                 qty, ref = positions[k]
                 p = prices[t][k]
                 roll = rng.random()
                 if (p > ref and roll < profile.p_realize_gain) or (p < ref and roll < profile.p_realize_loss):
-                    emit(t, k, -1, int(qty))
+                    emit(t, k, -1, qty)
                     del positions[k]
             if rng.random() < profile.p_new_position:
-                k = menu[int(rng.integers(len(menu)))]
-                buy(t, k, int(rng.integers(1, profile.max_quantity + 1)))
+                k = menu[rng.integers(0, len(menu))]
+                buy(t, k, rng.integers(1, profile.max_quantity + 1))
     tables = pairs.tables()
-    del pairs  # and its dicts, before the sort's int32 row indices, half the bytes of int64 ones
-    order = memoryview(np.argsort(np.frombuffer(timestamp, np.int64), kind="stable").astype(np.int32))
-    del pair, side, quantity, price, timestamp  # columns holds the last references
+    del pairs, prices  # and their objects, before the sort
+    # A row's second is its step's minute plus its investor's offset, under
+    # a minute.  So a stable counting sort on the step, fed the investors'
+    # rows in (offset, investor) order, orders the rows by time.
+    counts = array("i", [0]) * profile.horizon_events
+    for second in seconds:
+        counts[second // 60] += 1
+    starts = array("i", accumulate(counts, initial=0))
+    order = array("i", [0]) * len(seconds)  # row indices fit in int32, as pair codes do
+    firsts.append(len(seconds))
+    for i in sorted(range(n_investors), key=offsets.__getitem__):
+        for row in range(firsts[i], firsts[i + 1]):
+            step = seconds[row] // 60
+            order[starts[step]] = row
+            starts[step] += 1
+    columns = [pair, side, quantity, price, seconds]
+    del pair, side, quantity, price, seconds, counts, starts  # columns holds the last references
     _take_each(columns, order)
-    return TransactionColumns(tables, *columns, range(len(order))), registry
+    timestamp = array("q", (_BASE_MICROS + second * _SECOND for second in columns.pop()))
+    return TransactionColumns(tables, *columns, timestamp, range(len(order))), registry
 
 
 def random_stream(
@@ -168,20 +318,20 @@ def random_stream(
     Sides, quantities, and investors are uniform; each asset's price follows
     an independent positive multiplicative walk; one event a minute.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x5EED])))
-    n_inv = int(rng.integers(1, max_investors + 1))
-    n_assets = int(rng.integers(1, max_assets + 1))
-    n_events = int(rng.integers(1, max_events + 1))
-    prices = rng.uniform(20.0, 80.0, size=n_assets)
+    rng = _PCG64(seed, 0x5EED)
+    n_inv = rng.integers(1, max_investors + 1)
+    n_assets = rng.integers(1, max_assets + 1)
+    n_events = rng.integers(1, max_events + 1)
+    prices = [rng.uniform(20.0, 80.0) for _ in range(n_assets)]
     pair, side, quantity, price, timestamp = _new_columns()
     pairs = PairTable()
     for e in range(n_events):
-        a = int(rng.integers(n_assets))
-        prices[a] *= 1.0 + float(rng.uniform(-0.05, 0.05))
-        pair.append(pairs.code(f"I{int(rng.integers(n_inv)):03d}", f"A{a:03d}"))
+        a = rng.integers(0, n_assets)
+        prices[a] *= 1.0 + rng.uniform(-0.05, 0.05)
+        pair.append(pairs.code(f"I{rng.integers(0, n_inv):03d}", f"A{a:03d}"))
         side.append(1 if rng.random() < 0.5 else -1)
-        quantity.append(int(rng.integers(1, 21)))
-        price.append(round(float(prices[a]), 4))
+        quantity.append(rng.integers(1, 21))
+        price.append(round(prices[a], 4))
         timestamp.append(_BASE_MICROS + e * _MINUTE)
     return TransactionColumns(pairs.tables(), pair, side, quantity, price, timestamp, range(n_events))
 

@@ -1,13 +1,17 @@
 import hashlib
 import io
+import random
 
+import numpy as np
 import pytest
 
 from dispomet.ingest import TransactionColumns, parse_transactions, serialize_transactions
 from dispomet.metrics import Context, Method, run_engine
 from dispomet.synth import (
+    _PCG64,
     BehaviorProfile,
     InvalidProfile,
+    _round4,
     generate_population,
     oracle_replay,
     random_stream,
@@ -56,6 +60,7 @@ def test_registry_covers_leverage_menu():
         {"n_assets": 0},
         {"horizon_events": 0},
         {"leverages": (0,)},
+        {"seed": -1},
     ],
 )
 def test_invalid_profiles(overrides):
@@ -146,3 +151,63 @@ def test_random_stream_is_the_known_log(seed, sizes, n_events, sha256):
     txs = random_stream(seed, **sizes)
     assert len(txs) == n_events
     assert _checked_sha256(txs) == sha256
+
+
+# numpy is the oracle for the stdlib PCG64: the generators drew from
+# numpy.random.Generator(PCG64(SeedSequence([seed, key]))) when the logs
+# above were recorded.
+_SPANS = (1, 2, 3, 50, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 2**63 - 1)
+
+
+def _mixed_call(plan):
+    """One random draw call of synth's: (method, args), choice meaning choice(*args, replace=False)."""
+    kind = plan.randrange(6)
+    if kind == 0:
+        return "random", ()
+    if kind == 1:
+        return "uniform", (plan.uniform(-100.0, 0.0), plan.uniform(0.0, 100.0))
+    if kind == 2:  # several draws of one sized call
+        return "uniform", (-0.05, 0.05, plan.randrange(5))
+    if kind == 3:
+        span = plan.choice(_SPANS + (plan.randrange(1, 2**32), plan.randrange(1, 2**63)))
+        low = plan.choice((0, -3, -(2**62))) if span < 2**62 else 0
+        return "integers", (low, low + span)
+    if kind == 4:  # Floyd's algorithm, then a shuffle
+        n = plan.randrange(1, 300)
+        return "choice", (n, plan.randrange(n + 1))
+    # Over 10,000 items: Floyd's algorithm up to n // 50 chosen, a tail shuffle above.
+    n = plan.randrange(10_001, 10_200)
+    return "choice", (n, n if plan.random() < 0.02 else n // 50 + plan.randrange(-5, 20))
+
+
+def _bits(value):
+    """``value`` with each float as its exact hex text."""
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_pcg64_draws_what_numpy_draws_bit_for_bit():
+    plan = random.Random(20150105)
+    keys = [0, 1, 0xFFFFFFFF, 2**32, 2**64 - 1, 2**64, 2**64 + 1, 2**100 + 12345]
+    keys += [plan.getrandbits(plan.choice((16, 48, 80, 160))) for _ in range(60)]
+    for seed in (0, 7, 2**70 + 3):
+        for key in keys:
+            ours = _PCG64(seed, key)
+            theirs = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
+            for _ in range(40):
+                method, args = _mixed_call(plan)
+                if method == "uniform" and len(args) == 3:
+                    got = [ours.uniform(*args[:2]) for _ in range(args[2])]
+                else:
+                    got = getattr(ours, method)(*args)
+                expected = getattr(theirs, method)(*args, **({"replace": False} if method == "choice" else {}))
+                assert _bits(got) == _bits(np.asarray(expected).tolist()), (seed, key, method, args)
+
+
+def test_round4_rounds_half_way_prices_as_numpy_does():
+    # Ties to even on the price times 10**4, whether or not that product is exactly half way.
+    halves = [(k + 0.5) / 10000.0 for k in range(20_000)] + [k + 0.00005 for k in range(1, 2000)]
+    ours = _round4(halves)
+    assert _bits(ours) == _bits(np.round(np.array(halves), 4).tolist())
+    assert ours != [round(x, 4) for x in halves]  # round(x, 4) rounds some of them the other way
