@@ -103,7 +103,10 @@ class Accrual:
         start = len(self.pair_qty)
         for investor, asset in zip(pair_investor[start:], pair_asset[start:]):
             self.pair_open.append(self.open_lists[investor])
-            self.pair_asset.append(self.assets.setdefault(asset, [asset_ids[asset], 0.0]))
+            entry = self.assets.get(asset)
+            if entry is None:
+                entry = self.assets[asset] = [asset_ids[asset], 0.0]
+            self.pair_asset.append(entry)
         new = len(self.pair_asset) - start
         self.pair_qty += [0] * new
         # zeros straight from calloc, not via a second array

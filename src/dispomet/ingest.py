@@ -20,9 +20,10 @@ integers.  A Transaction, its ids and its ``datetime`` are built only when
 read.  The row loop, parse_chunks, yields chunks of columns:
 parse_transactions_report collects them, and ``compute`` holds one chunk
 of the rows of a log in time order at a time.  No row-scale step holds a
-whole column as Python objects: the order check and the sort of a log out
-of time order box one chunk of keys at a time, and a column is reordered
-straight into a new column, its source released as soon as it is taken.
+whole column as Python objects: the order check compares each row with the
+one before it, the sort of a log out of time order boxes one chunk of keys
+at a time, and a column is reordered straight into a new column, its source
+released as soon as it is taken.
 TransactionColumns.of builds the same columns from a list of Transactions,
 so the engine, summarize and serialize_transactions read one layout
 whichever the source; the synth generators build it directly.  Every one
@@ -40,7 +41,7 @@ from array import array
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from itertools import repeat
+from itertools import compress, count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -113,10 +114,9 @@ INT64_MAX = 2**63 - 1  # the largest quantity: the int64 range of exported trade
 
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
-# Keys per sorted() call of first_out_of_order and of _stable_order.  Each
-# call holds its keys as Python objects, so this bounds what the order check
-# adds to a parse however long the log: about 0.35 MB for a chunk of
-# timestamps, 1.1 MB for one of (timestamp, seq) tuples (tracemalloc).
+# Rows per chunk of parse_chunks, and keys per sorted() call of _stable_order,
+# which holds its keys as Python objects: this bounds what the sort of a log
+# out of time order adds to a parse however long the log.
 _ORDER_CHUNK = 1 << 12
 
 
@@ -151,19 +151,16 @@ def first_out_of_order(timestamp: array, seq: range | array) -> int | None:
 
     An equal (timestamp, seq) pair is in order; a ``range`` seq is ordered
     like its step, so a descending one puts every equal timestamp out of order.
-    Each chunk of keys is in order if sorted(), one pass in C, leaves it as is.
-    A chunk is _ORDER_CHUNK keys and the next chunk's first: the timestamps
-    alone for an ascending ``range`` seq, else (timestamp, seq) tuples.  So
-    the check never holds more than one chunk of keys as Python objects,
-    whatever the length of the columns.
+    Each event is compared with its predecessor as the columns are read: the
+    timestamps alone for a ``range`` seq, else (timestamp, seq) tuples.  So
+    the check holds no keys as Python objects but the pair it compares.
     """
-    ascending = isinstance(seq, range) and seq.step > 0
-    for start in range(0, len(timestamp), _ORDER_CHUNK):
-        part = slice(start, start + _ORDER_CHUNK + 1)  # and the next chunk's first key
-        keys = timestamp[part].tolist() if ascending else list(zip(timestamp[part], seq[part]))
-        if keys != sorted(keys):
-            return start + next(i for i in range(1, len(keys)) if keys[i] < keys[i - 1])
-    return None
+    later = islice(timestamp, 1, None)
+    if isinstance(seq, range):
+        descents = map(operator.gt if seq.step > 0 else operator.ge, timestamp, later)
+    else:
+        descents = map(operator.gt, zip(timestamp, seq), zip(later, islice(seq, 1, None)))
+    return next(compress(count(1), descents), None)
 
 
 class PairTable:
@@ -370,55 +367,6 @@ def _check_header(fieldnames: Iterable[str] | None, required: tuple[str, ...]) -
 _SIDES = {"B": 1, "S": -1}
 
 
-def _timestamp(text: str) -> tuple[int, timezone | None] | None:
-    """A timestamp field as _instant gives it, or None for unparseable text."""
-    try:
-        ts = datetime.fromisoformat(text.strip())
-    except ValueError:
-        return None
-    return _instant(ts)
-
-
-def _parse_row(
-    fields: tuple[str, ...], line: int, timestamp: tuple[int, timezone | None] | None
-) -> tuple[str, str, int, int, float, int, timezone | None]:
-    """One row's fields, side as +1/-1 and the timestamp as (microseconds, zone).
-
-    ``timestamp`` is _timestamp of the row's timestamp field, which the
-    caller converts once per run of equal text.  Raises MalformedRow naming
-    the line.
-    """
-    investor_id, asset_id, side_txt, qty_txt, price_txt, ts_txt = fields
-    side_txt = side_txt.strip()
-    side = _SIDES.get(side_txt)
-    if side is None:
-        raise MalformedRow(line, f"side must be B or S, got {side_txt!r}")
-    qty_txt = qty_txt.strip()
-    try:
-        quantity = int(qty_txt)
-    except ValueError:
-        raise MalformedRow(line, f"quantity must be a whole number of units, got {qty_txt!r}") from None
-    if quantity <= 0:
-        raise MalformedRow(line, f"quantity must be positive, got {quantity}")
-    if quantity > INT64_MAX:
-        raise MalformedRow(line, f"quantity must be at most {INT64_MAX}, got {quantity}")
-    try:
-        price = float(price_txt)
-    except ValueError:
-        raise MalformedRow(line, f"unparseable price {price_txt!r}") from None
-    if not price > 0:
-        raise MalformedRow(line, f"price must be positive, got {price}")
-    if not math.isfinite(price):
-        raise MalformedRow(line, f"price must be finite, got {price}")
-    if timestamp is None:
-        raise MalformedRow(line, f"unparseable timestamp {ts_txt!r}")
-    investor_id = investor_id.strip()
-    asset_id = asset_id.strip()
-    if not investor_id or not asset_id:
-        raise MalformedRow(line, "investor_id and asset_id must be non-empty")
-    return investor_id, asset_id, side, quantity, price, *timestamp
-
-
 def _unreadable(reader, err: UnicodeDecodeError | csv.Error) -> MalformedRow:
     """The MalformedRow for input the csv reader could not take.
 
@@ -500,46 +448,85 @@ def parse_chunks(
     MalformedRow.  Once the last chunk is taken, one warning gives the
     reject count and the first reject, the only ones kept when ``rejects``
     is None.  The rules for rows are parse_transactions_report's.
+
+    ``pairs`` must hold only stripped, non-empty ids, as a fresh PairTable
+    does: a row whose ids it holds as read takes their pair code unstripped.
     """
     reader = csv.reader(stream)
-    code = pairs.code
+    by_investor, code = pairs.by_investor, pairs.code
     zones: dict[timezone, timezone] = {}  # one object per distinct offset
-    last_text = timestamp = None  # the previous row's timestamp field and its conversion
+    # The last timestamp field converted and its conversion: aware is None
+    # if the text did not parse, else whether it carries an offset.
+    last_text = micros = zone = aware = None
     first_aware: bool | None = None
     n_rejected, first_reject = 0, None
+    inf = math.inf
     try:
         header = next(reader, None)
         _check_header(header, TRANSACTION_COLUMNS)
         position = {name: i for i, name in enumerate(header)}
-        columns = [position[c] for c in TRANSACTION_COLUMNS]
-        fields = itemgetter(*columns)
-        timestamp_column = position["timestamp"]
-        min_len = max(columns) + 1
+        fields = itemgetter(*[position[c] for c in TRANSACTION_COLUMNS])
         chunk = pair, sides, quantities, prices, timestamps, tzs = (*_new_columns(), [])
         for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
             try:
-                if len(row) < min_len:
-                    raise MalformedRow(line, "wrong number of fields")
+                try:
+                    investor_id, asset_id, side_txt, qty_txt, price_txt, ts_txt = fields(row)
+                except IndexError:  # the row stops before a required column
+                    if not row:
+                        continue  # a blank line
+                    raise MalformedRow(reader.line_num, "wrong number of fields") from None
+                side = _SIDES.get(side_txt)
+                if side is None:
+                    side = _SIDES.get(side_txt.strip())
+                    if side is None:
+                        raise MalformedRow(reader.line_num, f"side must be B or S, got {side_txt.strip()!r}")
+                # int() and float() skip the same whitespace as str.strip().
+                try:
+                    quantity = int(qty_txt)
+                except ValueError:
+                    raise MalformedRow(
+                        reader.line_num, f"quantity must be a whole number of units, got {qty_txt.strip()!r}"
+                    ) from None
+                if not 0 < quantity <= INT64_MAX:
+                    bound = "positive" if quantity <= 0 else f"at most {INT64_MAX}"
+                    raise MalformedRow(reader.line_num, f"quantity must be {bound}, got {quantity}")
+                try:
+                    price = float(price_txt)
+                except ValueError:
+                    raise MalformedRow(reader.line_num, f"unparseable price {price_txt!r}") from None
+                if not 0.0 < price < inf:  # NaN fails too
+                    bound = "finite" if price > 0 else "positive"
+                    raise MalformedRow(reader.line_num, f"price must be {bound}, got {price}")
                 # Logs repeat a timestamp over consecutive rows: convert it
                 # once per run of equal text.
-                if row[timestamp_column] != last_text:
-                    last_text = row[timestamp_column]
-                    timestamp = _timestamp(last_text)
-                investor_id, asset_id, side, quantity, price, micros, zone = _parse_row(
-                    fields(row), line, timestamp
-                )
-                aware = zone is not None
-                if first_aware is None:
+                if ts_txt != last_text:
+                    last_text = ts_txt
+                    try:
+                        ts = datetime.fromisoformat(ts_txt.strip())
+                    except ValueError:
+                        aware = None
+                    else:
+                        micros, zone = _instant(ts)
+                        aware = zone is not None
+                        zone = zones.setdefault(zone, zone)
+                if aware is None:
+                    raise MalformedRow(reader.line_num, f"unparseable timestamp {ts_txt!r}")
+                # by_investor holds stripped, non-empty ids only: ids found
+                # as read need neither stripping nor checking.
+                try:
+                    p = by_investor[investor_id][asset_id]
+                except KeyError:
+                    p = None
+                    investor_id, asset_id = investor_id.strip(), asset_id.strip()
+                    if not investor_id or not asset_id:
+                        raise MalformedRow(reader.line_num, "investor_id and asset_id must be non-empty") from None
+                if aware is not first_aware:
+                    if first_aware is not None:
+                        kind = "timezone-aware" if aware else "naive"
+                        raise MalformedRow(
+                            reader.line_num, f"timestamp {ts_txt!r} is {kind}, unlike the first accepted row"
+                        )
                     first_aware = aware
-                elif aware != first_aware:
-                    kind = "timezone-aware" if aware else "naive"
-                    raise MalformedRow(
-                        line,
-                        f"timestamp {row[timestamp_column]!r} is {kind}, unlike the first accepted row",
-                    )
             except MalformedRow as err:
                 if not lenient:
                     raise
@@ -549,13 +536,13 @@ def parse_chunks(
                 if rejects is not None:
                     rejects.append(err)
                 continue
-            pair.append(code(investor_id, asset_id))
+            pair.append(code(investor_id, asset_id) if p is None else p)
             sides.append(side)
             quantities.append(quantity)
             prices.append(price)
             timestamps.append(micros)
             if aware:
-                tzs.append(zones.setdefault(zone, zone))
+                tzs.append(zone)
             if len(pair) == _ORDER_CHUNK:
                 yield chunk
                 chunk = pair, sides, quantities, prices, timestamps, tzs = (*_new_columns(), [])

@@ -218,16 +218,16 @@ def _round4(prices: list[float]) -> list[float]:
     return [round(x * 10000.0) / 10000.0 for x in prices]
 
 
-def _price_grid(profile: BehaviorProfile) -> list[list[float]]:
-    """Per-step instrument prices: for each of horizon_events steps, a list of n_assets prices."""
+def _price_grid(profile: BehaviorProfile) -> array:
+    """Per-step instrument prices, flat: asset k's price at step t is at ``t * n_assets + k``."""
     rng = _PCG64(profile.seed, _MARKET_STREAM)
     levs = [float(profile.leverages[k % len(profile.leverages)]) for k in range(profile.n_assets)]
     bound = 0.9 / max(map(abs, levs))
-    grid = []
+    grid = array("d")
     level = 0.0
     for _ in range(profile.horizon_events):
         level = min(bound, max(-bound, level + rng.uniform(-bound / 6.0, bound / 6.0)))
-        grid.append(_round4([100.0 * (1.0 + level * lev) for lev in levs]))
+        grid.extend(_round4([100.0 * (1.0 + level * lev) for lev in levs]))
     return grid
 
 
@@ -240,7 +240,7 @@ def generate_population(
         raise InvalidProfile("n_investors must be >= 1")
     registry = _instrument_universe(profile)
     asset_ids = list(registry)
-    prices = _price_grid(profile)
+    prices, n_assets = _price_grid(profile), profile.n_assets
     pair, side, quantity, price = _new_columns()[:4]
     seconds = array("i")  # each row's timestamp, in whole seconds after _BASE_MICROS
     firsts, offsets = array("i"), []  # each investor's first row, and its offset in seconds
@@ -258,12 +258,12 @@ def generate_population(
             pair.append(pairs.code(investor, asset_ids[k]))
             side.append(sign)
             quantity.append(qty)
-            price.append(prices[t][k])
+            price.append(prices[t * n_assets + k])
             seconds.append(60 * t + offset)
 
         def buy(t: int, k: int, qty: int) -> None:
             emit(t, k, 1, qty)
-            p = prices[t][k]
+            p = prices[t * n_assets + k]
             pos = positions.get(k)
             if pos is None:
                 positions[k] = [qty, p]
@@ -276,7 +276,7 @@ def generate_population(
         for t in range(1, profile.horizon_events):
             for k in sorted(positions):
                 qty, ref = positions[k]
-                p = prices[t][k]
+                p = prices[t * n_assets + k]
                 roll = rng.random()
                 if (p > ref and roll < profile.p_realize_gain) or (p < ref and roll < profile.p_realize_loss):
                     emit(t, k, -1, qty)

@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import logging
@@ -184,6 +185,146 @@ def test_blank_lines_are_skipped_and_line_numbers_count_them():
         parse(text)
     txs, rejects = parse_transactions_report(io.StringIO(text), lenient=True)
     assert len(txs) == 1 and [r.line for r in rejects] == [6]
+
+
+def _reference_chunks(text, lenient, table, rejects, chunk):
+    """parse_chunks as a row-at-a-time parse gives it: each field stripped before it is read, rules in order."""
+    epoch, micro = datetime(1970, 1, 1), timedelta(microseconds=1)
+    reader = csv.reader(io.StringIO(text))
+    position = {name: i for i, name in enumerate(next(reader))}
+    columns = [position[c] for c in ingest.TRANSACTION_COLUMNS]
+    rows, first_aware = [], None
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        try:
+            if len(row) <= max(columns):
+                raise MalformedRow(line, "wrong number of fields")
+            investor_id, asset_id, side, qty, price, ts_txt = (row[i] for i in columns)
+            side = side.strip()
+            if side not in ("B", "S"):
+                raise MalformedRow(line, f"side must be B or S, got {side!r}")
+            qty = qty.strip()
+            try:
+                quantity = int(qty)
+            except ValueError:
+                raise MalformedRow(line, f"quantity must be a whole number of units, got {qty!r}") from None
+            if quantity <= 0:
+                raise MalformedRow(line, f"quantity must be positive, got {quantity}")
+            if quantity > 2**63 - 1:
+                raise MalformedRow(line, f"quantity must be at most {2**63 - 1}, got {quantity}")
+            try:
+                value = float(price)
+            except ValueError:
+                raise MalformedRow(line, f"unparseable price {price!r}") from None
+            if not value > 0:
+                raise MalformedRow(line, f"price must be positive, got {value}")
+            if not math.isfinite(value):
+                raise MalformedRow(line, f"price must be finite, got {value}")
+            try:
+                ts = datetime.fromisoformat(ts_txt.strip())
+            except ValueError:
+                raise MalformedRow(line, f"unparseable timestamp {ts_txt!r}") from None
+            investor_id, asset_id = investor_id.strip(), asset_id.strip()
+            if not investor_id or not asset_id:
+                raise MalformedRow(line, "investor_id and asset_id must be non-empty")
+            offset = ts.utcoffset()
+            if first_aware is None:
+                first_aware = offset is not None
+            elif (offset is not None) != first_aware:
+                kind = "timezone-aware" if offset is not None else "naive"
+                raise MalformedRow(line, f"timestamp {ts_txt!r} is {kind}, unlike the first accepted row")
+        except MalformedRow as err:
+            if not lenient:
+                raise
+            rejects.append(err)
+            continue
+        micros = (ts.replace(tzinfo=None) - (offset or timedelta()) - epoch) // micro
+        zone = [] if offset is None else [timezone(offset)]
+        rows.append((table.code(investor_id, asset_id), 1 if side == "B" else -1, quantity, value, micros, zone))
+        if len(rows) == chunk:
+            yield _chunk_of(rows)
+            rows = []
+    if rows:
+        yield _chunk_of(rows)
+
+
+def _chunk_of(rows):
+    pair, side, quantity, price, micros, zones = zip(*rows)
+    return [*map(list, (pair, side, quantity, price, micros)), [zone for row_zones in zones for zone in row_zones]]
+
+
+def _drained(chunks):
+    """Each chunk's columns as lists, and the (line, reason) of the MalformedRow that stopped them, or None."""
+    drained = []
+    try:
+        for chunk in chunks:
+            drained.append([list(column) for column in chunk])
+    except MalformedRow as err:
+        return drained, (err.line, err.reason)
+    return drained, None
+
+
+# Each field's texts: plain valid ones first, for hypothesis to shrink to,
+# then the same padded with whitespace that str.strip() removes, then text
+# that a rule rejects or that only some parsers take.
+_FIELD_TEXTS = {
+    "investor_id": ["I1", "I2", " I1", "I2\t", "\xa0I1　", "", " "],
+    "asset_id": ["A1", "A2", "A1 ", " A2", " A1", "", "\t"],
+    "side": ["B", "S", " B", "S ", "\tS\x1f", "X", "b", ""],
+    "quantity": [
+        "1", "5", " 5", "5 ", " 5", "+5", "1_000", "٥", "0", "-3", "1.5", "", " ",
+        "9223372036854775807", " 9223372036854775808", "0x10", "five",
+    ],
+    "price": ["10", "10.5", " 11 ", "1_0.5", "٥", "inf", "-inf", "nan", "-0.0", "0", "1e309", "ten", ""],
+    "timestamp": [
+        "2015-01-05 09:00:00", "2015-01-05 09:01:00", " 2015-01-05 09:00:00", "2015-01-05 09:01:00\t",
+        "2015-01-05T09:00:00+01:00", "2015-01-05 09:00:00Z", "2015-01-05 08:30:00-00:30", "not-a-time", "",
+        "2015-13-45 25:00:00",
+    ],
+}
+_ROW = st.tuples(*[
+    st.one_of(st.sampled_from(texts[:2]), st.sampled_from(texts)) for texts in _FIELD_TEXTS.values()
+])
+# How much of a row is written: 6 all of it, 7 one surplus field past the
+# header, fewer a short row and 0 a blank line.
+_CUT = st.sampled_from((6, 6, 6, 6, 6, 6, 7, 0, 1, 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(_ROW, _CUT), max_size=25),
+    header=st.permutations(ingest.TRANSACTION_COLUMNS),
+    chunk=st.sampled_from((1, 3, 4096)),
+    lenient=st.booleans(),
+)
+@example(  # padded ids and fields of a pair already in the table
+    rows=[(("I1", "A1", "B", "5", "10", "2015-01-05 09:00:00"), 6),
+          ((" I1", "A1\t", " S", " 5 ", " 11 ", " 2015-01-05 09:00:00"), 6)],
+    header=ingest.TRANSACTION_COLUMNS, chunk=1, lenient=False,
+)
+@example(  # an aware row of a pair the table holds, after a naive one
+    rows=[(("I1", "A1", "B", "5", "10", "2015-01-05 09:00:00"), 6),
+          (("I1", "A1", "S", "5", "11", "2015-01-05T09:00:00+01:00"), 6)],
+    header=ingest.TRANSACTION_COLUMNS, chunk=3, lenient=True,
+)
+def test_parse_chunks_equals_a_row_at_a_time_parse(rows, header, chunk, lenient):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for fields, cut in rows:
+        by_name = dict(zip(ingest.TRANSACTION_COLUMNS, fields))
+        writer.writerow([*(by_name[name] for name in header), "surplus"][:cut])
+    text = buf.getvalue()
+    table, rejects = PairTable(), []
+    with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
+        got = _drained(ingest.parse_chunks(io.StringIO(text), lenient, table, rejects))
+    want_table, want_rejects = PairTable(), []
+    want = _drained(_reference_chunks(text, lenient, want_table, want_rejects, chunk))
+    assert got == want
+    assert table.tables() == want_table.tables() and table.by_investor == want_table.by_investor
+    assert [(r.line, r.reason, str(r)) for r in rejects] == [(r.line, r.reason, str(r)) for r in want_rejects]
 
 
 times = st.integers(0, 10_000).map(lambda m: datetime(2015, 1, 5) + timedelta(minutes=m))
