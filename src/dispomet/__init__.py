@@ -13,17 +13,19 @@ object-at-a-time reference semantics and their brute-force replay oracle
 
 The names below are the library surface the README uses; everything else
 is imported from its module (``dispomet.synth.oracle_replay``, ...).  The
-synth and stats names resolve on first use, so ``import dispomet`` loads
-neither module until a caller asks for one of them.  Every module is
-plain Python, synth's seeded draws included: nothing loads numpy.
+ingest, synth and stats names resolve on first use, so ``import dispomet``
+loads metrics, _kernel and _rows (the row parser) and none of those three
+until a caller asks for one of their names.  Every module is plain Python,
+synth's seeded draws included: nothing loads numpy.
 """
 import importlib
 
-from .ingest import parse_transactions, serialize_transactions
 from .metrics import Framing, Level, Method, aggregate, run_engine
 
 #: Exported names imported from their module on first access.
 _LAZY = {
+    "parse_transactions": "ingest",
+    "serialize_transactions": "ingest",
     "BehaviorProfile": "synth",
     "generate_population": "synth",
     "random_stream": "synth",

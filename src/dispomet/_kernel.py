@@ -28,9 +28,10 @@ import math
 from array import array
 from bisect import insort
 from collections import defaultdict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .ingest import Transaction, TransactionColumns, first_out_of_order, renumbered
+if TYPE_CHECKING:
+    from .ingest import Transaction, TransactionColumns
 
 njit = None  # the benchmark's env line reads this to name the backend
 
@@ -45,6 +46,9 @@ def encode(transactions: Sequence[Transaction]) -> TransactionColumns:
     positive finite number, or, for a list, whose quantity lies outside
     int64 or whose timestamp is naive where event 0's is aware or vice versa.
     """
+    # ingest is loaded here, not with this module: a streamed compute never calls encode.
+    from .ingest import TransactionColumns, first_out_of_order, renumbered
+
     txs = TransactionColumns.of(transactions)
     if txs._in_order:
         return txs

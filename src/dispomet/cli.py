@@ -10,17 +10,17 @@ import csv
 import gc
 import os
 import sys
-from functools import partial
-from itertools import combinations, repeat
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
-from . import ingest, metrics
-from .ingest import (
-    DuplicateAsset, IngestError, Instrument, MalformedRow, SchemaError, TransactionColumns, ZeroLeverage,
-)
-from .metrics import RECORD_CONTEXTS, RECORD_METHODS, Context, DeRecords, Framing, Level, Method
+from . import metrics
+from ._rows import DuplicateAsset, EmptyDataset, IngestError, MalformedRow, SchemaError, ZeroLeverage
+from .metrics import RECORD_CONTEXTS, RECORD_METHODS, DeRecords, Framing, Level, Method
+
+if TYPE_CHECKING:
+    from .ingest import Instrument, TransactionColumns
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,12 +82,20 @@ def _open_input(path: str) -> TextIO:
     return open(path, "r", encoding="utf-8-sig", newline="")
 
 
+# ingest is loaded by the functions that read a whole log or a registry, not
+# with this module: a streamed compute runs on _rows alone.
+
+
 def _load_transactions(path: str, lenient: bool = False) -> tuple[TransactionColumns, list[MalformedRow]]:
+    from . import ingest
+
     with _open_input(path) as fh:
         return ingest.parse_transactions_report(fh, lenient=lenient)
 
 
 def _load_registry(path: str) -> dict[str, Instrument]:
+    from . import ingest
+
     with _open_input(path) as fh:
         return ingest.parse_instruments(fh)
 
@@ -164,11 +172,15 @@ def _log_tallies(args: argparse.Namespace) -> metrics.TallyStore:
             if store is not None:
                 return store
             fh.seek(0)
+        from . import ingest
+
         transactions = ingest.parse_transactions_report(fh, lenient=args.lenient)[0]
     return metrics.run_engine(transactions, **_engine_flags(args))
 
 
 def _print_summary(transactions: TransactionColumns) -> None:
+    from . import ingest
+
     rows = ingest.summarize(transactions).rows()
     width = max(len(label) for label, _ in rows)
     for label, value in rows:
@@ -220,64 +232,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _lev_label(leverage: float) -> str:
-    return f"{ingest.leverage_text(leverage)}x"
-
-
-# Comparison plans are lists of (section title, rows).  A row is a label and
-# the two samples it compares; a sample is (leverage, context, the group label
-# EmptyGroup names when the sample has no defined values).
-
-
-def _by_magnitude(leverages, sign):
-    """The long (``sign`` 1) or the short (-1) leverages, by magnitude."""
-    return sorted([l for l in leverages if l * sign > 0], key=abs)
-
-
-def _volatility_sections(leverages, sign):
-    sections = []
-    for title, context in (("Negative Portfolio", Context.NEGATIVE), ("Positive Portfolio", Context.POSITIVE)):
-        rows = []
-        for lev_a, lev_b in combinations(_by_magnitude(leverages, sign), 2):  # each pair once, in list order
-            sample_a = (lev_a, context, f"{_lev_label(lev_a)} in {title}")
-            sample_b = (lev_b, context, f"{_lev_label(lev_b)} in {title}")
-            rows.append((f"{_lev_label(lev_a)} = {_lev_label(lev_b)}", (sample_a, sample_b)))
-        sections.append((title, rows))
-    return sections
-
-
-def _long_vs_inverse_sections(leverages):
-    magnitudes = sorted({abs(l) for l in leverages if -l in leverages})
-    rows = []
-    for mag in magnitudes:
-        inverse = (-mag, None, _lev_label(-mag))
-        long_side = (mag, None, _lev_label(mag))
-        rows.append((f"{_lev_label(-mag)} = {_lev_label(mag)}", (inverse, long_side)))
-    return [("", rows)]
-
-
-def _context_split_sections(leverages):
-    sections = []
-    for title, sign in (
-        ("Short ETFs tested in Negative vs Positive Portfolio", -1),
-        ("Long ETFs tested in Negative vs Positive Portfolio", 1),
-    ):
-        rows = []
-        for lev in _by_magnitude(leverages, sign):
-            negative = (lev, Context.NEGATIVE, f"{_lev_label(lev)} negative context")
-            positive = (lev, Context.POSITIVE, f"{_lev_label(lev)} positive context")
-            rows.append((f"{_lev_label(lev)} = {_lev_label(lev)}", (negative, positive)))
-        if rows:
-            sections.append((title, rows))
-    return sections
-
-
-#: Each --spec's framing, row header and plan, which it builds from the registry's sorted leverages.
+#: Each --spec's framing, row header and plan: the stats function that builds its sections from the registry's
+#: sorted leverages, named here so that the parser's choices load no stats.
 _COMPARE_SPECS = {
-    "volatility-long": (Framing.INTEGRATED, "Long ETF", partial(_volatility_sections, sign=1)),
-    "volatility-short": (Framing.INTEGRATED, "Short ETF", partial(_volatility_sections, sign=-1)),
-    "long-vs-inverse": (Framing.NARROW, "ETF", _long_vs_inverse_sections),
-    "context-split": (Framing.INTEGRATED, "", _context_split_sections),
+    "volatility-long": (Framing.INTEGRATED, "Long ETF", "volatility_long_sections"),
+    "volatility-short": (Framing.INTEGRATED, "Short ETF", "volatility_short_sections"),
+    "long-vs-inverse": (Framing.NARROW, "ETF", "long_vs_inverse_sections"),
+    "context-split": (Framing.INTEGRATED, "", "context_split_sections"),
 }
 
 
@@ -286,7 +247,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     transactions = _load_transactions(args.transactions, lenient=args.lenient)[0]
     registry = _load_registry(args.registry)
-    framing, row_header, plan_of = _COMPARE_SPECS[args.spec]
+    framing, row_header, plan = _COMPARE_SPECS[args.spec]
     store = metrics.run_engine(transactions, **_engine_flags(args))
     del transactions
     methods = args.methods
@@ -300,7 +261,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             defined_values.setdefault((method, asset_leverage[asset], ctx), []).append(de)
 
     sections = []
-    for title, rows in plan_of(sorted({inst.leverage for inst in registry.values()})):
+    for title, rows in getattr(stats, plan)(sorted({inst.leverage for inst in registry.values()})):
         tested = []
         for label, samples in rows:
             results = []
@@ -328,7 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from . import synth
+    from . import ingest, synth
 
     try:
         leverages = tuple(float(l) for l in args.leverages.split(","))
@@ -356,7 +317,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     transactions = _load_transactions(args.transactions, lenient=args.lenient)[0]
     if not transactions:
-        raise ingest.EmptyDataset("no transactions")
+        raise EmptyDataset("no transactions")
     print("Descriptive Summary of Investors")
     _print_summary(transactions)
     print()

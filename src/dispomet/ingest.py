@@ -17,7 +17,8 @@ the UTC instant in a timezone-aware one, which also keeps a ``tz`` column
 of each row's fixed-offset zone.  The parser converts each timestamp once,
 as it reads the row, and sorts, checks order and measures spans on those
 integers.  A Transaction, its ids and its ``datetime`` are built only when
-read.  The row loop, parse_chunks, yields chunks of columns:
+read.  The row loop, parse_chunks, lives in _rows with the error classes
+and PairTable, and is re-exported here.  It yields chunks of columns:
 parse_transactions_report collects them, and ``compute`` holds one chunk
 of the rows of a log in time order at a time.  No row-scale step holds a
 whole column as Python objects: the order check compares each row with the
@@ -36,58 +37,21 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import re
 from array import array
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import compress, count, islice, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-TRANSACTION_COLUMNS = ("investor_id", "asset_id", "side", "quantity", "price", "timestamp")
+from . import _rows
+# The row parser, re-exported: its errors, columns, pair table and parse_chunks are ingest's names too.
+from ._rows import (
+    INT64_MAX, TRANSACTION_COLUMNS, DuplicateAsset, EmptyDataset, IngestError, MalformedRow, PairTable, SchemaError,
+    ZeroLeverage, _EPOCH, _check_header, _instant, _new_columns, _unreadable, parse_chunks,
+)
+
 REGISTRY_COLUMNS = ("asset_id", "underlying_id", "leverage")
-
-
-class IngestError(Exception):
-    """Base class for ingest failures."""
-
-
-class SchemaError(IngestError):
-    """A required column is missing from the header row."""
-
-
-class MalformedRow(IngestError):
-    """A data row could not be parsed into a valid record.
-
-    A lenient parse keeps one per rejected row, so it holds its two fields
-    in slots and formats its message only when it is printed.
-    """
-
-    __slots__ = ("line", "reason")
-
-    def __init__(self, line: int, reason: str) -> None:
-        self.line = line
-        self.reason = reason
-
-    def __str__(self) -> str:
-        return f"line {self.line}: {self.reason}"
-
-
-class DuplicateAsset(IngestError):
-    def __init__(self, asset_id: str) -> None:
-        self.asset_id = asset_id
-        super().__init__(f"duplicate asset_id {asset_id!r} in registry")
-
-
-class ZeroLeverage(IngestError):
-    def __init__(self, asset_id: str) -> None:
-        self.asset_id = asset_id
-        super().__init__(f"asset_id {asset_id!r} has leverage 0")
-
-
-class EmptyDataset(IngestError):
-    """Summary statistics require at least one transaction."""
 
 
 class Side(str, Enum):
@@ -110,33 +74,7 @@ class Transaction(NamedTuple):
 _SIDE_OF_SIGN = {1: Side.BUY, -1: Side.SELL}
 _SIDE_TEXT = {sign: side.value for sign, side in _SIDE_OF_SIGN.items()}
 
-INT64_MAX = 2**63 - 1  # the largest quantity: the int64 range of exported trade logs
-
-_EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
-# Rows per chunk of parse_chunks, and keys per sorted() call of _stable_order,
-# which holds its keys as Python objects: this bounds what the sort of a log
-# out of time order adds to a parse however long the log.
-_ORDER_CHUNK = 1 << 12
-
-
-def _instant(ts: datetime) -> tuple[int, timezone | None]:
-    """``ts`` as (microseconds since 1970-01-01, zone).
-
-    A naive ``ts`` counts its wall time and has no zone.  An aware one
-    counts its UTC instant, and its zone is a fixed-offset ``timezone``: its
-    own tzinfo when that is one, else the offset it gave.
-    """
-    offset = ts.utcoffset()
-    if offset is None:
-        span, tz = ts - _EPOCH, None
-    else:
-        # The offset is taken from the timedelta, not from the datetime,
-        # whose UTC instant can fall outside years 1-9999.
-        span = ts.replace(tzinfo=None) - _EPOCH - offset
-        tz = ts.tzinfo if type(ts.tzinfo) is timezone else timezone(offset)
-    # span // _MICROSECOND, without its slower timedelta division
-    return (span.days * 86_400 + span.seconds) * 1_000_000 + span.microseconds, tz
 
 
 def _datetime(micros: int, tz: timezone | None) -> datetime:
@@ -161,58 +99,6 @@ def first_out_of_order(timestamp: array, seq: range | array) -> int | None:
     else:
         descents = map(operator.gt, zip(timestamp, seq), zip(later, islice(seq, 1, None)))
     return next(compress(count(1), descents), None)
-
-
-class PairTable:
-    """The (investor_id, asset_id) pairs of a log, each interned once and numbered in order of first appearance.
-
-    ``by_investor`` maps each investor_id, in order of first appearance, to
-    its {asset_id: pair code}; an asset_id key is the one str of
-    ``asset_ids`` for it.  Pair p's investor code, its investor's index in
-    ``by_investor``, is ``pair_investor[p]``, and its asset code, the index
-    in ``asset_ids`` of its asset_id by first appearance, ``pair_asset[p]``.
-    tables() gives them as TransactionColumns holds them.
-    """
-
-    __slots__ = ("by_investor", "pair_investor", "pair_asset", "asset_ids", "_asset_code")
-
-    def __init__(self) -> None:
-        self.by_investor: dict[str, dict[str, int]] = {}
-        self.pair_investor, self.pair_asset = array("i"), array("i")
-        self.asset_ids: list[str] = []
-        self._asset_code: dict[str, int] = {}
-
-    def code(self, investor_id: str, asset_id: str) -> int:
-        """The pair's code, the next one if the pair is new."""
-        assets = self.by_investor.get(investor_id)
-        if assets is None:
-            assets = self.by_investor[investor_id] = {}
-            investor = len(self.by_investor) - 1
-        else:
-            code = assets.get(asset_id)
-            if code is not None:
-                return code
-            investor = self.pair_investor[next(iter(assets.values()))]  # that of the investor's first pair
-        asset = self._asset_code.setdefault(asset_id, len(self.asset_ids))
-        if asset == len(self.asset_ids):
-            self.asset_ids.append(asset_id)
-        code = assets[self.asset_ids[asset]] = len(self.pair_investor)
-        self.pair_investor.append(investor)
-        self.pair_asset.append(asset)
-        return code
-
-    def tables(self) -> tuple[array, array, list[str], list[str]]:
-        """(pair_investor, pair_asset, investors, assets): investors by first appearance, assets by asset_id."""
-        assets = sorted(self.asset_ids)
-        rank = array("i", [0]) * len(assets)  # each asset code's index in asset_id order
-        for code, asset_id in enumerate(assets):
-            rank[self._asset_code[asset_id]] = code
-        return self.pair_investor, array("i", map(rank.__getitem__, self.pair_asset)), list(self.by_investor), assets
-
-
-def _new_columns() -> list[array]:
-    """Empty pair, side, quantity, price and timestamp columns, of the types TransactionColumns holds."""
-    return [array(typecode) for typecode in "ibqdq"]
 
 
 class TransactionColumns(Sequence[Transaction]):
@@ -357,30 +243,6 @@ class DatasetSummary(NamedTuple):
         ]
 
 
-def _check_header(fieldnames: Iterable[str] | None, required: tuple[str, ...]) -> None:
-    seen = set(fieldnames or ())
-    missing = [c for c in required if c not in seen]
-    if missing:
-        raise SchemaError(f"missing column(s): {', '.join(missing)}")
-
-
-_SIDES = {"B": 1, "S": -1}
-
-
-def _unreadable(reader, err: UnicodeDecodeError | csv.Error) -> MalformedRow:
-    """The MalformedRow for input the csv reader could not take.
-
-    A csv.Error belongs to the line the reader last took.  A text stream
-    decodes ahead of the reader in chunks that start inside the line being
-    read, so an undecodable byte lies on that line plus the line breaks
-    that precede it in its chunk.
-    """
-    if isinstance(err, csv.Error):
-        return MalformedRow(reader.line_num, str(err))
-    line = reader.line_num + 1 + len(re.findall(rb"\r\n|\r|\n", err.object[: err.start]))
-    return MalformedRow(line, f"not UTF-8 text: byte {err.object[err.start]:#04x} cannot be decoded")
-
-
 def parse_transactions(stream: TextIO, lenient: bool = False) -> TransactionColumns:
     """Parse a transaction log into a chronologically ordered TransactionColumns.
 
@@ -403,7 +265,7 @@ def _stable_order(timestamp: array) -> array:
 
     key = timestamp.__getitem__
     n = len(timestamp)
-    chunks = (range(start, min(start + _ORDER_CHUNK, n)) for start in range(0, n, _ORDER_CHUNK))
+    chunks = (range(start, min(start + _rows._ORDER_CHUNK, n)) for start in range(0, n, _rows._ORDER_CHUNK))
     runs = [array("i", sorted(chunk, key=key)) for chunk in chunks]
     return array("i", heapq.merge(*runs, key=key))
 
@@ -421,8 +283,8 @@ def _take_each(columns: list, order: Sequence[int]) -> None:
             columns[i] = None if column is None else list(map(column.__getitem__, order))
             continue
         taken = array(column.typecode, [0]) * len(order)
-        for start in range(0, len(order), _ORDER_CHUNK):
-            chunk = slice(start, start + _ORDER_CHUNK)
+        for start in range(0, len(order), _rows._ORDER_CHUNK):
+            chunk = slice(start, start + _rows._ORDER_CHUNK)
             taken[chunk] = array(column.typecode, map(column.__getitem__, order[chunk]))
         columns[i] = taken
 
@@ -434,127 +296,6 @@ def renumbered(txs: TransactionColumns) -> TransactionColumns:
         new[old] = pairs.code(txs.investors[txs.pair_investor[old]], txs.assets[txs.pair_asset[old]])
     pair = array("i", map(new.__getitem__, txs.pair))
     return TransactionColumns(pairs.tables(), pair, *txs._numbers(), tz=txs.tz)
-
-
-def parse_chunks(
-    stream: TextIO, lenient: bool, pairs: PairTable, rejects: list[MalformedRow] | None
-) -> Iterator[tuple[array, array, array, array, array, list[timezone]]]:
-    """The accepted rows of a transaction log, in input order, as chunks of _ORDER_CHUNK rows or fewer.
-
-    A chunk is the columns (pair, side, quantity, price, timestamp, tz) of
-    TransactionColumns, ``tz`` empty in a naive log; no chunk is empty.
-    Across chunks, ``pairs`` gains each (investor_id, asset_id) pair as it
-    first appears, and ``rejects``, unless it is None, each rejected row's
-    MalformedRow.  Once the last chunk is taken, one warning gives the
-    reject count and the first reject, the only ones kept when ``rejects``
-    is None.  The rules for rows are parse_transactions_report's.
-
-    ``pairs`` must hold only stripped, non-empty ids, as a fresh PairTable
-    does: a row whose ids it holds as read takes their pair code unstripped.
-    """
-    reader = csv.reader(stream)
-    by_investor, code = pairs.by_investor, pairs.code
-    zones: dict[timezone, timezone] = {}  # one object per distinct offset
-    # The last timestamp field converted and its conversion: aware is None
-    # if the text did not parse, else whether it carries an offset.
-    last_text = micros = zone = aware = None
-    first_aware: bool | None = None
-    n_rejected, first_reject = 0, None
-    inf = math.inf
-    try:
-        header = next(reader, None)
-        _check_header(header, TRANSACTION_COLUMNS)
-        position = {name: i for i, name in enumerate(header)}
-        fields = itemgetter(*[position[c] for c in TRANSACTION_COLUMNS])
-        chunk = pair, sides, quantities, prices, timestamps, tzs = (*_new_columns(), [])
-        for row in reader:
-            try:
-                try:
-                    investor_id, asset_id, side_txt, qty_txt, price_txt, ts_txt = fields(row)
-                except IndexError:  # the row stops before a required column
-                    if not row:
-                        continue  # a blank line
-                    raise MalformedRow(reader.line_num, "wrong number of fields") from None
-                side = _SIDES.get(side_txt)
-                if side is None:
-                    side = _SIDES.get(side_txt.strip())
-                    if side is None:
-                        raise MalformedRow(reader.line_num, f"side must be B or S, got {side_txt.strip()!r}")
-                # int() and float() skip the same whitespace as str.strip().
-                try:
-                    quantity = int(qty_txt)
-                except ValueError:
-                    raise MalformedRow(
-                        reader.line_num, f"quantity must be a whole number of units, got {qty_txt.strip()!r}"
-                    ) from None
-                if not 0 < quantity <= INT64_MAX:
-                    bound = "positive" if quantity <= 0 else f"at most {INT64_MAX}"
-                    raise MalformedRow(reader.line_num, f"quantity must be {bound}, got {quantity}")
-                try:
-                    price = float(price_txt)
-                except ValueError:
-                    raise MalformedRow(reader.line_num, f"unparseable price {price_txt!r}") from None
-                if not 0.0 < price < inf:  # NaN fails too
-                    bound = "finite" if price > 0 else "positive"
-                    raise MalformedRow(reader.line_num, f"price must be {bound}, got {price}")
-                # Logs repeat a timestamp over consecutive rows: convert it
-                # once per run of equal text.
-                if ts_txt != last_text:
-                    last_text = ts_txt
-                    try:
-                        ts = datetime.fromisoformat(ts_txt.strip())
-                    except ValueError:
-                        aware = None
-                    else:
-                        micros, zone = _instant(ts)
-                        aware = zone is not None
-                        zone = zones.setdefault(zone, zone)
-                if aware is None:
-                    raise MalformedRow(reader.line_num, f"unparseable timestamp {ts_txt!r}")
-                # by_investor holds stripped, non-empty ids only: ids found
-                # as read need neither stripping nor checking.
-                try:
-                    p = by_investor[investor_id][asset_id]
-                except KeyError:
-                    p = None
-                    investor_id, asset_id = investor_id.strip(), asset_id.strip()
-                    if not investor_id or not asset_id:
-                        raise MalformedRow(reader.line_num, "investor_id and asset_id must be non-empty") from None
-                if aware is not first_aware:
-                    if first_aware is not None:
-                        kind = "timezone-aware" if aware else "naive"
-                        raise MalformedRow(
-                            reader.line_num, f"timestamp {ts_txt!r} is {kind}, unlike the first accepted row"
-                        )
-                    first_aware = aware
-            except MalformedRow as err:
-                if not lenient:
-                    raise
-                err.__context__ = err.__traceback__ = None  # a kept reject holds no error it was raised from, no frames
-                n_rejected += 1
-                first_reject = first_reject or err
-                if rejects is not None:
-                    rejects.append(err)
-                continue
-            pair.append(code(investor_id, asset_id) if p is None else p)
-            sides.append(side)
-            quantities.append(quantity)
-            prices.append(price)
-            timestamps.append(micros)
-            if aware:
-                tzs.append(zone)
-            if len(pair) == _ORDER_CHUNK:
-                yield chunk
-                chunk = pair, sides, quantities, prices, timestamps, tzs = (*_new_columns(), [])
-    except (UnicodeDecodeError, csv.Error) as err:
-        raise _unreadable(reader, err) from None
-    if pair:
-        yield chunk
-    if n_rejected:
-        import logging  # loaded only by a parse that has rejects to report
-
-        log = logging.getLogger(__name__)
-        log.warning("skipped %d malformed row(s), the first at %s", n_rejected, first_reject)
 
 
 def parse_transactions_report(

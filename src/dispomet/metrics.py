@@ -44,10 +44,12 @@ import struct
 from array import array
 from enum import Enum
 from itertools import accumulate, compress, filterfalse, islice
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
-from . import _kernel, ingest
-from .ingest import Transaction
+from . import _kernel, _rows
+
+if TYPE_CHECKING:
+    from .ingest import Transaction
 
 
 class Method(Enum):
@@ -264,17 +266,17 @@ def run_engine(
 def run_engine_on_log(
     stream: TextIO, *, lenient: bool = False, sells_only: bool = False, include_traded: bool = False
 ) -> TallyStore | None:
-    """run_engine of parse_transactions(stream, lenient), fed a chunk of ingest.parse_chunks at a time.
+    """run_engine of parse_transactions(stream, lenient), fed a chunk of _rows.parse_chunks at a time.
 
     Each chunk is dropped once the kernel has read it.  Returns None at the
     first row out of (timestamp, seq) order: that log must be parsed whole
     and sorted.  No reject is kept: the parse's warning, which counts them
     and names the first, is logged only if the log is read to its end.
     """
-    table = ingest.PairTable()
+    table = _rows.PairTable()
     acc = _kernel.Accrual(sells_only, include_traded)
     last = -math.inf
-    for pairs, sides, quantities, prices, timestamps, tz in ingest.parse_chunks(stream, lenient, table, None):
+    for pairs, sides, quantities, prices, timestamps, tz in _rows.parse_chunks(stream, lenient, table, None):
         # seq is the input position, so only a lower timestamp is out of order
         if timestamps[0] < last or not all(map(operator.le, timestamps, islice(timestamps, 1, None))):
             return None

@@ -4,15 +4,20 @@ The Mann-Whitney U test is computed exactly (full enumeration of the null
 rank distribution) for small tie-free samples, and with the normal
 approximation including tie and continuity corrections otherwise.  Reported
 median differences follow the first-minus-second sign convention, with
-significance stars *** p<0.01, ** p<0.05, * p<0.1.
+significance stars *** p<0.01, ** p<0.05, * p<0.1.  The plans of
+``compare``'s tables, the ``*_sections`` functions, build each table's
+sections from the registry's leverages; cli names the one each --spec runs.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import partial
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .ingest import median
+from .ingest import leverage_text, median
+from .metrics import Context
 
 STAR_LEGEND = "* p<0.1, ** p<0.05, *** p<0.01"
 
@@ -183,3 +188,59 @@ def render_table(
         lines.append("")
     lines.append(STAR_LEGEND)
     return "\n".join(lines)
+
+
+def _lev_label(leverage: float) -> str:
+    return f"{leverage_text(leverage)}x"
+
+
+# Comparison plans are lists of (section title, rows).  A row is a label and
+# the two samples it compares; a sample is (leverage, context, the group label
+# EmptyGroup names when the sample has no defined values).
+
+
+def _by_magnitude(leverages, sign):
+    """The long (``sign`` 1) or the short (-1) leverages, by magnitude."""
+    return sorted([l for l in leverages if l * sign > 0], key=abs)
+
+
+def _volatility_sections(leverages, sign):
+    sections = []
+    for title, context in (("Negative Portfolio", Context.NEGATIVE), ("Positive Portfolio", Context.POSITIVE)):
+        rows = []
+        for lev_a, lev_b in combinations(_by_magnitude(leverages, sign), 2):  # each pair once, in list order
+            sample_a = (lev_a, context, f"{_lev_label(lev_a)} in {title}")
+            sample_b = (lev_b, context, f"{_lev_label(lev_b)} in {title}")
+            rows.append((f"{_lev_label(lev_a)} = {_lev_label(lev_b)}", (sample_a, sample_b)))
+        sections.append((title, rows))
+    return sections
+
+
+volatility_long_sections = partial(_volatility_sections, sign=1)
+volatility_short_sections = partial(_volatility_sections, sign=-1)
+
+
+def long_vs_inverse_sections(leverages):
+    magnitudes = sorted({abs(l) for l in leverages if -l in leverages})
+    rows = []
+    for mag in magnitudes:
+        inverse = (-mag, None, _lev_label(-mag))
+        long_side = (mag, None, _lev_label(mag))
+        rows.append((f"{_lev_label(-mag)} = {_lev_label(mag)}", (inverse, long_side)))
+    return [("", rows)]
+
+
+def context_split_sections(leverages):
+    sections = []
+    for title, sign in (
+        ("Short ETFs tested in Negative vs Positive Portfolio", -1),
+        ("Long ETFs tested in Negative vs Positive Portfolio", 1),
+    ):
+        rows = []
+        for lev in _by_magnitude(leverages, sign):
+            negative = (lev, Context.NEGATIVE, f"{_lev_label(lev)} negative context")
+            positive = (lev, Context.POSITIVE, f"{_lev_label(lev)} positive context")
+            rows.append((f"{_lev_label(lev)} = {_lev_label(lev)}", (negative, positive)))
+        if rows:
+            sections.append((title, rows))
+    return sections

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dispomet
-from dispomet import _kernel, cli, ingest, metrics, stats
+from dispomet import _kernel, _rows, cli, ingest, metrics, stats
 from dispomet.cli import (
     EXIT_EMPTY_GROUP,
     EXIT_ERROR,
@@ -213,7 +213,7 @@ def test_compare_labels_tell_near_leverages_apart(tmp_path, capsys):
     assert [line.split(",")[2] for line in (data / "instruments.csv").read_text().splitlines()[1:]] == [
         "2.1234567", "2.1234568", "2.1234567", "2.1234568",
     ]
-    assert [cli._lev_label(leverage) for leverage in (2.0, -7.0, 0.5, 1e-07)] == ["2x", "-7x", "0.5x", "1e-07x"]
+    assert [stats._lev_label(leverage) for leverage in (2.0, -7.0, 0.5, 1e-07)] == ["2x", "-7x", "0.5x", "1e-07x"]
 
 
 @pytest.mark.parametrize("method", [None, "count", "value", "total,value"])
@@ -471,7 +471,7 @@ def test_a_bad_row_after_streamed_chunks_stops_compute_as_the_whole_parse_does(l
     path.write_text(text)
     with pytest.raises(MalformedRow) as whole:
         ingest.parse_transactions_report(io.StringIO(text))
-    monkeypatch.setattr(ingest, "_ORDER_CHUNK", 4)  # eight chunks stream before the bad row
+    monkeypatch.setattr(_rows, "_ORDER_CHUNK", 4)  # eight chunks stream before the bad row
     argv = ["compute", "--transactions", str(path), "--out", str(tmp_path / "out"), "--framing", "all"]
     assert main(argv) == EXIT_MALFORMED
     assert capsys.readouterr().err == f"dispomet: error: MalformedRow: {whole.value}\n"
@@ -485,7 +485,7 @@ def test_a_lenient_compute_that_falls_back_warns_once(tmp_path, monkeypatch, cap
     sorted_path = tmp_path / "sorted.csv"
     header, *rows = text.splitlines(keepends=True)
     sorted_path.write_text(header + rows[-1] + "".join(rows[:-1]))
-    monkeypatch.setattr(ingest, "_ORDER_CHUNK", 4)
+    monkeypatch.setattr(_rows, "_ORDER_CHUNK", 4)
     for log in (path, sorted_path):
         caplog.clear()
         argv = ["compute", "--transactions", str(log), "--out", str(tmp_path / log.stem), "--framing", "all",

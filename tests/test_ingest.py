@@ -318,7 +318,7 @@ def test_parse_chunks_equals_a_row_at_a_time_parse(rows, header, chunk, lenient)
         writer.writerow([*(by_name[name] for name in header), "surplus"][:cut])
     text = buf.getvalue()
     table, rejects = PairTable(), []
-    with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
+    with mock.patch("dispomet._rows._ORDER_CHUNK", chunk):
         got = _drained(ingest.parse_chunks(io.StringIO(text), lenient, table, rejects))
     want_table, want_rejects = PairTable(), []
     want = _drained(_reference_chunks(text, lenient, want_table, want_rejects, chunk))
@@ -712,7 +712,7 @@ def test_every_pair_table_equals_the_naive_tables(ids, chunk, seed):
     ]
     header, *rows = _text(txs).splitlines(keepends=True)
     random.Random(seed).shuffle(rows)
-    with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
+    with mock.patch("dispomet._rows._ORDER_CHUNK", chunk):
         table = PairTable()
         chunks = list(ingest.parse_chunks(io.StringIO(_text(txs)), False, table, []))
         store = run_engine_on_log(io.StringIO(_text(txs)))
@@ -964,7 +964,7 @@ def test_equal_timestamps_across_sort_chunks_keep_input_order(aware):
     # Runs of equal instants, written out of time order, straddle the
     # parser's sort chunks; an aware log writes each instant in one of
     # several offsets.  The reference is one stable sorted() over all rows.
-    from dispomet.ingest import _ORDER_CHUNK
+    from dispomet._rows import _ORDER_CHUNK
 
     rng = random.Random(11)
     run, n = 700, 3 * _ORDER_CHUNK + 500
@@ -1029,7 +1029,7 @@ def test_columns_of_a_list_keep_any_tzinfo_as_its_fixed_offset():
 
 @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "out-of-order"])
 def test_a_parsed_log_is_order_checked_once(shuffled, monkeypatch):
-    from dispomet import _kernel, ingest
+    from dispomet import ingest
 
     rows = [f"I{i % 3},A{i % 2},{'BS'[i % 2]},1,10.0,2015-01-05 09:{i:02d}:00\n" for i in range(8)]
     calls = []
@@ -1039,8 +1039,7 @@ def test_a_parsed_log_is_order_checked_once(shuffled, monkeypatch):
         calls.append(len(timestamp))
         return check(timestamp, seq)
 
-    monkeypatch.setattr(ingest, "first_out_of_order", counted)
-    monkeypatch.setattr(_kernel, "first_out_of_order", counted)
+    monkeypatch.setattr(ingest, "first_out_of_order", counted)  # encode imports it from ingest when called
     txs = parse(HEADER + "".join(rows[::-1] if shuffled else rows))
     assert calls == [8]  # the parser's, which sorts a log out of order
     store = run_engine(txs)

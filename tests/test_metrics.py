@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dispomet import ingest
+from dispomet import _rows, ingest
 from dispomet.ingest import INT64_MAX, Side, Transaction, TransactionColumns
 from dispomet.metrics import (
     Context,
@@ -774,7 +774,7 @@ def _fed_in_chunks(txs, chunk, **flags):
     text = io.StringIO()
     ingest.serialize_transactions(txs, text)
     text.seek(0)
-    with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
+    with mock.patch.object(_rows, "_ORDER_CHUNK", chunk):
         return run_engine_on_log(text, **flags)
 
 
@@ -922,7 +922,7 @@ def test_encode_checks_name_the_first_rejected_event(events, seq_is_range, chunk
         (columns.pair_investor, columns.pair_asset, columns.investors, columns.assets), columns.pair,
         columns.side, columns.quantity, columns.price, columns.timestamp, range(len(listed)) if seq_is_range else columns.seq,
     )
-    with mock.patch.object(ingest, "_ORDER_CHUNK", chunk):
+    with mock.patch.object(_rows, "_ORDER_CHUNK", chunk):
         for txs in (listed, built):
             message = _first_rejected(list(txs))
             if message is None:
