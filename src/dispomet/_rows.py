@@ -168,11 +168,15 @@ def _unreadable(reader, err: UnicodeDecodeError | csv.Error) -> MalformedRow:
 
 def parse_chunks(
     stream: TextIO, lenient: bool, pairs: PairTable, rejects: list[MalformedRow] | None
-) -> Iterator[tuple[array, array, array, array, array, list[timezone]]]:
+) -> Iterator[tuple[tuple[array, array, array, array, array, list[timezone]], bool]]:
     """The accepted rows of a transaction log, in input order, as chunks of _ORDER_CHUNK rows or fewer.
 
     A chunk is the columns (pair, side, quantity, price, timestamp, tz) of
     TransactionColumns, ``tz`` empty in a naive log; no chunk is empty.
+    Each comes with whether every row accepted so far, its own included, is
+    in time order: no timestamp lower than the accepted row's before it, an
+    equal one being in order by its later input position.  A rejected row
+    is not compared.
     Across chunks, ``pairs`` gains each (investor_id, asset_id) pair as it
     first appears, and ``rejects``, unless it is None, each rejected row's
     MalformedRow.  Once the last chunk is taken, one warning gives the
@@ -191,6 +195,7 @@ def parse_chunks(
     first_aware: bool | None = None
     n_rejected, first_reject = 0, None
     inf = math.inf
+    last_micros, in_order = -inf, True  # the last accepted row's timestamp, and the order so far
     try:
         header = next(reader, None)
         _check_header(header, TRANSACTION_COLUMNS)
@@ -273,13 +278,18 @@ def parse_chunks(
             timestamps.append(micros)
             if aware:
                 tzs.append(zone)
+            # Runs of equal timestamps are in order: compare only where the timestamp changes.
+            if micros != last_micros:
+                if micros < last_micros:
+                    in_order = False
+                last_micros = micros
             if len(pair) == _ORDER_CHUNK:
-                yield chunk
+                yield chunk, in_order
                 chunk = pair, sides, quantities, prices, timestamps, tzs = (*_new_columns(), [])
     except (UnicodeDecodeError, csv.Error) as err:
         raise _unreadable(reader, err) from None
     if pair:
-        yield chunk
+        yield chunk, in_order
     if n_rejected:
         import logging  # loaded only by a parse that has rejects to report
 

@@ -21,10 +21,11 @@ read.  The row loop, parse_chunks, lives in _rows with the error classes
 and PairTable, and is re-exported here.  It yields chunks of columns:
 parse_transactions_report collects them, and ``compute`` holds one chunk
 of the rows of a log in time order at a time.  No row-scale step holds a
-whole column as Python objects: the order check compares each row with the
-one before it, the sort of a log out of time order boxes one chunk of keys
-at a time, and a column is reordered straight into a new column, its source
-released as soon as it is taken.
+whole column as Python objects: parse_chunks checks the order as it reads,
+comparing each accepted row's timestamp with the one before it, the sort
+of a log out of time order boxes one chunk of keys at a time, and a column
+is reordered straight into a new column, its source released as soon as it
+is taken.
 TransactionColumns.of builds the same columns from a list of Transactions,
 so the engine, summarize and serialize_transactions read one layout
 whichever the source; the synth generators build it directly.  Every one
@@ -319,14 +320,15 @@ def parse_transactions_report(
     pairs = PairTable()
     rejects: list[MalformedRow] = []
     columns = [*_new_columns(), []]
-    for chunk in parse_chunks(stream, lenient, pairs, rejects):
+    in_order = True  # as a log without rows is
+    for chunk, in_order in parse_chunks(stream, lenient, pairs, rejects):
         for column, part in zip(columns, chunk):
             column += part
     pair, sides, quantities, prices, timestamps, tzs = columns
     seq, tables = range(len(timestamps)), pairs.tables()
-    del pairs  # and its dicts, before the order check
+    del pairs  # and its dicts, before the sort
     columns[-1] = tzs or None  # an aware log has a zone per row, a naive one none
-    if first_out_of_order(timestamps, seq) is not None:
+    if not in_order:  # as the last chunk reports for every row
         seq = _stable_order(timestamps)  # stable: the input position breaks ties
         del pair, sides, quantities, prices, timestamps, tzs  # columns holds the last references
         _take_each(columns, seq)

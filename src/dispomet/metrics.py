@@ -43,7 +43,7 @@ import operator
 import struct
 from array import array
 from enum import Enum
-from itertools import accumulate, compress, filterfalse, islice
+from itertools import accumulate, compress, filterfalse
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from . import _kernel, _rows
@@ -269,18 +269,17 @@ def run_engine_on_log(
     """run_engine of parse_transactions(stream, lenient), fed a chunk of _rows.parse_chunks at a time.
 
     Each chunk is dropped once the kernel has read it.  Returns None at the
-    first row out of (timestamp, seq) order: that log must be parsed whole
-    and sorted.  No reject is kept: the parse's warning, which counts them
-    and names the first, is logged only if the log is read to its end.
+    first chunk the parse reports out of (timestamp, seq) order: that log
+    must be parsed whole and sorted.  No reject is kept: the parse's
+    warning, which counts them and names the first, is logged only if the
+    log is read to its end.
     """
     table = _rows.PairTable()
     acc = _kernel.Accrual(sells_only, include_traded)
-    last = -math.inf
-    for pairs, sides, quantities, prices, timestamps, tz in _rows.parse_chunks(stream, lenient, table, None):
-        # seq is the input position, so only a lower timestamp is out of order
-        if timestamps[0] < last or not all(map(operator.le, timestamps, islice(timestamps, 1, None))):
+    chunks = _rows.parse_chunks(stream, lenient, table, None)
+    for (pairs, sides, quantities, prices, timestamps, tz), in_order in chunks:
+        if not in_order:
             return None
-        last = timestamps[-1]
         acc.add_pairs(table.pair_investor, table.pair_asset, table.asset_ids)  # the pairs that first appear here
         _kernel.stream(acc, pairs, sides, quantities, prices)
         del pairs, sides, quantities, prices, timestamps, tz  # before the next chunk is parsed

@@ -188,12 +188,15 @@ def test_blank_lines_are_skipped_and_line_numbers_count_them():
 
 
 def _reference_chunks(text, lenient, table, rejects, chunk):
-    """parse_chunks as a row-at-a-time parse gives it: each field stripped before it is read, rules in order."""
+    """parse_chunks as a row-at-a-time parse gives it: each field stripped before it is read, rules in order.
+
+    Each chunk comes with whether the timestamps of every row accepted so far never fall.
+    """
     epoch, micro = datetime(1970, 1, 1), timedelta(microseconds=1)
     reader = csv.reader(io.StringIO(text))
     position = {name: i for i, name in enumerate(next(reader))}
     columns = [position[c] for c in ingest.TRANSACTION_COLUMNS]
-    rows, first_aware = [], None
+    rows, first_aware, accepted = [], None, []
     for row in reader:
         if not row:
             continue
@@ -243,11 +246,12 @@ def _reference_chunks(text, lenient, table, rejects, chunk):
         micros = (ts.replace(tzinfo=None) - (offset or timedelta()) - epoch) // micro
         zone = [] if offset is None else [timezone(offset)]
         rows.append((table.code(investor_id, asset_id), 1 if side == "B" else -1, quantity, value, micros, zone))
+        accepted.append(micros)
         if len(rows) == chunk:
-            yield _chunk_of(rows)
+            yield _chunk_of(rows), all(map(operator.le, accepted, accepted[1:]))
             rows = []
     if rows:
-        yield _chunk_of(rows)
+        yield _chunk_of(rows), all(map(operator.le, accepted, accepted[1:]))
 
 
 def _chunk_of(rows):
@@ -256,11 +260,11 @@ def _chunk_of(rows):
 
 
 def _drained(chunks):
-    """Each chunk's columns as lists, and the (line, reason) of the MalformedRow that stopped them, or None."""
+    """(columns as lists, order flag) per chunk, and the (line, reason) of the MalformedRow that stopped them, or None."""
     drained = []
     try:
-        for chunk in chunks:
-            drained.append([list(column) for column in chunk])
+        for chunk, in_order in chunks:
+            drained.append(([list(column) for column in chunk], in_order))
     except MalformedRow as err:
         return drained, (err.line, err.reason)
     return drained, None
@@ -714,7 +718,7 @@ def test_every_pair_table_equals_the_naive_tables(ids, chunk, seed):
     random.Random(seed).shuffle(rows)
     with mock.patch("dispomet._rows._ORDER_CHUNK", chunk):
         table = PairTable()
-        chunks = list(ingest.parse_chunks(io.StringIO(_text(txs)), False, table, []))
+        chunks = [chunk for chunk, _ in ingest.parse_chunks(io.StringIO(_text(txs)), False, table, [])]
         store = run_engine_on_log(io.StringIO(_text(txs)))
         parsed, resorted = parse(_text(txs)), parse(header + "".join(rows))
     assert all(0 < len(part[0]) <= chunk for part in chunks)
@@ -1041,11 +1045,12 @@ def test_a_parsed_log_is_order_checked_once(shuffled, monkeypatch):
 
     monkeypatch.setattr(ingest, "first_out_of_order", counted)  # encode imports it from ingest when called
     txs = parse(HEADER + "".join(rows[::-1] if shuffled else rows))
-    assert calls == [8]  # the parser's, which sorts a log out of order
+    assert calls == []  # the parser checks the order in its row loop, and sorts a log out of order
+    assert isinstance(txs.seq, range) is not shuffled
     store = run_engine(txs)
-    assert calls == [8]  # encode does not check the parser's columns again
+    assert calls == []  # encode does not check the parser's columns again
     assert run_engine(txs[2:]).to_dict() == run_engine(list(txs[2:])).to_dict()
-    assert calls == [8, 6, 6]  # a slice, and a list, are checked
+    assert calls == [6, 6]  # a slice, and a list, are checked
     assert store.to_dict() == run_engine(list(txs)).to_dict()
 
 
