@@ -14,9 +14,9 @@ object-at-a-time reference semantics and their brute-force replay oracle
 The names below are the library surface the README uses; everything else
 is imported from its module (``dispomet.synth.oracle_replay``, ...).  The
 ingest, synth and stats names resolve on first use, so ``import dispomet``
-loads metrics, _kernel and _rows (the row parser) and none of those three
-until a caller asks for one of their names.  Every module is plain Python,
-synth's seeded draws included: nothing loads numpy.
+loads only metrics, _kernel and _rows (the row parser); each of the other
+three loads when a caller first reads one of its names.  Every module is
+plain Python, synth's seeded draws included: nothing loads numpy.
 """
 import importlib
 

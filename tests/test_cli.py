@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import gc
+import importlib
 import io
 import itertools
 import json
@@ -389,14 +390,16 @@ def synth_log(tmp_path_factory):
 @pytest.mark.parametrize(
     "argv, loads, numpy",
     [
+        # A log in time order streams through _rows alone; the rest parse a whole log.
         (["compute", "--transactions", "{tx}", "--out", "{out}", "--framing", "all"], set(), False),
-        (["compute", "--transactions", "{reversed}", "--out", "{out}", "--framing", "all"], set(), False),
-        (["validate", "--transactions", "{tx}", "--registry", "{reg}"], set(), False),
-        (["report", "--transactions", "{tx}"], set(), False),
+        (["compute", "--transactions", "{reversed}", "--out", "{out}", "--framing", "all"], {"dispomet.ingest"},
+         False),
+        (["validate", "--transactions", "{tx}", "--registry", "{reg}"], {"dispomet.ingest"}, False),
+        (["report", "--transactions", "{tx}"], {"dispomet.ingest"}, False),
         (["compare", "--transactions", "{tx}", "--registry", "{reg}", "--spec", "volatility-long"],
-         {"dispomet.stats"}, False),
-        (["synth", "--out", "{out}", "--investors", "3"], {"dispomet.synth"}, False),
-        ([], set(), False),  # a bare import dispomet, then run_engine over a list
+         {"dispomet.ingest", "dispomet.stats"}, False),
+        (["synth", "--out", "{out}", "--investors", "3"], {"dispomet.ingest", "dispomet.synth"}, False),
+        ([], {"dispomet.ingest"}, False),  # a bare import dispomet, then run_engine over a list
         (["--help"], set(), False),
     ],
     ids=["compute", "compute-out-of-order", "validate", "report", "compare", "synth", "import", "help"],
@@ -412,7 +415,7 @@ def test_fresh_process_loads_only_the_modules_it_runs(argv, loads, numpy, synth_
     )
     assert done.returncode == EXIT_OK, done.stderr
     report = json.loads(done.stderr.splitlines()[-1])
-    assert {"dispomet.synth", "dispomet.stats"} & set(report["modules"]) == loads
+    assert {"dispomet.ingest", "dispomet.synth", "dispomet.stats"} & set(report["modules"]) == loads
     assert report["numpy"] is numpy  # synth draws from a stdlib PCG64: no command needs numpy
     # dataclasses loads inspect, ast, dis and tokenize; fractions loads decimal.
     if "dispomet.synth" not in loads:
@@ -449,7 +452,52 @@ def test_a_failed_run_does_not_load_numpy(argv, code, message, tmp_path):
     assert lines == [message]
     report = json.loads(last)
     assert "dispomet.synth" not in report["modules"] and report["numpy"] is False and report["stdlib"] == []
+    # A strict compute stops in the streamed parse, and report before it reads its input: neither loads ingest.
+    assert not {"dispomet.ingest", "dispomet.stats"} & set(report["modules"])
     assert not list(tmp_path.rglob("records_*"))
+
+
+# Every attribute that perfbench/run.py and perfbench/tracer.py read or
+# wrap, as (module of dispomet, attribute path); "" is the package.
+_BENCHMARK_ATTRIBUTES = [
+    ("ingest", "parse_transactions_report"), ("ingest", "serialize_transactions"),
+    ("ingest", "serialize_instruments"), ("metrics", "run_engine"), ("metrics", "TallyStore.to_dict"),
+    ("metrics", "aggregate"), ("metrics", "histogram"), ("_kernel", "encode"), ("_kernel", "stream"),
+    ("_kernel", "njit"), ("stats", "mann_whitney"), ("stats", "render_table"), ("cli", "main"),
+    ("", "random_stream"), ("", "run_engine"),
+]
+
+
+@pytest.mark.parametrize("module, path", _BENCHMARK_ATTRIBUTES)
+def test_every_name_the_benchmark_reads_resolves(module, path):
+    value = importlib.import_module(f"dispomet.{module}" if module else "dispomet")
+    for name in path.split("."):
+        value = getattr(value, name)
+    assert value is None if path == "njit" else callable(value)
+
+
+def test_cli_calls_the_whole_log_parse_through_the_ingest_module(tmp_path, monkeypatch, capsys):
+    # perfbench's tracer wraps ingest.parse_transactions_report: a name that
+    # cli bound at import would escape the wrap.
+    calls = []
+    parse = ingest.parse_transactions_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "parse_transactions_report", counted)
+    (tmp_path / "tx.csv").write_text(CLEAN)
+    assert main(["validate", "--transactions", str(tmp_path / "tx.csv")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_every_spec_has_a_plan_in_stats_and_every_plan_a_spec():
+    (commands,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
+    (spec,) = [action for action in commands.choices["compare"]._actions if action.dest == "spec"]
+    plans = {name for name in vars(stats) if name.endswith("_sections") and not name.startswith("_")}
+    assert sorted(cli._COMPARE_SPECS[choice][2] for choice in spec.choices) == sorted(plans)
+    assert len(plans) == 4 and all(callable(getattr(stats, plan)) for plan in plans)
 
 
 def _ordered_log(n_rows, bad_line=None):

@@ -1,21 +1,24 @@
+import contextlib
 import io
 import itertools
 import math
 import random
 import re
 import struct
+import tempfile
 import tracemalloc
 from array import array
 from datetime import datetime, timedelta, timezone
 from functools import reduce
 from operator import add
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dispomet import _rows, ingest
+from dispomet import _rows, cli, ingest, metrics
 from dispomet.ingest import INT64_MAX, Side, Transaction, TransactionColumns
 from dispomet.metrics import (
     Context,
@@ -825,6 +828,63 @@ def test_a_log_out_of_order_in_a_later_chunk_is_not_fed():
     assert _fed_in_chunks(txs, 2).tallies == run_engine(txs).tallies
 
 
+_OFFSETS = [timezone(timedelta(minutes=m)) for m in (0, 60, -30, 345)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    events=_adversarial_events, seed=st.integers(0, 2**16), chunk=st.sampled_from((1, 2, 3)),
+    sells_only=st.booleans(), include_traded=st.booleans(),
+)
+@example(events=_CANCELLING, seed=0, chunk=2, sells_only=False, include_traded=False)
+@example(events=_OUT_OF_ASSET_ORDER, seed=1, chunk=3, sells_only=False, include_traded=True)
+def test_cli_compute_streamed_and_fallen_back_writes_the_files_of_run_engine(
+    events, seed, chunk, sells_only, include_traded
+):
+    # Each event's instant is written in one of several UTC offsets, so a run
+    # of equal instants mixes texts; chunks of 1-3 rows put such runs across
+    # chunk edges.  The log in time order streams; its runs of equal instants
+    # shuffled make compute fall back to the whole-log parse and sort.
+    rng = random.Random(seed)
+    txs = [
+        t._replace(timestamp=t.timestamp.replace(tzinfo=timezone.utc).astimezone(rng.choice(_OFFSETS)))
+        for t in _adversarial_stream(events)
+    ]
+    buf = io.StringIO()
+    ingest.serialize_transactions(txs, buf)
+    header, *rows = buf.getvalue().splitlines(keepends=True)
+    runs = [list(run) for _, run in itertools.groupby(zip(txs, rows), key=lambda pair: pair[0].timestamp)]
+    rng.shuffle(runs)
+    shuffled = [pair for run in runs for pair in run]
+    out_of_order = any(a.timestamp > b.timestamp for (a, _), (b, _) in zip(shuffled, shuffled[1:]))
+    flags = ["--eval-scope", "sells-only" if sells_only else "every-event",
+             "--context-rule", "include-traded-asset" if include_traded else "exclude-traded-asset"]
+    streamed = []
+
+    def recorded(*args, **kwargs):
+        store = run_engine_on_log(*args, **kwargs)
+        streamed.append(store is not None)
+        return store
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(_rows, "_ORDER_CHUNK", chunk), \
+            mock.patch.object(metrics, "run_engine_on_log", recorded):
+        tmp = Path(tmp)
+        args = cli.build_parser().parse_args(["compute", "--transactions", "", "--out", "", *flags])
+        args.methods = list(Method)
+        store = run_engine(txs, sells_only=sells_only, include_traded=include_traded)
+        for framing in Framing:
+            cli._write_framing(store, framing, args, tmp)
+        want = {path.name: path.read_bytes() for path in tmp.iterdir()}
+        for name, log_rows in (("in-order", rows), ("shuffled", [row for _, row in shuffled])):
+            (tmp / f"{name}.csv").write_text(header + "".join(log_rows), encoding="utf-8")
+            argv = ["compute", "--transactions", str(tmp / f"{name}.csv"), "--out", str(tmp / name),
+                    "--framing", "all", *flags]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            assert {path.name: path.read_bytes() for path in (tmp / name).iterdir()} == want, name
+    assert len(want) == 18 and streamed == [True, not out_of_order]
+
+
 def test_streaming_an_ordered_log_peaks_with_its_pairs_not_its_rows(tmp_path):
     # The whole-log parse held every row's columns, about 30 bytes a row:
     # ten times the rows peaked 3.8 times as high (0.44 against 1.70 MB).
@@ -915,7 +975,7 @@ def test_a_balance_that_cancels_to_zero_is_neutral():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(events=_checked_events, seq_is_range=st.booleans(), chunk=st.sampled_from((1, 2, 3, 1 << 16)))
 def test_encode_checks_name_the_first_rejected_event(events, seq_is_range, chunk):
-    # chunk moves the borders of first_out_of_order's sorted() chunks.
+    # encode's checks read no chunk size: each chunk size gives the same message.
     listed = _checked_stream(events)
     columns = TransactionColumns.of(listed)
     built = TransactionColumns(
