@@ -8,8 +8,8 @@ pooled over all investors (metrics and its streaming kernel), aggregate
 that array into disposition-effect records across narrow, wide, and
 integrated framing (metrics), and compare groups with Mann-Whitney tests
 (stats).  A seeded synthetic-trader generator, together with the
-object-at-a-time reference semantics and their brute-force replay oracle
-(synth), provides ground truth for validation.
+object-at-a-time reference semantics and the oracle that applies them to
+each event once (synth), provides ground truth for validation.
 
 The names below are the library surface the README uses; everything else
 is imported from its module (``dispomet.synth.oracle_replay``, ...).  The

@@ -418,6 +418,7 @@ def _exit_codes() -> dict[type[Exception], int]:
         ZeroLeverage: EXIT_MALFORMED,
         EmptyGroup: EXIT_EMPTY_GROUP,
         OSError: EXIT_IO,
+        UnicodeEncodeError: EXIT_IO,  # stdout's encoding cannot take a character
         IngestError: EXIT_ERROR,
         metrics.InvalidBinWidth: EXIT_ERROR,
         UsageError: EXIT_ERROR,

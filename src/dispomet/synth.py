@@ -16,20 +16,20 @@ read.
 The second half of the module is the reference semantics that the
 streaming engine (metrics.run_engine) must reproduce bit for bit, written
 one object at a time: the PortfolioState ledger, classify_context,
-accrue_event and compute_de.  oracle_replay is the brute-force reference
-built from them: at every event it rebuilds the investor's portfolio and
-the market prices by replaying the whole prefix from scratch, then accrues
-that single event.
+accrue_event and compute_de.  oracle_replay is the reference built from
+them: one pass that applies each event once to its investor's
+PortfolioState, keeps each asset's last price, and accrues the event.
 """
 from __future__ import annotations
 
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from itertools import accumulate
-from typing import Mapping, MutableMapping, Sequence
+from typing import Iterable, Mapping, MutableMapping, Sequence
 
 from .ingest import Instrument, PairTable, Side, Transaction, TransactionColumns, _instant, _new_columns, _take_each
 from .metrics import Context, Method, Tally, TallyKey
@@ -197,6 +197,9 @@ class BehaviorProfile:
             raise InvalidProfile("horizon_events must be >= 1")
         if not self.leverages or not all(0 < abs(l) < math.inf for l in self.leverages):
             raise InvalidProfile("leverage menu must be non-empty with nonzero finite entries")
+        largest = max(abs(l) for l in self.leverages[: self.n_assets])  # over the leverages that assets take
+        if not math.isfinite(0.9 / largest):  # _price_grid's walk bound
+            raise InvalidProfile(f"largest leverage magnitude {largest!r} is too small: 0.9 / {largest!r} overflows")
         if self.max_quantity < 1 or self.max_assets_per_investor < 1:
             raise InvalidProfile("max_quantity and max_assets_per_investor must be >= 1")
         if self.seed < 0:
@@ -541,26 +544,21 @@ def compute_de(tally: Tally, zero_policy: str = "exclude") -> tuple[float, bool]
 
 
 def oracle_replay(
-    transactions: Sequence[Transaction], *, sells_only: bool = False, include_traded: bool = False
+    transactions: Iterable[Transaction], *, sells_only: bool = False, include_traded: bool = False
 ) -> dict[TallyKey, Tally]:
-    """Brute-force tally computation by full prefix replay at every event.
+    """Reference tallies: each event applied once to its investor's PortfolioState, then accrued.
 
     The flags mean what they mean to metrics.run_engine.  The input is read
-    into a list of Transactions once, at the top.  Quadratic in the number
-    of events; intended for small inputs only.
+    once, in order, as any iterable of Transactions; what is kept grows with
+    the investors, assets and tallies, not the rows.
     """
-    transactions = list(transactions)
     tallies: dict[TallyKey, Tally] = {}
-    for i, tx in enumerate(transactions):
-        prefix = transactions[: i + 1]
-        state = PortfolioState()
-        leg = None
-        for t in prefix:
-            if t.investor_id == tx.investor_id:
-                leg = state.apply(t)
-        last_price: dict[str, float] = {}
-        for t in prefix:
-            last_price[t.asset_id] = t.price
+    states: dict[str, PortfolioState] = defaultdict(PortfolioState)
+    last_price: dict[str, float] = {}
+    for tx in transactions:
+        state = states[tx.investor_id]
+        leg = state.apply(tx)
+        last_price[tx.asset_id] = tx.price
         if sells_only and tx.side is Side.BUY:
             continue
         positions = state.open_positions()

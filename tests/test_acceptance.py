@@ -79,7 +79,7 @@ def test_criterion_1_bounds_and_formula():
 
 
 def test_criterion_2_oracle_equivalence():
-    """1,000 random streams: streaming tallies equal brute-force replay exactly."""
+    """1,000 random streams: streaming tallies equal the oracle's exactly."""
     start = time.perf_counter()
     for seed in range(1000):
         txs = random_stream(seed, max_investors=3, max_assets=4, max_events=50)

@@ -297,16 +297,30 @@ class _FullDevice(io.RawIOBase):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def test_stdout_that_cannot_be_written_is_one_io_error(clean_file):
-    stdout, stderr = io.TextIOWrapper(_FullDevice(), encoding="utf-8"), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["validate", "--transactions", clean_file])
-    finally:
-        stdout.close()
-    assert code == EXIT_IO
-    (line,) = stderr.getvalue().splitlines()
-    assert line == f"dispomet: error: IOError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+def test_stdout_that_cannot_be_written_is_one_io_error(clean_file, tmp_path):
+    accented = tmp_path / "accented.csv"
+    accented.write_text(CLEAN + "I1,ETF1L,é,1,9.0,2015-01-05 09:03:00\n", encoding="utf-8")
+    unencodable = re.escape("UnicodeEncodeError: 'ascii' codec can't encode character '\\xe9' in position ") + (
+        r"\d+: ordinal not in range\(128\)"
+    )
+    cases = [
+        (_FullDevice(), "utf-8", ["validate", "--transactions", clean_file],
+         re.escape(f"IOError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")),
+        # An ASCII stdout given a reject that quotes the side é, then an --out path with é in it.
+        (io.BytesIO(), "ascii", ["validate", "--transactions", str(accented), "--lenient"], unencodable),
+        (io.BytesIO(), "ascii", ["compute", "--transactions", clean_file, "--out", str(tmp_path / "résultats")],
+         unencodable),
+    ]
+    for raw, encoding, argv, message in cases:
+        stdout, stderr = io.TextIOWrapper(raw, encoding=encoding), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            stdout.close()
+        assert code == EXIT_IO, argv
+        (line,) = stderr.getvalue().splitlines()
+        assert re.fullmatch(f"dispomet: error: {message}", line), line
 
 
 def _run_console_script(monkeypatch, argv, stdout):
@@ -737,6 +751,8 @@ _VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
          "UsageError: --leverages: expected comma-separated numbers, got 'abc'"),
         (["synth", "--out", "{out}", "--investors", "3", "--leverages", "1,nan"], CLEAN, REGISTRY, EXIT_ERROR,
          "InvalidProfile: leverage menu must be non-empty with nonzero finite entries"),
+        (["synth", "--out", "{out}", "--investors", "3", "--leverages", "5e-309"], CLEAN, REGISTRY, EXIT_ERROR,
+         "InvalidProfile: largest leverage magnitude 5e-309 is too small: 0.9 / 5e-309 overflows"),
         (_compare("long-vs-inverse") + ["--decimals", "-1"], CLEAN, REGISTRY, EXIT_ERROR,
          "UsageError: --decimals must be >= 0, got -1"),
         (_compare("long-vs-inverse") + ["--decimals", "3000000000"], CLEAN, REGISTRY, EXIT_ERROR,
@@ -758,7 +774,8 @@ _VALIDATE = ["validate", "--transactions", "{tx}", "--registry", "{reg}"]
         "compare-zero-leverage", "validate-bad-leverage", "compare-bad-leverage",
         "compare-non-finite-leverage", "long-vs-inverse-empty-group", "context-split-empty-group",
         "missing-file", "report-empty-log", "compute-bins-0", "compute-bins-too-many",
-        "synth-unparseable-leverages", "synth-non-finite-leverage", "compare-negative-decimals",
+        "synth-unparseable-leverages", "synth-non-finite-leverage", "synth-leverage-too-small",
+        "compare-negative-decimals",
         "compare-decimals-too-large",
         "validate-transactions-not-utf8", "compare-registry-not-utf8", "compute-field-too-long",
         "validate-registry-field-too-long",
@@ -773,7 +790,8 @@ def test_exit_code_and_first_error_line(argv, transactions, registry, code, firs
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[0] == "dispomet: error: " + first_line.format(**paths)
+    assert captured.err.splitlines() == ["dispomet: error: " + first_line.format(**paths)]
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from dispomet.metrics import (
 from dispomet.synth import (
     BehaviorProfile,
     Direction,
+    PortfolioState,
     Position,
     RealizationLeg,
     accrue_event,
@@ -821,11 +822,95 @@ def test_chunked_feeds_equal_one_feed_and_the_oracle_on_random_streams(seed):
     _assert_chunked_feeds_match(list(random_stream(seed, max_investors=4, max_assets=6, max_events=120)))
 
 
+def _prefix_replay(transactions, *, sells_only=False, include_traded=False):
+    """oracle_replay's definition: at every event, the investor's portfolio and the market prices
+    rebuilt by replaying the whole prefix from scratch, then that one event accrued.  Quadratic."""
+    transactions = list(transactions)
+    tallies = {}
+    for i, tx in enumerate(transactions):
+        prefix = transactions[: i + 1]
+        state = PortfolioState()
+        leg = None
+        for t in prefix:
+            if t.investor_id == tx.investor_id:
+                leg = state.apply(t)
+        last_price = {t.asset_id: t.price for t in prefix}
+        if sells_only and tx.side is Side.BUY:
+            continue
+        positions = state.open_positions()
+        ctx = classify_context(positions, tx.asset_id, last_price, include_traded=include_traded)
+        accrue_event(tallies, tx.investor_id, leg, positions, last_price, ctx)
+    return tallies
+
+
+def _assert_oracle_is_the_prefix_replay(txs):
+    for sells_only, include_traded in itertools.product((False, True), repeat=2):
+        flags = dict(sells_only=sells_only, include_traded=include_traded)
+        want = {key: repr(t) for key, t in _prefix_replay(txs, **flags).items()}  # repr: NaN equals NaN
+        assert {key: repr(t) for key, t in oracle_replay(txs, **flags).items()} == want, flags
+
+
+def test_oracle_equals_its_prefix_replay_definition_on_random_streams():
+    for seed in range(200):
+        _assert_oracle_is_the_prefix_replay(random_stream(seed, max_investors=4, max_assets=5, max_events=80))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(events=_adversarial_events)
+@example(events=_CANCELLING)
+@example(events=_OUT_OF_ASSET_ORDER)
+def test_oracle_equals_its_prefix_replay_definition_on_adversarial_numerics(events):
+    _assert_oracle_is_the_prefix_replay(_adversarial_stream(events))
+
+
 def test_a_log_out_of_order_in_a_later_chunk_is_not_fed():
     txs = _adversarial_stream(_CANCELLING)
     for chunk in (2, 5):  # the disorder inside a chunk, then across two
         assert _fed_in_chunks([*txs[:4], txs[5], txs[4]], chunk) is None  # event 4 is a minute before event 5
     assert _fed_in_chunks(txs, 2).tallies == run_engine(txs).tallies
+
+
+# The benchmark's three workload shapes at their default seeds (perfbench/run.py's WORKLOADS):
+# investors and profile.
+_BENCHMARK_SHAPES = {
+    "deep": (40, dict(p_realize_gain=0.5, p_realize_loss=0.5, n_assets=20, horizon_events=1400,
+                      max_assets_per_investor=6, seed=7)),
+    "wide": (2000, dict(p_realize_gain=0.5, p_realize_loss=0.5, n_assets=200, horizon_events=12,
+                        max_assets_per_investor=12, p_new_position=1.0, seed=3)),
+    "compare": (400, dict(p_realize_gain=0.6, p_realize_loss=0.3, n_assets=40, horizon_events=120,
+                          max_assets_per_investor=8, seed=11)),
+}
+
+
+@pytest.mark.parametrize("shape", list(_BENCHMARK_SHAPES))
+def test_engine_equals_oracle_on_whole_benchmark_shaped_logs(shape):
+    # Every event of the log, streamed in time order and fallen back from
+    # its runs of equal timestamp shuffled, as CI shuffles them; compare's
+    # log also with one row in 100 broken, as the benchmark feeds it.
+    n_investors, profile = _BENCHMARK_SHAPES[shape]
+    generated, _ = generate_population(n_investors, BehaviorProfile(**profile))
+    want = {key: repr(t) for key, t in oracle_replay(generated).items()}  # repr: NaN equals NaN
+    buf = io.StringIO()
+    ingest.serialize_transactions(generated, buf)
+    header, *rows = buf.getvalue().splitlines(keepends=True)
+    logs = [(rows, False)]
+    if shape == "compare":
+        broken = []
+        for i, row in enumerate(rows):
+            if i % 99 == 0:
+                investor, asset, _, rest = row.split(",", 3)
+                broken.append(f"{investor},{asset},X,{rest}")
+            broken.append(row)
+        logs.append((broken, True))
+    for log_rows, lenient in logs:
+        streamed = run_engine_on_log(io.StringIO(header + "".join(log_rows)), lenient=lenient)
+        assert {key: repr(t) for key, t in streamed.to_dict().items()} == want, lenient
+        runs = [list(run) for _, run in itertools.groupby(log_rows, key=lambda row: row.rsplit(",", 1)[1])]
+        random.Random(0).shuffle(runs)
+        shuffled = header + "".join(itertools.chain(*runs))
+        assert run_engine_on_log(io.StringIO(shuffled), lenient=lenient) is None
+        fallen_back = run_engine(ingest.parse_transactions(io.StringIO(shuffled), lenient=lenient))
+        assert {key: repr(t) for key, t in fallen_back.to_dict().items()} == want, lenient
 
 
 _OFFSETS = [timezone(timedelta(minutes=m)) for m in (0, 60, -30, 345)]

@@ -61,6 +61,7 @@ def test_registry_covers_leverage_menu():
         {"horizon_events": 0},
         {"leverages": (0,)},
         {"seed": -1},
+        {"leverages": (5e-309, -4e-309)},  # 0.9 / 5e-309, the price walk's bound, overflows
     ],
 )
 def test_invalid_profiles(overrides):
@@ -96,6 +97,15 @@ def test_oracle_empty_stream():
 def test_oracle_matches_engine_on_random_stream():
     txs = random_stream(42)
     assert run_engine(txs).to_dict() == oracle_replay(txs)
+
+
+def test_oracle_reads_its_input_once():
+    # A generator can be read once: the oracle keeps no copy of its input to read again.
+    txs, _ = generate_population(12, small_profile(n_assets=6, horizon_events=40))
+    for flags in (dict(), dict(sells_only=True, include_traded=True)):
+        read = (tx for tx in txs)
+        assert repr(oracle_replay(read, **flags)) == repr(oracle_replay(txs, **flags))
+        assert next(read, None) is None
 
 
 def test_random_stream_deterministic():
