@@ -10,7 +10,7 @@ import csv
 import gc
 import os
 import sys
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence, TextIO
@@ -149,7 +149,7 @@ def _write_records(records: DeRecords, stream: TextIO, investor_text: list[str],
 def _write_histogram(bins: Sequence[tuple[float, int]], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("bin_edge", "count"))
-    writer.writerows((repr(edge), count) for edge, count in bins)
+    writer.writerows((repr(edge), n) for edge, n in bins)
 
 
 def _engine_flags(args: argparse.Namespace) -> dict[str, bool]:
@@ -333,9 +333,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     bins = metrics.histogram(records.de, args.bins)  # NaN, an undefined record, is not counted
     print("Histogram of the investor-level disposition effect (method Count)")
     peak = max((c for _, c in bins), default=0)
-    for edge, count in bins:
-        bar = "#" * (0 if peak == 0 else round(40 * count / peak))
-        print(f"[{edge:+.2f}, {edge + args.bins:+.2f})  {str(count).rjust(6)}  {bar}")
+    places = next(d for d in count(2) if round(args.bins, d) == args.bins)  # as many as the width needs, at least 2
+    for i, (edge, n) in enumerate(bins, 1):
+        bar = "#" * (0 if peak == 0 else round(40 * n / peak))
+        end = f"{edge + args.bins:+.{places}f})" if i < len(bins) else f"{1:+.{places}f}]"  # histogram closes it at 1
+        print(f"[{edge:+.{places}f}, {end}  {str(n).rjust(6)}  {bar}")
     return EXIT_OK
 
 

@@ -39,7 +39,6 @@ import csv
 import math
 import operator
 from array import array
-from collections import Counter
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import compress, count, islice, repeat
@@ -237,8 +236,8 @@ class DatasetSummary(NamedTuple):
             ("Number of investors", f"{self.n_investors}"),
             ("Number of assets", f"{self.n_assets}"),
             ("Number of transactions", f"{self.n_transactions}"),
-            ("Median transactions per investor", f"{self.median_transactions_per_investor:g}"),
-            ("Number of different assets traded", f"{self.median_assets_per_investor:g} per investor"),
+            ("Median transactions per investor", number_text(self.median_transactions_per_investor)),
+            ("Number of different assets traded", f"{number_text(self.median_assets_per_investor)} per investor"),
             ("Client account time horizon (years)", f"{self.median_account_horizon_years:.2f}"),
             ("Holding time horizon per asset (days)", f"{self.median_holding_days_per_asset:.1f}"),
         ]
@@ -399,26 +398,17 @@ def parse_instruments(stream: TextIO) -> dict[str, Instrument]:
 def serialize_instruments(registry: dict[str, Instrument], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(REGISTRY_COLUMNS)
-    writer.writerows((inst.asset_id, inst.underlying_id, leverage_text(inst.leverage)) for inst in registry.values())
+    writer.writerows((inst.asset_id, inst.underlying_id, number_text(inst.leverage)) for inst in registry.values())
 
 
-def leverage_text(leverage: float) -> str:
-    """``leverage`` in its short form where its 6 significant digits are exact, else as repr, which is exact."""
-    text = f"{leverage:g}"
-    return text if float(text) == leverage else repr(leverage)
+def number_text(value: float) -> str:
+    """``value`` in its short form where its 6 significant digits are exact, else as repr, which is exact."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 _SECONDS_PER_YEAR = 365.25 * 86400.0
 _SECONDS_PER_DAY = 86400.0
-
-
-def _spans(keys: Iterable, timestamps: Sequence[int]) -> dict:
-    """(first, last) timestamp per key."""
-    spans: dict = {}
-    for key, ts in zip(keys, timestamps):
-        span = spans.get(key)
-        spans[key] = (ts, ts) if span is None else (min(span[0], ts), max(span[1], ts))
-    return spans
 
 
 def median(values: Iterable[float]) -> float:
@@ -431,25 +421,33 @@ def median(values: Iterable[float]) -> float:
 
 
 def summarize(transactions: Sequence[Transaction]) -> DatasetSummary:
-    """Descriptive summary: medians over per-investor and per-asset groups."""
+    """Descriptive summary: medians over per-investor and per-asset groups, from one pass over the rows."""
     txs = TransactionColumns.of(transactions)
     if not txs:
         raise EmptyDataset("summarize requires at least one transaction")
-    investor_of = txs.pair_investor.__getitem__  # investors are counted by code: no id is read
-    per_investor_count = Counter(map(investor_of, txs.pair))
-    investor_spans = _spans(map(investor_of, txs.pair), txs.timestamp)
-    pair_spans = _spans(txs.pair, txs.timestamp)
-    assets_per_investor = Counter(map(investor_of, pair_spans))
+    pairs: dict[int, list[int]] = {}  # [rows, first, last] per pair code
+    for p, ts in zip(txs.pair, txs.timestamp):
+        pair = pairs.setdefault(p, [0, ts, ts])
+        pair[0] += 1
+        pair[1] = min(pair[1], ts)
+        pair[2] = max(pair[2], ts)
+    investors: dict[int, list[int]] = {}  # [rows, pairs, first, last] per investor code: no id is read
+    for p, (rows, first, last) in pairs.items():
+        investor = investors.setdefault(txs.pair_investor[p], [0, 0, first, last])
+        investor[0] += rows
+        investor[1] += 1
+        investor[2] = min(investor[2], first)
+        investor[3] = max(investor[3], last)
     # A span in microseconds over the int 10**6 is exactly the span's
     # timedelta.total_seconds().
-    horizons = [(last - first) / 10**6 / _SECONDS_PER_YEAR for first, last in investor_spans.values()]
-    holding_days = [(last - first) / 10**6 / _SECONDS_PER_DAY for first, last in pair_spans.values()]
+    horizons = [(last - first) / 10**6 / _SECONDS_PER_YEAR for _, _, first, last in investors.values()]
+    holding_days = [(last - first) / 10**6 / _SECONDS_PER_DAY for _, first, last in pairs.values()]
     return DatasetSummary(
-        n_investors=len(per_investor_count),
-        n_assets=len({txs.pair_asset[p] for p in pair_spans}),
+        n_investors=len(investors),
+        n_assets=len({txs.pair_asset[p] for p in pairs}),
         n_transactions=len(txs),
-        median_transactions_per_investor=float(median(per_investor_count.values())),
-        median_assets_per_investor=float(median(assets_per_investor.values())),
+        median_transactions_per_investor=float(median(rows for rows, _, _, _ in investors.values())),
+        median_assets_per_investor=float(median(n_pairs for _, n_pairs, _, _ in investors.values())),
         median_account_horizon_years=float(median(horizons)),
         median_holding_days_per_asset=float(median(holding_days)),
     )

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .ingest import leverage_text, median
+from .ingest import median, number_text
 from .metrics import Context
 
 STAR_LEGEND = "* p<0.1, ** p<0.05, *** p<0.01"
@@ -191,7 +191,7 @@ def render_table(
 
 
 def _lev_label(leverage: float) -> str:
-    return f"{leverage_text(leverage)}x"
+    return f"{number_text(leverage)}x"
 
 
 # Comparison plans are lists of (section title, rows).  A row is a label and

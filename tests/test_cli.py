@@ -254,7 +254,7 @@ def _naive_compare_table(spec, tx_path, reg_path):
                 and r.asset_id in registry and registry[r.asset_id].leverage == leverage]
 
     def row(a, b, context_a, context_b):
-        label = f"{ingest.leverage_text(a)}x = {ingest.leverage_text(b)}x"
+        label = f"{ingest.number_text(a)}x = {ingest.number_text(b)}x"
         return label, [stats.mann_whitney(sample(m, a, context_a), sample(m, b, context_b)) for m in metrics.Method]
 
     leverages = sorted({inst.leverage for inst in registry.values()})
@@ -578,6 +578,39 @@ def test_report_rejects_a_bad_bin_width_before_reading_input(clean_file, capsys,
     assert line.startswith("dispomet: error: InvalidBinWidth: bin width must be in (0, 2]")
 
 
+@pytest.mark.parametrize(
+    "width, first, last",
+    [
+        ("0.1", "[-1.00, -0.90)", "[+0.90, +1.00]"),
+        ("0.004", "[-1.000, -0.996)", "[+0.996, +1.000]"),
+        ("0.015", "[-1.000, -0.985)", "[+0.995, +1.000]"),
+        ("0.3", "[-1.00, -0.70)", "[+0.80, +1.00]"),
+    ],
+)
+def test_report_labels_every_bin_apart_and_closes_the_last_at_1(clean_file, capsys, width, first, last):
+    # Each edge has as many decimals as the width needs, so no two labels read
+    # the same, and the last label ends at 1, where histogram closes its bin,
+    # whether or not the width tiles [-1, 1].
+    assert main(["report", "--transactions", clean_file, "--bins", width]) == EXIT_OK
+    out = capsys.readouterr().out
+    labels = [line.split("  ")[0] for line in out.split("(method Count)\n")[1].splitlines()]
+    assert len(labels) == metrics.bin_count(float(width))
+    assert len(set(labels)) == len(labels)
+    assert labels[0] == first and labels[-1] == last
+    assert all(label.endswith(")") for label in labels[:-1])
+
+
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_summary_prints_the_same_text_for_the_log_out_of_time_order(command, synth_log, capsys):
+    # The parse sorts reversed.csv and renumbers its pairs, which summarize and report count by code.
+    texts = []
+    for name in ("transactions.csv", "reversed.csv"):
+        assert main([command, "--transactions", str(synth_log / name)]) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert "Median transactions per investor" in texts[0]
+    assert texts[0] == texts[1]
+
+
 @pytest.mark.filterwarnings("error")
 def test_tallies_whose_sums_overflow_print_nothing_to_stderr(tmp_path, capsys):
     # Finite tallies whose narrow, pooled and rg + pg sums pass the double
@@ -641,11 +674,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # Only the block under "## CLI": an example elsewhere, however slow, is not run here.
+    section = re.search(r"^## CLI\n(.*?)^## ", README.read_text(encoding="utf-8"), re.S | re.M).group(1)
+    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
     commands = [
-        shlex.split(line)[1:]
-        for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-        for line in block.replace("\\\n", " ").splitlines()
-        if line.startswith("dispomet ")
+        shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.startswith("dispomet ")
     ]
     assert {argv[0] for argv in commands} == {"synth", "validate", "compute", "compare", "report"}
     monkeypatch.chdir(tmp_path)  # the README's relative paths land under tmp_path

@@ -38,7 +38,7 @@ from dispomet.ingest import (
     summarize,
 )
 from dispomet.metrics import run_engine, run_engine_on_log
-from dispomet.synth import BehaviorProfile, generate_population, oracle_replay
+from dispomet.synth import BehaviorProfile, generate_population, oracle_replay, random_stream
 
 HEADER = "investor_id,asset_id,side,quantity,price,timestamp\n"
 
@@ -465,6 +465,19 @@ def test_summary_table_rows():
     assert "Number of different assets traded" in labels
 
 
+def test_summary_rows_print_each_median_exactly():
+    # A median is a whole number or a half, printed in full, even past six significant digits.
+    def medians(transactions, assets):
+        rows = dict(ingest.DatasetSummary(1, 1, 1, transactions, assets, 0.0, 0.0).rows())
+        return rows["Median transactions per investor"], rows["Number of different assets traded"]
+
+    assert medians(123456.5, 999999.5) == ("123456.5", "999999.5 per investor")
+    assert medians(1234567.0, 0.5) == ("1234567.0", "0.5 per investor")
+    # Six or fewer significant digits print as before.
+    assert medians(123456.0, 1e6) == ("123456", "1e+06 per investor")
+    assert medians(4.0, 2.5) == ("4", "2.5 per investor")
+
+
 def _population(n_investors=12):
     """A generated log as a list of Transactions, so TransactionColumns.of takes its list path."""
     txs, _ = generate_population(n_investors, BehaviorProfile(0.6, 0.3, n_assets=6, horizon_events=30, seed=5))
@@ -509,6 +522,12 @@ def test_summarize_counts_by_code_and_reads_no_id_text(monkeypatch):
         "parsed": cols, "sliced": cols[3:-5:2], "reversed": cols[::-3],
         "of a list": TransactionColumns.of(list(cols[::2])), "aware": aware, "aware sliced": aware[1::4],
     }
+    for seed in range(200):  # summarize keeps minima and maxima, so any row order gives the same summary
+        stream = random_stream(seed, 6, 8, 300)
+        shuffled = list(stream)
+        random.Random(seed).shuffle(shuffled)
+        builds.update({f"stream {seed}": stream, f"stream {seed} reversed": stream[::-3],
+                       f"stream {seed} shuffled": shuffled, f"stream {seed} shuffled sliced": shuffled[::2]})
     expected = {name: _naive_summary(list(txs)) for name, txs in builds.items()}
     assert len({summary.n_investors for summary in expected.values()}) > 1
     monkeypatch.setattr(TransactionColumns, "_ids", _no_ids)
